@@ -531,7 +531,9 @@ runSolarCapScenario(SolarPolicyKind kind, double solar_fraction_pct,
             double sum = 0.0;
             cluster.forEachAppContainer(
                 par_cop, [&](const cop::Container &c) {
-                    double cap = eco.getContainerPowercap(c.id);
+                    const double cap =
+                        eco.getContainerPowercap(api::handleOf(cluster, c.id))
+                            .value();
                     sum += std::isfinite(cap)
                                ? cap
                                : cluster.maxContainerPowerW(c.id);

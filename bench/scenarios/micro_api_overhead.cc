@@ -3,12 +3,9 @@
  * Microbenchmark scenario: the cost of the ecovisor's narrow API
  * (Table 1 getters/setters) and of per-tick settlement at various
  * cluster sizes. Not a paper figure — a sanity check that the control
- * plane is cheap relative to the one-minute tick, and the measurement
- * backing the v2 API redesign: the string-keyed v1 surface, the
- * handle-addressed v2 surface and the batched EnergySnapshot are all
- * timed side by side (`*_string` vs `*_handle` vs `getters_snapshot`).
- * The handle path must beat the string path — it replaces a
- * string-keyed map walk with an array index. All timing results are
+ * plane is cheap relative to the one-minute tick. The handle-addressed
+ * scalar getters and the batched EnergySnapshot are timed side by side
+ * (`getters_handle` vs `getters_snapshot`). All timing results are
  * host-dependent and therefore reported as perf metrics (compared
  * warn-only by `ecobench diff`).
  */
@@ -34,7 +31,7 @@ struct Rig
     cop::Cluster cluster;
     energy::PhysicalEnergySystem phys;
     core::Ecovisor eco;
-    std::vector<cop::ContainerId> ids;
+    std::vector<api::ContainerHandle> containers;
 
     explicit Rig(int nodes, int apps, int containers_per_app,
                  bool record_telemetry = false)
@@ -54,12 +51,12 @@ struct Rig
             b.initial_soc = 0.5;
             share.battery = b;
             std::string name = "app" + std::to_string(a);
-            eco.addApp(name, share);
+            eco.tryAddApp(name, share).value();
             for (int c = 0; c < containers_per_app; ++c) {
                 auto id = cluster.createContainer(name, 1.0);
                 if (id) {
                     cluster.setDemand(*id, 0.7);
-                    ids.push_back(*id);
+                    containers.push_back(api::handleOf(cluster, *id));
                 }
             }
         }
@@ -107,25 +104,12 @@ run(const ScenarioOptions &opt)
                    return rig.eco.getGridCarbon();
                }));
 
-        // The same getter through the three surfaces: v1 string path
-        // (map walk per call), v2 handle path (array index), and the
-        // batched snapshot below.
-        record("get_solar_power", nsPerOp(iters, [&](int) {
-                   return rig.eco.getSolarPower("app0");
-               }));
         record("get_solar_power_handle", nsPerOp(iters, [&](int) {
                    return rig.eco.getSolarPower(app0).value();
                }));
 
-        // The full Table 1 getter set for one app: five string calls
-        // vs five handle calls vs one batched EnergySnapshot.
-        record("getters_string", nsPerOp(iters, [&](int) {
-                   return rig.eco.getSolarPower("app0") +
-                          rig.eco.getGridPower("app0") +
-                          rig.eco.getGridCarbon() +
-                          rig.eco.getBatteryDischargeRate("app0") +
-                          rig.eco.getBatteryChargeLevel("app0");
-               }));
+        // The full Table 1 getter set for one app: five scalar calls
+        // vs one batched EnergySnapshot.
         record("getters_handle", nsPerOp(iters, [&](int) {
                    return rig.eco.getSolarPower(app0).value() +
                           rig.eco.getGridPower(app0).value() +
@@ -143,17 +127,13 @@ run(const ScenarioOptions &opt)
                           s.battery_charge_level_wh;
                }));
 
+        const api::ContainerHandle c0 = rig.containers.front();
         record("get_container_power", nsPerOp(iters, [&](int) {
-                   return rig.eco.getContainerPower(rig.ids.front());
+                   return rig.eco.getContainerPower(c0).value();
                }));
         record("set_container_powercap", nsPerOp(iters, [&](int i) {
-                   rig.eco.setContainerPowercap(
-                       rig.ids.front(), 0.5 + 0.1 * (i % 8));
-                   return 0.0;
-               }));
-        record("set_battery_charge_rate", nsPerOp(iters, [&](int i) {
-                   rig.eco.setBatteryChargeRate(
-                       "app0", static_cast<double>(i % 11) * 10.0);
+                   rig.eco.setContainerPowercap(c0, 0.5 + 0.1 * (i % 8))
+                       .orFatal();
                    return 0.0;
                }));
         record("set_battery_charge_rate_handle",
@@ -205,8 +185,7 @@ run(const ScenarioOptions &opt)
         std::printf("=== Microbenchmark: ecovisor API overhead ===\n\n");
         t.print();
         std::printf("\nSanity check: every operation must be orders "
-                    "of magnitude cheaper than the 60 s tick, and the "
-                    "handle paths must beat their string twins.\n");
+                    "of magnitude cheaper than the 60 s tick.\n");
     }
     return out;
 }

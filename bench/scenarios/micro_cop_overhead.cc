@@ -2,8 +2,8 @@
  * @file
  * Microbenchmark scenario: the cost of the COP substrate itself —
  * container create/destroy churn, per-app power aggregation
- * (`appPowerW` by name vs by interned app index), allocation-free
- * container iteration, and handle validation. The companion of
+ * (`appPowerW` cached vs list walk), allocation-free container
+ * iteration, and handle validation. The companion of
  * `micro_api_overhead`: that one times the ecovisor's Table 1
  * surface, this one times the cluster layer those calls bottom out
  * in. All results are host-dependent perf metrics (warn-only in
@@ -108,13 +108,12 @@ run(const ScenarioOptions &opt)
                }));
     }
 
-    // Per-app aggregation at growing fleet sizes. Three paths:
-    // cached (clean aggregate, O(1) read), walk (cache invalidated
-    // every iteration, so the per-app list walk itself is timed —
-    // minus the ~setDemand of the dirtying store), and the
-    // name-keyed compat path (intern lookup + cached read). Under
-    // the pre-slab std::map substrate the walk visited *every*
-    // container in the cluster per app.
+    // Per-app aggregation at growing fleet sizes. Two paths: cached
+    // (clean aggregate, O(1) read) and walk (cache invalidated every
+    // iteration, so the per-app list walk itself is timed — minus the
+    // ~setDemand of the dirtying store). Under the pre-slab std::map
+    // substrate the walk visited *every* container in the cluster
+    // per app.
     struct Shape
     {
         int apps;
@@ -127,10 +126,6 @@ run(const ScenarioOptions &opt)
         Fleet f(shape.apps * 4, shape.apps, shape.per_app);
         const cop::AppIndex app0 = f.cluster.findAppIndex(f.names[0]);
         const cop::ContainerId dirty_id = f.ids.front();
-        record(std::string("app_power_string_") + shape.key,
-               nsPerOp(iters, [&](int) {
-                   return f.cluster.appPowerW(f.names[0]);
-               }));
         record(std::string("app_power_index_cached_") + shape.key,
                nsPerOp(iters, [&](int) {
                    return f.cluster.appPowerW(app0);
@@ -156,7 +151,7 @@ run(const ScenarioOptions &opt)
         record(std::string("app_containers_alloc_") + shape.key,
                nsPerOp(iters, [&](int) {
                    return static_cast<double>(
-                       f.cluster.appContainers(f.names[0]).size());
+                       f.cluster.appContainers(app0).size());
                }));
     }
 

@@ -1,15 +1,14 @@
 /**
  * @file
  * Microbenchmark scenario: the cost of the telemetry substrate — one
- * sample write through the string-keyed compat shim vs the interned
- * SeriesId fast path (with and without the std::to_string container
- * tagging the shim pays per call), interval queries with and without
- * the monotone cursor hint, allocation traffic on the write paths,
- * and the bounded-retention append (rollup folding + amortized
- * sealing) next to the heap held by a bounded vs unbounded series. The companion of `micro_cop_overhead`: that one times the
- * cluster layer, this one times the store every settled tick records
- * into. All timing results are host-dependent perf metrics
- * (warn-only in `ecobench diff`).
+ * sample append to an interned SeriesId (app- and container-tagged),
+ * interval queries with and without the monotone cursor hint,
+ * allocation traffic on the append path, and the bounded-retention
+ * append (rollup folding + amortized sealing) next to the heap held
+ * by a bounded vs unbounded series. The companion of
+ * `micro_cop_overhead`: that one times the cluster layer, this one
+ * times the store every settled tick records into. All timing results
+ * are host-dependent perf metrics (warn-only in `ecobench diff`).
  */
 
 #include <chrono>
@@ -78,10 +77,9 @@ run(const ScenarioOptions &opt)
     };
 
     // ------------------------------------------------------------------
-    // Write paths. One write per tick per series with advancing
-    // timestamps — exactly the recordTelemetry access pattern. 64
-    // tenants' worth of series makes the shim walk a realistic
-    // intern map on every call.
+    // Append path. One append per tick per series with advancing
+    // timestamps — exactly the recordTelemetry access pattern — into
+    // a store holding 64 tenants' worth of series.
     // ------------------------------------------------------------------
     {
         ts::TsDatabase db;
@@ -89,42 +87,29 @@ run(const ScenarioOptions &opt)
             const std::string app = "app" + std::to_string(a);
             for (const char *m :
                  {"app_power_w", "app_grid_w", "app_carbon_g"})
-                db.write(m, app, 0, 1.0);
+                db.append(db.intern(m, app), 0, 1.0);
         }
         TimeS now = 60;
-        record("write_string_app", nsPerOp(iters, [&](int) {
-                   db.write("app_power_w", "app37", now++, 55.5);
-                   return 0.0;
-               }));
         const ts::SeriesId id = db.findSeries("app_grid_w", "app37");
         record("append_seriesid", nsPerOp(iters, [&](int) {
                    db.append(id, now++, 55.5);
                    return 0.0;
                }));
 
-        // The per-container pattern the seed paid every tick: format
-        // the container id into the tag, then resolve the string key.
-        // The fast path hoists both to the container's first sight.
+        // A container-tagged series: the ecovisor formats the
+        // container id into the tag once, at the container's first
+        // sight, and appends by id from then on.
         const long long cid = 1234567; // container-id-shaped tag
-        db.write("container_power_w", std::to_string(cid), 0, 1.0);
-        record("write_string_container", nsPerOp(iters, [&](int) {
-                   db.write("container_power_w", std::to_string(cid),
-                            now, 20.0);
-                   return 0.0;
-               }));
         const ts::SeriesId cpid =
-            db.findSeries("container_power_w", std::to_string(cid));
+            db.intern("container_power_w", std::to_string(cid));
+        db.append(cpid, 0, 1.0);
         record("append_seriesid_container", nsPerOp(iters, [&](int) {
                    db.append(cpid, now, 20.0);
                    return 0.0;
                }));
-        now += 1;
 
-        // Allocation traffic for one burst of writes per path. The
-        // reserved SeriesId path must hold zero net heap growth; the
-        // string shim pays for key temporaries on every call (they
-        // are freed again, so measure live bytes conservatively via
-        // a tag long enough to defeat SSO).
+        // Allocation traffic for one burst of appends: after
+        // reserve(), the SeriesId path must hold zero net heap growth.
         const int burst = 4096;
         ts::TsDatabase adb;
         const ts::SeriesId rid =
@@ -235,20 +220,18 @@ run(const ScenarioOptions &opt)
         std::printf("=== Microbenchmark: telemetry substrate overhead "
                     "===\n\n");
         t.print();
-        std::printf("\nSanity check: the SeriesId append must beat "
-                    "both string-shim writes (the container variant "
-                    "pays an extra std::to_string per call), hold "
-                    "zero allocation per append after reserve, and "
-                    "the cursored monotone sweep must beat the "
-                    "re-searching one.\n");
+        std::printf("\nSanity check: the SeriesId append must hold "
+                    "zero allocation after reserve, and the cursored "
+                    "monotone sweep must beat the re-searching "
+                    "one.\n");
     }
     return out;
 }
 
 const ScenarioRegistrar reg({
     "micro_telemetry_overhead",
-    "Microbenchmark: ns/op for telemetry writes (string shim vs "
-    "SeriesId) and cursor-hinted interval queries (perf-only)",
+    "Microbenchmark: ns/op for SeriesId telemetry appends and "
+    "cursor-hinted interval queries (perf-only)",
     /*default_seed=*/1,
     {},
     run,

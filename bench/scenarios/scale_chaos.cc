@@ -324,7 +324,8 @@ run(const ScenarioOptions &opt)
     double carbon_weighted = 0.0;
     const auto names = w.eco.appNames();
     for (std::size_t i = 0; i < names.size(); ++i) {
-        const double c = w.eco.ves(names[i]).totalCarbonG();
+        const double c =
+            w.eco.ves(w.eco.findApp(names[i]).value())->totalCarbonG();
         carbon_g += c;
         carbon_weighted += static_cast<double>(i + 1) * c;
     }

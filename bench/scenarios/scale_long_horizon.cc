@@ -67,7 +67,7 @@ struct World
     cop::Cluster cluster;
     energy::PhysicalEnergySystem phys;
     core::Ecovisor eco;
-    std::vector<std::string> names;
+    std::vector<api::AppHandle> apps;
     std::vector<std::vector<cop::ContainerId>> pools;
 
     explicit World(const core::EcovisorOptions &eco_opts)
@@ -80,12 +80,11 @@ struct World
           phys(&grid, &solar, energy::BatteryConfig{}),
           eco(&cluster, &phys, eco_opts)
     {
-        names.reserve(kTenants);
+        apps.reserve(kTenants);
         pools.resize(kTenants);
         for (int a = 0; a < kTenants; ++a) {
-            char buf[16];
-            std::snprintf(buf, sizeof buf, "t%04d", a);
-            names.emplace_back(buf);
+            char name[16];
+            std::snprintf(name, sizeof name, "t%04d", a);
             // Deliberately lean shares: at 4 tenants a generous
             // solar+battery split covers the whole ~1-2 W per-app
             // load and the carbon metric degenerates to a constant
@@ -100,9 +99,9 @@ struct World
             b.max_discharge_w = 48.0 / kTenants;
             b.initial_soc = 0.5;
             share.battery = b;
-            eco.addApp(names.back(), share);
+            apps.push_back(eco.tryAddApp(name, share).value());
             for (int c = 0; c < 3; ++c) {
-                auto id = cluster.createContainer(names.back(), 1.0);
+                auto id = cluster.createContainer(name, 1.0);
                 if (id)
                     pools[static_cast<std::size_t>(a)].push_back(*id);
             }
@@ -182,8 +181,8 @@ double
 totalCarbon(World &w)
 {
     double carbon_g = 0.0;
-    for (const auto &name : w.names)
-        carbon_g += w.eco.ves(name).totalCarbonG();
+    for (const api::AppHandle app : w.apps)
+        carbon_g += w.eco.ves(app)->totalCarbonG();
     return carbon_g;
 }
 

@@ -18,12 +18,9 @@
  *  - `scale_many_tenants`: telemetry recording disabled, so the timed
  *    loop is settlement itself (the original COP-overhaul canary).
  *  - `scale_many_tenants_telemetry`: recording ON — the telemetry
- *    pipeline's canary. Each tenant count runs twice, once on the
- *    interned SeriesId fast path and once on the legacy string-keyed
- *    shim, timing both; the interned path is what makes always-on
- *    telemetry affordable at 256 tenants. Sample/series totals are
- *    deterministic domain metrics; both paths produce bit-identical
- *    stores (asserted by the telemetry_pipeline suite).
+ *    pipeline's canary, timing the interned SeriesId path that makes
+ *    always-on telemetry affordable at 256 tenants. Sample/series
+ *    totals are deterministic domain metrics.
  */
 
 #include <chrono>
@@ -51,6 +48,7 @@ struct World
     energy::PhysicalEnergySystem phys;
     core::Ecovisor eco;
     std::vector<std::string> names;
+    std::vector<api::AppHandle> apps;
     std::vector<std::vector<cop::ContainerId>> pools;
 
     World(int tenants, const core::EcovisorOptions &eco_opts)
@@ -77,7 +75,7 @@ struct World
             b.max_discharge_w = 1440.0 / n;
             b.initial_soc = 0.5;
             share.battery = b;
-            eco.addApp(names.back(), share);
+            apps.push_back(eco.tryAddApp(names.back(), share).value());
             for (int c = 0; c < 3; ++c) {
                 auto id = cluster.createContainer(names.back(), 1.0);
                 if (id)
@@ -144,10 +142,10 @@ recordWorldMetrics(World &w, const std::string &sfx,
 {
     double carbon_g = 0.0;
     int containers = 0;
-    for (const auto &name : w.names) {
-        carbon_g += w.eco.ves(name).totalCarbonG();
-        containers += static_cast<int>(
-            w.cluster.appContainers(name).size());
+    for (const api::AppHandle app : w.apps) {
+        carbon_g += w.eco.ves(app)->totalCarbonG();
+        containers +=
+            w.cluster.appContainerCount(w.eco.copAppIndex(app));
     }
     out->metric("carbon_g" + sfx, carbon_g);
     out->metric("live_containers" + sfx, containers);
@@ -210,62 +208,41 @@ runTelemetry(const ScenarioOptions &opt)
     out.metric("horizon_ticks", static_cast<double>(ticks));
 
     TextTable t({"tenants", "carbon_g", "series", "samples",
-                 "tps_seriesid", "tps_strings", "speedup"});
+                 "ticks_per_sec"});
     for (int tenants : {16, 64, 256}) {
-        // SeriesId fast path, pre-sized from the known horizon.
-        core::EcovisorOptions fast;
-        fast.record_telemetry = true;
-        fast.expected_ticks = ticks;
-        World wf(tenants, fast);
+        // Pre-sized from the known horizon.
+        core::EcovisorOptions eco_opts;
+        eco_opts.record_telemetry = true;
+        eco_opts.expected_ticks = ticks;
+        World w(tenants, eco_opts);
         std::int64_t churn_events = 0;
-        const double wall_fast =
-            driveWorld(wf, opt, ticks, tenants, &churn_events);
-
-        // Legacy string-keyed shim path: same seeded workload, so
-        // the two stores are bit-identical (telemetry_pipeline
-        // suite); only the recording cost differs.
-        core::EcovisorOptions shim;
-        shim.record_telemetry = true;
-        shim.telemetry_via_strings = true;
-        World ws(tenants, shim);
-        std::int64_t churn_shim = 0;
-        const double wall_shim =
-            driveWorld(ws, opt, ticks, tenants, &churn_shim);
+        const double wall_s =
+            driveWorld(w, opt, ticks, tenants, &churn_events);
 
         const std::string sfx = "_" + std::to_string(tenants);
         double carbon_g = 0.0;
         int containers = 0;
-        recordWorldMetrics(wf, sfx, churn_events, &out, &carbon_g,
+        recordWorldMetrics(w, sfx, churn_events, &out, &carbon_g,
                            &containers);
 
         // The store's shape is a pure function of (seed, horizon):
         // deterministic domain metrics the baseline diff gates.
         std::size_t samples = 0;
-        const auto keys = wf.eco.db().keys();
+        const auto keys = w.eco.db().keys();
         for (const auto &k : keys)
             samples +=
-                wf.eco.db().series(k.measurement, k.tag).size();
+                w.eco.db().series(k.measurement, k.tag).size();
         out.metric("telemetry_series" + sfx,
-                   static_cast<double>(wf.eco.db().seriesCount()));
+                   static_cast<double>(w.eco.db().seriesCount()));
         out.metric("telemetry_samples" + sfx,
                    static_cast<double>(samples));
 
-        const double tps_fast =
-            wall_fast > 0.0
-                ? static_cast<double>(ticks) / wall_fast
-                : 0.0;
-        const double tps_shim =
-            wall_shim > 0.0
-                ? static_cast<double>(ticks) / wall_shim
-                : 0.0;
-        out.perfMetric("ticks_per_sec" + sfx, tps_fast);
-        out.perfMetric("ticks_per_sec_strings" + sfx, tps_shim);
+        const double tps =
+            wall_s > 0.0 ? static_cast<double>(ticks) / wall_s : 0.0;
+        out.perfMetric("ticks_per_sec" + sfx, tps);
         t.addRow({std::to_string(tenants), TextTable::fmt(carbon_g, 2),
-                  std::to_string(wf.eco.db().seriesCount()),
-                  std::to_string(samples), TextTable::fmt(tps_fast, 0),
-                  TextTable::fmt(tps_shim, 0),
-                  TextTable::fmt(
-                      tps_shim > 0.0 ? tps_fast / tps_shim : 0.0, 2)});
+                  std::to_string(w.eco.db().seriesCount()),
+                  std::to_string(samples), TextTable::fmt(tps, 0)});
     }
 
     if (opt.print_figures) {
@@ -273,10 +250,9 @@ runTelemetry(const ScenarioOptions &opt)
                     "===\n\n");
         t.print();
         std::printf("\nAlways-on telemetry is affordable only when "
-                    "recording is index-addressed: the SeriesId path "
-                    "must hold its lead over the string shim as "
-                    "tenant count (and therefore series count) "
-                    "grows.\n");
+                    "recording is index-addressed: per-tick cost "
+                    "must grow ~linearly with tenant (and therefore "
+                    "series) count.\n");
     }
     return out;
 }
@@ -293,7 +269,7 @@ const ScenarioRegistrar reg({
 const ScenarioRegistrar reg_telemetry({
     "scale_many_tenants_telemetry",
     "Scale: N in {16,64,256} tenants with telemetry recording ON; "
-    "SeriesId fast path vs legacy string shim throughput",
+    "recording throughput vs tenant count",
     /*default_seed=*/7,
     {},
     runTelemetry,

@@ -254,11 +254,11 @@ run(const ScenarioOptions &opt)
     double carbon_weighted = 0.0;
     int containers = 0;
     for (int a = 0; a < kTenants; ++a) {
-        const double c = w.eco.ves(w.names[a]).totalCarbonG();
+        const api::AppHandle app = w.eco.findApp(w.names[a]).value();
+        const double c = w.eco.ves(app)->totalCarbonG();
         carbon_g += c;
         carbon_weighted += static_cast<double>(a + 1) * c;
-        containers += static_cast<int>(
-            w.cluster.appContainers(w.names[a]).size());
+        containers += w.cluster.appContainerCount(w.eco.copAppIndex(app));
     }
 
     ScenarioOutcome out;

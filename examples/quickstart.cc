@@ -60,7 +60,7 @@ main()
     share.battery = battery;
     auto registered = eco.tryAddApp("myapp", share);
     if (!registered.ok()) {
-        std::fprintf(stderr, "addApp failed: %s\n",
+        std::fprintf(stderr, "tryAddApp failed: %s\n",
                      registered.status().message().c_str());
         return 1;
     }

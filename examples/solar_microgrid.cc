@@ -6,7 +6,7 @@
  * Two tenants — a checkpointing Spark job and a day-time monitoring
  * web service — share a solar array and a physical battery through
  * their virtual energy systems, each running its own battery policy
- * (the Section 5.3 case study). Demonstrates addApp shares, virtual
+ * (the Section 5.3 case study). Demonstrates per-app shares, virtual
  * battery control, and the multiplexing invariant (aggregate virtual
  * state mirrors the physical bank).
  */

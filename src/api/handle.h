@@ -1,15 +1,14 @@
 /**
  * @file
- * Typed handles for the v2 ecovisor API.
+ * Typed handles for the ecovisor API.
  *
- * The v1 surface keys every per-app call by name: each
- * getSolarPower("app") walks a string-keyed map on the hot path. The
- * v2 surface resolves a name exactly once — at addApp()/findApp()
+ * Every per-app and per-container call is addressed by a handle, never
+ * by a name: a name is resolved exactly once — at tryAddApp()/findApp()
  * time — into an AppHandle that indexes contiguous per-app state
  * directly (the AoS→SoA discipline: resolve once, index thereafter).
  *
  * Handle stability: an AppHandle is the app's registration index and
- * never changes — later addApp() calls do not invalidate or renumber
+ * never changes — later tryAddApp() calls do not invalidate or renumber
  * earlier handles, regardless of name ordering (the supervisor keeps
  * its deterministic sorted *iteration* order separately). Apps cannot
  * currently be removed, so a handle obtained from the registering
@@ -106,8 +105,8 @@ class ContainerHandle
 };
 
 /**
- * Resolve a v1 container id into a handle. Unknown or destroyed ids
- * yield an invalid handle (which every v2 call reports as
+ * Resolve a COP container id into a handle. Unknown or destroyed ids
+ * yield an invalid handle (which every handle call reports as
  * UnknownContainer — resolution itself never fails loudly).
  */
 inline ContainerHandle

@@ -1,10 +1,9 @@
 /**
  * @file
- * Batched calls for the v2 ecovisor API.
+ * Batched calls for the ecovisor API.
  *
  * A policy that reads five Table 1 signals per tick pays five API
- * round-trips (five name resolutions on the v1 surface). The batched
- * surface amortises that:
+ * round-trips. The batched surface amortises that:
  *
  *  - EnergySnapshot: every Table 1 getter for one app, filled by a
  *    single Ecovisor::getEnergySnapshot(handle) call. All values are

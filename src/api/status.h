@@ -1,25 +1,24 @@
 /**
  * @file
- * Structured error model for the v2 ecovisor API.
+ * Structured error model for the ecovisor API.
  *
- * The paper's prototype (and our compat shim) treats every misuse of
- * the Table 1 surface as fatal: an unknown app name throws from deep
- * inside the supervisor. That is acceptable for figure reproduction
- * but rules out untrusted tenants — a control surface must survive
- * bad tenant input rather than crash (the orchestrator-separation
- * idiom). The v2 surface therefore returns `Status` from every
- * mutating call and `Result<T>` from every query: structured errors
- * the caller can inspect, log, or convert back into the legacy
- * fatal behaviour via orFatal()/value().
+ * The paper's prototype treats every misuse of the Table 1 surface as
+ * fatal: an unknown app name throws from deep inside the supervisor.
+ * That is acceptable for figure reproduction but rules out untrusted
+ * tenants — a control surface must survive bad tenant input rather
+ * than crash (the orchestrator-separation idiom). The surface
+ * therefore returns `Status` from every mutating call and `Result<T>`
+ * from every query: structured errors the caller can inspect, log, or
+ * turn into a FatalError via orFatal()/value() when misuse is a
+ * programming error (figure scenarios, library layers).
  *
  * Design notes:
  *  - Status is cheap on the success path: a code and an empty
  *    (SSO, non-allocating) message string.
  *  - Result<T> is an expected-style carrier; C++20 has no
  *    std::expected, so this is the minimal hand-rolled equivalent.
- *  - orFatal()/value() bridge to the legacy error model by throwing
- *    ecov::FatalError with the same message the v1 surface used, so
- *    shimmed callers observe identical behaviour.
+ *  - orFatal()/value() throw ecov::FatalError carrying the status
+ *    message.
  */
 
 #ifndef ECOV_API_STATUS_H
@@ -31,14 +30,14 @@
 
 namespace ecov::api {
 
-/** Machine-inspectable category for a v2 API failure. */
+/** Machine-inspectable category for an API failure. */
 enum class ErrorCode
 {
     Ok = 0,
     InvalidArgument,  ///< bad value (negative rate, NaN cap, ...)
     InvalidHandle,    ///< default-constructed or out-of-range handle
     UnknownApp,       ///< name does not resolve to a registered app
-    DuplicateApp,     ///< addApp with an already-registered name
+    DuplicateApp,     ///< tryAddApp with an already-registered name
     UnknownContainer, ///< container id not live in the COP
     ShareViolation,   ///< aggregate share validation failed (§3.3)
     NoBattery,        ///< battery operation on a battery-less share
@@ -53,7 +52,7 @@ enum class ErrorCode
 const char *errorCodeName(ErrorCode code);
 
 /**
- * The outcome of a v2 API call that returns no value.
+ * The outcome of an API call that returns no value.
  */
 class Status
 {
@@ -81,8 +80,8 @@ class Status
     const std::string &message() const { return message_; }
 
     /**
-     * Legacy bridge: throw FatalError(message) on failure — the exact
-     * behaviour of the v1 string API. Returns *this for chaining.
+     * Throw FatalError(message) on failure. Returns *this for
+     * chaining.
      */
     const Status &orFatal() const;
 
@@ -129,7 +128,7 @@ class Result
 
     /**
      * The value; throws FatalError(status().message()) when absent —
-     * the legacy bridge, mirroring Status::orFatal().
+     * mirroring Status::orFatal().
      */
     const T &value() const
     {

@@ -71,6 +71,32 @@ getString(WireReader &r, std::string *s)
     return true;
 }
 
+// Minimum encoded size of each counted element (fixed fields only;
+// strings and nested lists contribute their u32 length prefix). A
+// count the remaining bytes cannot hold is a forged or corrupt
+// record, rejected before anything is reserved.
+constexpr std::size_t kShareMinBytes = 8 + 8 + 1;
+constexpr std::size_t kVesBytes = 8 + 8 + 1 + 8 + (2 * 8 + 12 * 8) + 5 * 8;
+constexpr std::size_t kSlotMinBytes = 1 + 4;
+constexpr std::size_t kAppImageMinBytes = 4 + kShareMinBytes + kVesBytes;
+constexpr std::size_t kSessionMinBytes = 4 + 8 + 1 + 4 + 4 + 3 * 4;
+constexpr std::size_t kEventBytes = 1 + 4 + 8;
+constexpr std::size_t kOpMinBytes = 4 + 4 + 1 + 4 + 8 + 4 + kShareMinBytes + 4;
+constexpr std::size_t kCapEntryBytes = 4 + 8;
+
+/**
+ * Read an element count, rejecting any the remaining bytes cannot
+ * hold at `min_bytes` per element — the same cross-check
+ * net::decodeCapBatch makes, so a forged count can never drive a huge
+ * reserve() (std::bad_alloc would escape recovery instead of the
+ * DataLoss the decoders promise).
+ */
+bool
+getCount(WireReader &r, std::size_t min_bytes, std::uint32_t *n)
+{
+    return r.u32(n) && *n <= r.remaining() / min_bytes;
+}
+
 // --- shared sub-codecs ------------------------------------------------
 
 void
@@ -202,7 +228,7 @@ bool
 getCluster(WireReader &r, cop::ClusterImage *c)
 {
     std::uint32_t n = 0;
-    if (!r.u32(&n))
+    if (!getCount(r, kSlotMinBytes, &n))
         return false;
     c->slots.clear();
     c->slots.reserve(n);
@@ -220,7 +246,7 @@ getCluster(WireReader &r, cop::ClusterImage *c)
             return false;
         c->slots.push_back(s);
     }
-    if (!r.u32(&n))
+    if (!getCount(r, 4, &n))
         return false;
     c->free_slots.clear();
     c->free_slots.reserve(n);
@@ -230,7 +256,7 @@ getCluster(WireReader &r, cop::ClusterImage *c)
             return false;
         c->free_slots.push_back(s);
     }
-    if (!r.u32(&n))
+    if (!getCount(r, 4, &n))
         return false;
     c->apps.clear();
     c->apps.reserve(n);
@@ -276,7 +302,7 @@ bool
 getEcovisor(WireReader &r, core::EcovisorImage *e)
 {
     std::uint32_t n = 0;
-    if (!r.u32(&n))
+    if (!getCount(r, kAppImageMinBytes, &n))
         return false;
     e->apps.clear();
     e->apps.reserve(n);
@@ -287,7 +313,7 @@ getEcovisor(WireReader &r, core::EcovisorImage *e)
             return false;
         e->apps.push_back(std::move(a));
     }
-    if (!r.u32(&n))
+    if (!getCount(r, 8 + 8, &n))
         return false;
     e->powercaps.clear();
     e->powercaps.reserve(n);
@@ -298,7 +324,7 @@ getEcovisor(WireReader &r, core::EcovisorImage *e)
             return false;
         e->powercaps.emplace_back(id, cap_w);
     }
-    if (!r.u32(&n))
+    if (!getCount(r, 8, &n))
         return false;
     e->emergency_capped.clear();
     e->emergency_capped.reserve(n);
@@ -350,7 +376,7 @@ bool
 getSessions(WireReader &r, net::ServerCoreImage *img)
 {
     std::uint32_t n = 0;
-    if (!r.u32(&img->next_session) || !r.u32(&n))
+    if (!r.u32(&img->next_session) || !getCount(r, kSessionMinBytes, &n))
         return false;
     img->sessions.clear();
     img->sessions.reserve(n);
@@ -360,7 +386,7 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
         std::uint32_t m = 0;
         if (!r.u32(&s.id) || !r.u64(&s.token) || !r.u8(&bound) ||
             !r.u32(&s.lease_left) || !r.u32(&s.committed_max) ||
-            !r.u32(&m))
+            !getCount(r, 4, &m))
             return false;
         s.bound = bound != 0;
         s.apps.reserve(m);
@@ -370,7 +396,7 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
                 return false;
             s.apps.push_back(a);
         }
-        if (!r.u32(&m))
+        if (!getCount(r, 4 + 4, &m))
             return false;
         s.containers.reserve(m);
         for (std::uint32_t k = 0; k < m; ++k) {
@@ -379,7 +405,7 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
                 return false;
             s.containers.push_back(ref);
         }
-        if (!r.u32(&m))
+        if (!getCount(r, 4 + 4, &m))
             return false;
         s.done.reserve(m);
         for (std::uint32_t k = 0; k < m; ++k) {
@@ -559,8 +585,8 @@ decodeTickRecord(const std::vector<std::uint8_t> &payload,
     if (!getI64(r, &out->tick) || !getI64(r, &out->start_s))
         return corrupt("wal: truncated record header");
     std::uint32_t n = 0;
-    if (!r.u32(&n))
-        return corrupt("wal: truncated event count");
+    if (!getCount(r, kEventBytes, &n))
+        return corrupt("wal: bad event count");
     out->events.clear();
     out->events.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -573,8 +599,8 @@ decodeTickRecord(const std::vector<std::uint8_t> &payload,
         ev.kind = static_cast<net::SessionEvent::Kind>(kind);
         out->events.push_back(ev);
     }
-    if (!r.u32(&n))
-        return corrupt("wal: truncated op count");
+    if (!getCount(r, kOpMinBytes, &n))
+        return corrupt("wal: bad op count");
     out->ops.clear();
     out->ops.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -588,8 +614,8 @@ decodeTickRecord(const std::vector<std::uint8_t> &payload,
             return corrupt("wal: unknown opcode in op");
         op.op = static_cast<net::Opcode>(raw_op);
         std::uint32_t caps = 0;
-        if (!r.u32(&caps))
-            return corrupt("wal: truncated cap count");
+        if (!getCount(r, kCapEntryBytes, &caps))
+            return corrupt("wal: bad cap count");
         op.caps.reserve(caps);
         for (std::uint32_t k = 0; k < caps; ++k) {
             net::CapEntry e;

@@ -469,12 +469,6 @@ Cluster::appPowerW(AppIndex app) const
     return total;
 }
 
-double
-Cluster::appPowerW(std::string_view app) const
-{
-    return appPowerW(findAppIndex(app));
-}
-
 std::vector<ContainerId>
 Cluster::appContainers(AppIndex app) const
 {
@@ -483,23 +477,6 @@ Cluster::appContainers(AppIndex app) const
     forEachAppContainer(app, [&](const Container &c) {
         out.push_back(c.id);
     });
-    return out;
-}
-
-std::vector<ContainerId>
-Cluster::appContainers(std::string_view app) const
-{
-    return appContainers(findAppIndex(app));
-}
-
-std::vector<std::string>
-Cluster::apps() const
-{
-    std::vector<std::string> out;
-    for (const auto &info : apps_) {
-        if (info.count > 0)
-            out.push_back(info.name);
-    }
     return out;
 }
 

@@ -22,8 +22,9 @@
  *  - A ContainerRef is {slot, generation}: validated in O(1) with no
  *    lookup structure at all, and never aliases a recycled slot (the
  *    generation mismatch detects staleness instead of crashing).
- *  - ContainerIds stay monotonically increasing (v1 compat and
- *    telemetry keys); a dense id->slot table keeps id resolution O(1).
+ *  - ContainerIds stay monotonically increasing (they key the
+ *    per-container telemetry series); a dense id->slot table keeps id
+ *    resolution O(1).
  *  - App names are **interned** to a dense AppIndex at first use;
  *    every container stores the index, and each app threads an
  *    intrusive doubly-linked list through its slots in creation order
@@ -272,11 +273,11 @@ class Cluster
      */
     const Container *find(ContainerRef ref) const;
 
-    /** Look up a container (fatal on unknown id — v1 behaviour). */
+    /** Look up a container (fatal on unknown id; see tryContainer). */
     const Container &container(ContainerId id) const;
 
     /**
-     * Checked lookup consistent with the v2 error model: the
+     * Checked lookup consistent with the api error model: the
      * container, or an UnknownContainer error — never fatal.
      */
     api::Result<const Container *> tryContainer(ContainerId id) const;
@@ -409,20 +410,11 @@ class Cluster
      */
     double appPowerW(AppIndex app) const;
 
-    /** Name-keyed compat: interned lookup + appPowerW(index). */
-    double appPowerW(std::string_view app) const;
-
-    /** Ids of all live containers belonging to an application. */
-    std::vector<ContainerId> appContainers(std::string_view app) const;
-
-    /** Index-addressed variant. */
-    std::vector<ContainerId> appContainers(AppIndex app) const;
-
     /**
-     * All application names with at least one live container, in
-     * interning order (first-ever container creation order).
+     * Ids of an app's live containers, in creation order. Allocates;
+     * hot paths use forEachAppContainer() instead.
      */
-    std::vector<std::string> apps() const;
+    std::vector<ContainerId> appContainers(AppIndex app) const;
 
     /**
      * Total cluster power: every node's idle power plus all dynamic

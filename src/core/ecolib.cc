@@ -113,7 +113,9 @@ EcoLib::clearCarbonRate()
     // container list itself, so iterating while setting is safe.
     eco_->cluster().forEachAppContainer(
         cop_app_, [&](const cop::Container &c) {
-            eco_->setContainerPowercap(c.id, kUnlimitedW);
+            eco_->setContainerPowercap(api::handleOf(eco_->cluster(), c.id),
+                                       kUnlimitedW)
+                .orFatal();
         });
 }
 
@@ -135,7 +137,9 @@ EcoLib::clearContainerCarbonRate(cop::ContainerId id)
 {
     if (container_rates_g_per_s_.erase(id) > 0 &&
         eco_->cluster().exists(id))
-        eco_->setContainerPowercap(id, kUnlimitedW);
+        eco_->setContainerPowercap(api::handleOf(eco_->cluster(), id),
+                                   kUnlimitedW)
+            .orFatal();
 }
 
 void
@@ -213,7 +217,9 @@ EcoLib::enforceContainerCarbonRates()
         double cap_w = intensity > 1e-12
             ? it->second * 3600.0 * 1000.0 / intensity
             : kUnlimitedW;
-        eco_->setContainerPowercap(it->first, cap_w);
+        eco_->setContainerPowercap(
+                api::handleOf(eco_->cluster(), it->first), cap_w)
+            .orFatal();
         ++it;
     }
 }
@@ -250,7 +256,9 @@ EcoLib::enforceCarbonRate(TimeS start_s, TimeS dt_s)
     double per_container_w = budget_w / static_cast<double>(count);
     eco_->cluster().forEachAppContainer(
         cop_app_, [&](const cop::Container &c) {
-            eco_->setContainerPowercap(c.id, per_container_w);
+            eco_->setContainerPowercap(api::handleOf(eco_->cluster(), c.id),
+                                       per_container_w)
+                .orFatal();
         });
 }
 

@@ -96,7 +96,7 @@ Ecovisor::reserveExpected(ts::SeriesId id)
 }
 
 // ---------------------------------------------------------------------
-// v2: registration and name resolution.
+// Registration and name resolution.
 // ---------------------------------------------------------------------
 
 Result<AppHandle>
@@ -104,10 +104,10 @@ Ecovisor::tryAddApp(const std::string &app, const AppShareConfig &share)
 {
     if (app.empty())
         return Status::error(ErrorCode::InvalidArgument,
-                             "Ecovisor::addApp: empty app name");
+                             "Ecovisor::tryAddApp: empty app name");
     if (index_.count(app))
         return Status::error(ErrorCode::DuplicateApp,
-                             "Ecovisor::addApp: duplicate app '" + app +
+                             "Ecovisor::tryAddApp: duplicate app '" + app +
                                  "'");
 
     // A NaN share parameter would slip through every range check
@@ -125,7 +125,7 @@ Ecovisor::tryAddApp(const std::string &app, const AppShareConfig &share)
                            std::isnan(share.battery->efficiency)));
     if (nan_share)
         return Status::error(ErrorCode::InvalidArgument,
-                             "Ecovisor::addApp: NaN share parameter");
+                             "Ecovisor::tryAddApp: NaN share parameter");
 
     // Validate aggregate shares against the physical system (§3.3).
     double solar_total = share.solar_fraction;
@@ -144,29 +144,29 @@ Ecovisor::tryAddApp(const std::string &app, const AppShareConfig &share)
     }
     if (solar_total > 1.0 + 1e-9)
         return Status::error(ErrorCode::ShareViolation,
-                             "Ecovisor::addApp: solar fractions exceed "
+                             "Ecovisor::tryAddApp: solar fractions exceed "
                              "100%");
     if (share.solar_fraction > 0.0 && !phys_->hasSolar())
         return Status::error(ErrorCode::NoSolar,
-                             "Ecovisor::addApp: solar share without a "
+                             "Ecovisor::tryAddApp: solar share without a "
                              "solar array");
     if (share.battery) {
         if (!phys_->hasBattery())
             return Status::error(ErrorCode::NoBattery,
-                                 "Ecovisor::addApp: battery share "
+                                 "Ecovisor::tryAddApp: battery share "
                                  "without a battery");
         const auto &pb = phys_->battery().config();
         if (cap_total > pb.capacity_wh + 1e-9)
             return Status::error(ErrorCode::ShareViolation,
-                                 "Ecovisor::addApp: battery capacity "
+                                 "Ecovisor::tryAddApp: battery capacity "
                                  "oversubscribed");
         if (charge_total > pb.max_charge_w + 1e-9)
             return Status::error(ErrorCode::ShareViolation,
-                                 "Ecovisor::addApp: battery charge "
+                                 "Ecovisor::tryAddApp: battery charge "
                                  "rate oversubscribed");
         if (discharge_total > pb.max_discharge_w + 1e-9)
             return Status::error(ErrorCode::ShareViolation,
-                                 "Ecovisor::addApp: battery discharge "
+                                 "Ecovisor::tryAddApp: battery discharge "
                                  "oversubscribed");
     }
 
@@ -228,6 +228,16 @@ Ecovisor::appName(AppHandle h) const
     return st->name;
 }
 
+std::vector<std::string>
+Ecovisor::appNames() const
+{
+    std::vector<std::string> out;
+    out.reserve(index_.size());
+    for (const auto &kv : index_)
+        out.push_back(kv.first);
+    return out;
+}
+
 Ecovisor::AppState *
 Ecovisor::state(AppHandle h)
 {
@@ -246,35 +256,8 @@ Ecovisor::state(AppHandle h) const
     return &apps_[static_cast<std::size_t>(h.index())];
 }
 
-Ecovisor::AppState *
-Ecovisor::findState(std::string_view app)
-{
-    auto it = index_.find(app);
-    return it == index_.end()
-               ? nullptr
-               : &apps_[static_cast<std::size_t>(it->second)];
-}
-
-const Ecovisor::AppState *
-Ecovisor::findState(std::string_view app) const
-{
-    auto it = index_.find(app);
-    return it == index_.end()
-               ? nullptr
-               : &apps_[static_cast<std::size_t>(it->second)];
-}
-
-const Ecovisor::AppState &
-Ecovisor::appState(const std::string &app) const
-{
-    const AppState *st = findState(app);
-    if (!st)
-        fatal("Ecovisor: unknown app '" + app + "'");
-    return *st;
-}
-
 // ---------------------------------------------------------------------
-// v2: setters.
+// Setters.
 // ---------------------------------------------------------------------
 
 Status
@@ -376,7 +359,7 @@ Ecovisor::commitStagedCaps()
 }
 
 // ---------------------------------------------------------------------
-// v2: getters.
+// Getters.
 // ---------------------------------------------------------------------
 
 TimeS
@@ -406,7 +389,7 @@ Ecovisor::siteSolarWNow() const
 }
 
 double
-Ecovisor::gridCarbonNow() const
+Ecovisor::getGridCarbon() const
 {
     if (faults_.sensor_blackout)
         return last_intensity_;
@@ -477,20 +460,11 @@ Ecovisor::getEnergySnapshot(AppHandle h) const
     const AppState *st = state(h);
     if (!st)
         return invalidHandle();
-    const TimeS now = currentTime();
     const TickSettlement &s = st->ves->lastSettlement();
     api::EnergySnapshot snap;
-    if (faults_.sensor_blackout) {
-        snap.solar_w = st->solar_fraction * last_site_solar_w_;
-        snap.grid_carbon_g_per_kwh = last_intensity_;
-        snap.stale = true;
-    } else {
-        double site_solar_w = phys_->solarPowerAt(now);
-        if (faults_.solar_derate != 1.0)
-            site_solar_w *= faults_.solar_derate;
-        snap.solar_w = st->solar_fraction * site_solar_w;
-        snap.grid_carbon_g_per_kwh = phys_->gridCarbonAt(now);
-    }
+    snap.solar_w = st->solar_fraction * siteSolarWNow();
+    snap.grid_carbon_g_per_kwh = getGridCarbon();
+    snap.stale = faults_.sensor_blackout;
     snap.grid_w = s.grid_w;
     snap.battery_discharge_w = s.batt_discharge_w;
     snap.battery_charge_level_wh =
@@ -517,15 +491,6 @@ Ecovisor::ves(AppHandle h) const
 {
     const AppState *st = state(h);
     return st ? st->ves.get() : nullptr;
-}
-
-Result<const VirtualEnergySystem *>
-Ecovisor::tryVes(std::string_view app) const
-{
-    const AppState *st = findState(app);
-    if (!st)
-        return unknownApp(app);
-    return st->ves.get();
 }
 
 cop::AppIndex
@@ -583,117 +548,6 @@ Ecovisor::containerSeriesId(api::ContainerHandle c,
     }
     return Status::error(ErrorCode::InvalidArgument,
                          "Ecovisor::containerSeriesId: unknown metric");
-}
-
-// ---------------------------------------------------------------------
-// v1 compat shims.
-// ---------------------------------------------------------------------
-
-void
-Ecovisor::addApp(const std::string &app, const AppShareConfig &share)
-{
-    tryAddApp(app, share).status().orFatal();
-}
-
-bool
-Ecovisor::hasApp(const std::string &app) const
-{
-    return index_.count(app) > 0;
-}
-
-std::vector<std::string>
-Ecovisor::appNames() const
-{
-    std::vector<std::string> out;
-    out.reserve(index_.size());
-    for (const auto &kv : index_)
-        out.push_back(kv.first);
-    return out;
-}
-
-void
-Ecovisor::setContainerPowercap(cop::ContainerId id, double cap_w)
-{
-    setContainerPowercap(api::handleOf(*cluster_, id), cap_w).orFatal();
-}
-
-void
-Ecovisor::setBatteryChargeRate(const std::string &app, double rate_w)
-{
-    // findApp and the v2 setter reproduce the seed's messages
-    // (unknown app first, then the VES rate validation) exactly.
-    setBatteryChargeRate(findApp(app).value(), rate_w).orFatal();
-}
-
-void
-Ecovisor::setBatteryMaxDischarge(const std::string &app, double rate_w)
-{
-    setBatteryMaxDischarge(findApp(app).value(), rate_w).orFatal();
-}
-
-double
-Ecovisor::getSolarPower(const std::string &app) const
-{
-    const AppState &st = appState(app);
-    return st.solar_fraction * siteSolarWNow();
-}
-
-double
-Ecovisor::getGridPower(const std::string &app) const
-{
-    return appState(app).ves->lastSettlement().grid_w;
-}
-
-double
-Ecovisor::getGridCarbon() const
-{
-    return gridCarbonNow();
-}
-
-double
-Ecovisor::getBatteryDischargeRate(const std::string &app) const
-{
-    return appState(app).ves->lastSettlement().batt_discharge_w;
-}
-
-double
-Ecovisor::getBatteryChargeLevel(const std::string &app) const
-{
-    const AppState &st = appState(app);
-    return st.ves->hasBattery() ? st.ves->battery().energyWh() : 0.0;
-}
-
-double
-Ecovisor::getContainerPowercap(cop::ContainerId id) const
-{
-    // Seed semantics: unknown or revoked containers read as uncapped
-    // (the edge tests rely on this after container churn), so this
-    // shim does not route through the checked v2 getter.
-    auto it = powercaps_w_.find(id);
-    return it == powercaps_w_.end() ? kUnlimitedW : it->second;
-}
-
-double
-Ecovisor::getContainerPower(cop::ContainerId id) const
-{
-    return cluster_->containerPowerW(id);
-}
-
-void
-Ecovisor::registerTickCallback(const std::string &app, TickCallback cb)
-{
-    if (!cb)
-        fatal("Ecovisor::registerTickCallback: null callback");
-    AppState *st = findState(app);
-    if (!st)
-        fatal("Ecovisor: unknown app '" + app + "'");
-    st->callbacks.push_back(std::move(cb));
-}
-
-const VirtualEnergySystem &
-Ecovisor::ves(const std::string &app) const
-{
-    return *appState(app).ves;
 }
 
 // ---------------------------------------------------------------------
@@ -1095,14 +949,8 @@ void
 Ecovisor::recordTelemetry(TimeS start_s)
 {
     // Only called from settleTick, which built settle_order_ (the
-    // canonical sorted-by-name app order) earlier this tick.
-    if (options_.telemetry_via_strings) {
-        recordTelemetryStrings(start_s);
-        return;
-    }
-
-    // Globals are cross-app state: always sequential, before the
-    // shards start.
+    // canonical sorted-by-name app order) earlier this tick. Globals
+    // are cross-app state: always sequential, before the shards start.
     db_.append(s_grid_carbon_, start_s, phys_->gridCarbonAt(start_s));
     db_.append(s_solar_w_, start_s, phys_->solarPowerAt(start_s));
     db_.append(s_cluster_power_, start_s, cluster_->totalPowerW());
@@ -1126,45 +974,6 @@ Ecovisor::recordTelemetry(TimeS start_s)
     // independent of the shard count and results are bit-identical
     // at any ECOV_THREADS value.
     runSharded([&](AppState &st) { recordApp(st, start_s); });
-}
-
-void
-Ecovisor::recordTelemetryStrings(TimeS start_s)
-{
-    db_.write("grid_carbon", "", start_s, phys_->gridCarbonAt(start_s));
-    db_.write("solar_w", "", start_s, phys_->solarPowerAt(start_s));
-    db_.write("cluster_power_w", "", start_s, cluster_->totalPowerW());
-
-    for (const auto &kv : index_) {
-        const AppState &st = apps_[static_cast<std::size_t>(kv.second)];
-        const auto &s = st.ves->lastSettlement();
-        const std::string &app = st.name;
-        db_.write("app_power_w", app, start_s, s.demand_w);
-        db_.write("app_grid_w", app, start_s, s.grid_w);
-        db_.write("app_solar_used_w", app, start_s, s.solar_used_w);
-        db_.write("app_batt_discharge_w", app, start_s,
-                  s.batt_discharge_w);
-        db_.write("app_batt_charge_w", app, start_s,
-                  s.batt_charge_solar_w + s.batt_charge_grid_w);
-        db_.write("app_carbon_g", app, start_s, s.carbon_g);
-        if (st.ves->hasBattery())
-            db_.write("app_batt_soc", app, start_s,
-                      st.ves->battery().soc());
-        db_.write("app_containers", app, start_s,
-                  static_cast<double>(
-                      cluster_->appContainerCount(st.cop_app)));
-
-        cluster_->forEachAppContainer(
-            st.cop_app, [&](const cop::Container &c) {
-                double p_w = cluster_->containerPowerW(c.id);
-                db_.write("container_power_w", std::to_string(c.id),
-                          start_s, p_w);
-                double share =
-                    s.demand_w > 1e-12 ? p_w / s.demand_w : 0.0;
-                db_.write("container_carbon_g", std::to_string(c.id),
-                          start_s, s.carbon_g * share);
-            });
-    }
 }
 
 } // namespace ecov::core

@@ -19,23 +19,16 @@
  * (to enforce aggregate limits), and to the telemetry store (to record
  * history for Table 2's interval queries).
  *
- * Two surfaces expose the API:
- *
- *  - The **v2 handle surface** (primary): apps register through
- *    tryAddApp() which returns an api::AppHandle; per-app state lives
- *    in a contiguous, index-addressed vector, so every handle-based
- *    call is a bounds-check plus an array index — no string-keyed map
- *    walk on the hot path. All v2 calls return api::Status /
- *    api::Result<T> instead of aborting on misuse, which is what
- *    makes the surface safe for untrusted tenants. Batched calls
- *    (getEnergySnapshot(), applyCapBatch()) amortise per-call
- *    overhead and give atomic cap updates at tick settlement.
- *
- *  - The **v1 string surface** (compat shim): the original
- *    name-keyed, fatal-on-misuse methods, now thin wrappers that
- *    resolve the name and delegate to the v2 implementation,
- *    converting structured errors back into FatalError. Seed-era
- *    callers observe identical behaviour.
+ * One surface exposes the API, addressed by typed handles
+ * (docs/API.md): apps register through tryAddApp(), which returns an
+ * api::AppHandle; per-app state lives in a contiguous, index-addressed
+ * vector, so every per-app call is a bounds check plus an array index
+ * — no string-keyed map walk on the hot path. Names are resolved once,
+ * at setup time (tryAddApp()/findApp()). Every call returns
+ * api::Status / api::Result<T> instead of aborting on misuse, which is
+ * what makes the surface safe for untrusted tenants. Batched calls
+ * (getEnergySnapshot(), applyCapBatch()) amortise per-call overhead
+ * and give atomic cap updates at tick settlement.
  */
 
 #ifndef ECOV_CORE_ECOVISOR_H
@@ -118,15 +111,6 @@ struct EcovisorOptions
      * (tighter bound wins). Same tier semantics as above.
      */
     TimeS retention_window_s = 0;
-    /**
-     * Record telemetry through the legacy string-keyed write path
-     * instead of pre-resolved SeriesIds. The two paths are
-     * bit-identical by contract (asserted by the telemetry
-     * equivalence suite); the flag exists so benches can measure the
-     * string path and tests can diff the two. Always sequential —
-     * the sharded fast path never runs in this mode.
-     */
-    bool telemetry_via_strings = false;
 };
 
 /**
@@ -181,7 +165,7 @@ class Ecovisor
              EcovisorOptions options = {});
 
     // ------------------------------------------------------------------
-    // v2: application registration and name resolution (§3.3).
+    // Application registration and name resolution (§3.3).
     // ------------------------------------------------------------------
 
     /**
@@ -198,7 +182,7 @@ class Ecovisor
 
     /**
      * Resolve a registered name to its handle (the only string lookup
-     * a v2 client ever needs — do it once, at setup time).
+     * a client ever needs — do it once, at setup time).
      */
     api::Result<api::AppHandle> findApp(std::string_view app) const;
 
@@ -209,8 +193,11 @@ class Ecovisor
     /** The name a handle was registered under. */
     api::Result<std::string> appName(api::AppHandle h) const;
 
+    /** Registered application names (deterministic sorted order). */
+    std::vector<std::string> appNames() const;
+
     // ------------------------------------------------------------------
-    // v2: Table 1 setters (Status-returning, handle-addressed).
+    // Table 1 setters (Status-returning, handle-addressed).
     // ------------------------------------------------------------------
 
     /** Set an app's battery charge rate (W) until full. */
@@ -240,7 +227,7 @@ class Ecovisor
     std::size_t pendingCapCount() const { return staged_caps_.size(); }
 
     // ------------------------------------------------------------------
-    // v2: Table 1 getters (Result-returning, handle-addressed).
+    // Table 1 getters (Result-returning, handle-addressed).
     // ------------------------------------------------------------------
 
     /** Current virtual solar power output for an app, watts. */
@@ -248,6 +235,13 @@ class Ecovisor
 
     /** App's grid power usage over the last settled tick, watts. */
     api::Result<double> getGridPower(api::AppHandle h) const;
+
+    /**
+     * Current grid carbon intensity, gCO2/kWh. Site-wide, so it takes
+     * no app argument; during a sensor blackout it reads the last
+     * settled value (docs/FAULTS.md).
+     */
+    double getGridCarbon() const;
 
     /** App's battery discharge rate over the last settled tick, W. */
     api::Result<double> getBatteryDischargeRate(api::AppHandle h) const;
@@ -277,10 +271,6 @@ class Ecovisor
      */
     const VirtualEnergySystem *ves(api::AppHandle h) const;
 
-    /** Name-resolved variant of ves(AppHandle). */
-    api::Result<const VirtualEnergySystem *>
-    tryVes(std::string_view app) const;
-
     /**
      * The COP app index the handle's name was interned to at
      * registration (kInvalidApp for an invalid handle). Library
@@ -292,7 +282,7 @@ class Ecovisor
     /**
      * The interned telemetry SeriesId for one of an app's per-app
      * series (api::AppMetric). Resolved once at registration, so this
-     * is an array read — a v2 client caches the id and queries
+     * is an array read — a client caches the id and queries
      * db().series(id) with zero string traffic per call. The id is
      * returned even for series the app never writes (e.g. BattSoc
      * without a battery share); such series simply stay empty.
@@ -314,62 +304,6 @@ class Ecovisor
 
     /** Settlement parallelism in effect (resolved from options/env). */
     int settleThreads() const { return threads_; }
-
-    // ------------------------------------------------------------------
-    // v1 compat shims: string-keyed, fatal on misuse. Each resolves
-    // the name and delegates to the v2 surface (converting structured
-    // errors back to FatalError), except where the seed semantics
-    // intentionally differ from the checked v2 call:
-    // getContainerPowercap(id) reads unknown/revoked containers as
-    // uncapped, and getContainerPower(id)/the string getters keep the
-    // seed's direct lookups so their cost stays comparable to the
-    // seed when benchmarked against the handle path.
-    // ------------------------------------------------------------------
-
-    /** Register an app (fatal shim over tryAddApp()). */
-    void addApp(const std::string &app, const AppShareConfig &share);
-
-    /** True when the app is registered. */
-    bool hasApp(const std::string &app) const;
-
-    /** Registered application names (deterministic sorted order). */
-    std::vector<std::string> appNames() const;
-
-    /** Set a container's power cap in watts (fatal shim). */
-    void setContainerPowercap(cop::ContainerId id, double cap_w);
-
-    /** Set an app's battery charge rate (W) (fatal shim). */
-    void setBatteryChargeRate(const std::string &app, double rate_w);
-
-    /** Set an app's max battery discharge rate (W) (fatal shim). */
-    void setBatteryMaxDischarge(const std::string &app, double rate_w);
-
-    /** Current virtual solar power for an app, watts (fatal shim). */
-    double getSolarPower(const std::string &app) const;
-
-    /** App's grid power over the last settled tick, W (fatal shim). */
-    double getGridPower(const std::string &app) const;
-
-    /** Current grid carbon intensity, gCO2/kWh (no app argument). */
-    double getGridCarbon() const;
-
-    /** App's battery discharge over the last tick, W (fatal shim). */
-    double getBatteryDischargeRate(const std::string &app) const;
-
-    /** Energy in the app's virtual battery, Wh (fatal shim). */
-    double getBatteryChargeLevel(const std::string &app) const;
-
-    /** A container's power cap, watts (fatal shim). */
-    double getContainerPowercap(cop::ContainerId id) const;
-
-    /** A container's attributed power usage, watts (fatal shim). */
-    double getContainerPower(cop::ContainerId id) const;
-
-    /** Register an application's tick() callback (fatal shim). */
-    void registerTickCallback(const std::string &app, TickCallback cb);
-
-    /** Per-app virtual energy system (fatal on unknown app). */
-    const VirtualEnergySystem &ves(const std::string &app) const;
 
     // ------------------------------------------------------------------
     // Tick upcall dispatch and simulation integration.
@@ -399,7 +333,7 @@ class Ecovisor
      * here in a canonical order, so the settled results are
      * bit-identical regardless of network arrival interleaving. The
      * hook runs sequentially on the settling thread and may call any
-     * v2 surface method. One consumer at a time; pass nullptr to
+     * surface method. One consumer at a time; pass nullptr to
      * uninstall.
      */
     void
@@ -541,13 +475,6 @@ class Ecovisor
     AppState *state(api::AppHandle h);
     const AppState *state(api::AppHandle h) const;
 
-    /** State by name; nullptr when unregistered. */
-    AppState *findState(std::string_view app);
-    const AppState *findState(std::string_view app) const;
-
-    /** Fatal-on-unknown name resolution for the v1 shims. */
-    const AppState &appState(const std::string &app) const;
-
     void commitStagedCaps();
     void applyPowercaps();
 
@@ -560,9 +487,6 @@ class Ecovisor
      * contract).
      */
     void recordTelemetry(TimeS start_s);
-
-    /** The seed's string-keyed path (telemetry_via_strings). */
-    void recordTelemetryStrings(TimeS start_s);
 
     /** Per-app appends for one tick (shardable, app-local only). */
     void recordApp(const AppState &st, TimeS start_s);
@@ -633,9 +557,6 @@ class Ecovisor
      * normally, the last settled value during a sensor blackout.
      */
     double siteSolarWNow() const;
-
-    /** Current grid carbon intensity reading (same blackout rule). */
-    double gridCarbonNow() const;
 
     /** Time getters should evaluate signals at (current tick start). */
     TimeS currentTime() const;

@@ -67,13 +67,6 @@ TsDatabase::reserve(SeriesId id, std::size_t n)
     slab_[static_cast<std::size_t>(id)].reserve(n);
 }
 
-void
-TsDatabase::write(const std::string &measurement, const std::string &tag,
-                  TimeS time_s, double value)
-{
-    append(intern(measurement, tag), time_s, value);
-}
-
 const TimeSeries &
 TsDatabase::series(const std::string &measurement,
                    const std::string &tag) const
@@ -95,7 +88,7 @@ std::vector<TsDatabase::Key>
 TsDatabase::keys() const
 {
     // index_ iterates sorted; skip interned-but-empty series so
-    // pre-resolved ids stay invisible until written (compat contract).
+    // pre-resolved ids stay invisible until written.
     std::vector<Key> out;
     out.reserve(index_.size());
     for (const auto &kv : index_) {

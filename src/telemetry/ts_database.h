@@ -11,10 +11,10 @@
  * live in a dense **slab** addressed by a SeriesId. The string pair is
  * *interned* to an id exactly once (intern()/findSeries()); every
  * append after that is an indexed, allocation-free, string-free
- * vector push. The string-keyed write()/series() surface remains as a
- * thin compat shim — resolve, then delegate — with bit-identical
- * results, so seed-era callers and tests observe no change. The slab
- * is a deque: interning a new series never moves existing ones, so
+ * vector push. Writes go only through ids; the string-keyed
+ * series()/has()/keys() lookups remain on the read side, where global
+ * series such as "grid_carbon" are addressed by name. The slab is a
+ * deque: interning a new series never moves existing ones, so
  * `const TimeSeries &` references and SeriesIds stay valid for the
  * database's lifetime (until clear()).
  */
@@ -44,15 +44,14 @@ inline constexpr SeriesId kInvalidSeries = -1;
 /**
  * In-memory multi-series store.
  *
- * Lookup creates series on demand (write path); the const query path
- * returns a shared empty series for unknown keys so callers need no
- * existence checks.
+ * intern() creates series on demand (write path); the const query
+ * path returns a shared empty series for unknown keys so callers need
+ * no existence checks.
  *
  * Interned-but-never-written series are invisible to the query
  * surface: has()/keys()/seriesCount() report only series holding at
  * least one sample, so pre-resolving ids (the ecovisor interns every
- * app's series at registration) does not change what a reader
- * observes versus the write-creates-series compat path.
+ * app's series at registration) changes nothing a reader observes.
  */
 class TsDatabase
 {
@@ -124,12 +123,8 @@ class TsDatabase
     std::size_t internedCount() const { return slab_.size(); }
 
     // ------------------------------------------------------------------
-    // String surface (compat shim: resolve, then delegate).
+    // String lookups (read side only).
     // ------------------------------------------------------------------
-
-    /** Append a sample to (measurement, tag), creating it if needed. */
-    void write(const std::string &measurement, const std::string &tag,
-               TimeS time_s, double value);
 
     /** Series lookup for queries; empty series when unknown. */
     const TimeSeries &series(const std::string &measurement,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Batched v2 calls: EnergySnapshot must equal the scalar Table 1
+ * Batched calls: EnergySnapshot must equal the scalar Table 1
  * getters field-for-field over a seeded randomized simulation, and
  * CapBatch must commit atomically at tick settlement with the same
  * post-settlement effect as immediate per-container caps.
@@ -55,19 +55,17 @@ TEST_P(SnapshotEquivalence, MatchesScalarGettersOnSeededSim)
         rig.eco.settleTick(t, 60);
         t += 60;
 
-        for (const auto &[h, name] :
-             {std::pair<api::AppHandle, const char *>{a, "a"},
-              std::pair<api::AppHandle, const char *>{b, "b"}}) {
+        for (const api::AppHandle h : {a, b}) {
             const api::EnergySnapshot s =
                 rig.eco.getEnergySnapshot(h).value();
-            EXPECT_DOUBLE_EQ(s.solar_w, rig.eco.getSolarPower(name));
-            EXPECT_DOUBLE_EQ(s.grid_w, rig.eco.getGridPower(name));
+            EXPECT_DOUBLE_EQ(s.solar_w, rig.eco.getSolarPower(h).value());
+            EXPECT_DOUBLE_EQ(s.grid_w, rig.eco.getGridPower(h).value());
             EXPECT_DOUBLE_EQ(s.grid_carbon_g_per_kwh,
                              rig.eco.getGridCarbon());
             EXPECT_DOUBLE_EQ(s.battery_discharge_w,
-                             rig.eco.getBatteryDischargeRate(name));
+                             rig.eco.getBatteryDischargeRate(h).value());
             EXPECT_DOUBLE_EQ(s.battery_charge_level_wh,
-                             rig.eco.getBatteryChargeLevel(name));
+                             rig.eco.getBatteryChargeLevel(h).value());
         }
     }
 }
@@ -95,19 +93,20 @@ TEST(CapBatch, CommitsAtSettlementNotBefore)
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0);
 
+    const api::ContainerHandle c = rig.handle(*id);
     api::CapBatch batch;
-    batch.add(api::handleOf(rig.cluster, *id), 0.8);
+    batch.add(c, 0.8);
     ASSERT_TRUE(rig.eco.applyCapBatch(batch).ok());
     EXPECT_EQ(rig.eco.pendingCapCount(), 1u);
 
     // Staged, not applied: the live cap is still unlimited.
-    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(*id)));
-    EXPECT_NEAR(rig.eco.getContainerPower(*id), 1.25, 1e-9);
+    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(c).value()));
+    EXPECT_NEAR(rig.eco.getContainerPower(c).value(), 1.25, 1e-9);
 
     rig.eco.settleTick(0, 60);
     EXPECT_EQ(rig.eco.pendingCapCount(), 0u);
-    EXPECT_DOUBLE_EQ(rig.eco.getContainerPowercap(*id), 0.8);
-    EXPECT_NEAR(rig.eco.getContainerPower(*id), 0.8, 1e-9);
+    EXPECT_DOUBLE_EQ(rig.eco.getContainerPowercap(c).value(), 0.8);
+    EXPECT_NEAR(rig.eco.getContainerPower(c).value(), 0.8, 1e-9);
 }
 
 TEST(CapBatch, PostSettlementEffectMatchesImmediateCaps)
@@ -115,26 +114,27 @@ TEST(CapBatch, PostSettlementEffectMatchesImmediateCaps)
     // Two identical rigs; one applies caps immediately through the
     // scalar setter, the other stages one batch. After settlement the
     // observable state must agree.
-    auto build = [](Rig &rig, std::vector<cop::ContainerId> &ids) {
+    auto build = [](Rig &rig, std::vector<api::ContainerHandle> &cs) {
         rig.eco.tryAddApp("a", appShare(0.0, 100.0)).value();
         for (int i = 0; i < 4; ++i) {
             auto id = rig.cluster.createContainer("a", 1.0);
             ASSERT_TRUE(id);
             rig.cluster.setDemand(*id, 1.0);
-            ids.push_back(*id);
+            cs.push_back(rig.handle(*id));
         }
     };
     Rig scalar_rig, batch_rig;
-    std::vector<cop::ContainerId> scalar_ids, batch_ids;
-    build(scalar_rig, scalar_ids);
-    build(batch_rig, batch_ids);
+    std::vector<api::ContainerHandle> scalar_cs, batch_cs;
+    build(scalar_rig, scalar_cs);
+    build(batch_rig, batch_cs);
 
     const double caps[] = {0.3, 0.6, 0.9, 1.2};
     api::CapBatch batch;
     for (int i = 0; i < 4; ++i) {
-        scalar_rig.eco.setContainerPowercap(scalar_ids[i], caps[i]);
-        batch.add(api::handleOf(batch_rig.cluster, batch_ids[i]),
-                  caps[i]);
+        ASSERT_TRUE(
+            scalar_rig.eco.setContainerPowercap(scalar_cs[i], caps[i])
+                .ok());
+        batch.add(batch_cs[i], caps[i]);
     }
     ASSERT_TRUE(batch_rig.eco.applyCapBatch(batch).ok());
 
@@ -143,14 +143,15 @@ TEST(CapBatch, PostSettlementEffectMatchesImmediateCaps)
 
     for (int i = 0; i < 4; ++i) {
         EXPECT_DOUBLE_EQ(
-            scalar_rig.eco.getContainerPowercap(scalar_ids[i]),
-            batch_rig.eco.getContainerPowercap(batch_ids[i]));
+            scalar_rig.eco.getContainerPowercap(scalar_cs[i]).value(),
+            batch_rig.eco.getContainerPowercap(batch_cs[i]).value());
         EXPECT_DOUBLE_EQ(
-            scalar_rig.eco.getContainerPower(scalar_ids[i]),
-            batch_rig.eco.getContainerPower(batch_ids[i]));
+            scalar_rig.eco.getContainerPower(scalar_cs[i]).value(),
+            batch_rig.eco.getContainerPower(batch_cs[i]).value());
     }
-    EXPECT_DOUBLE_EQ(scalar_rig.eco.getGridPower("a"),
-                     batch_rig.eco.getGridPower("a"));
+    const api::AppHandle app(0);
+    EXPECT_DOUBLE_EQ(scalar_rig.eco.getGridPower(app).value(),
+                     batch_rig.eco.getGridPower(app).value());
 }
 
 TEST(CapBatch, LaterEntriesWinAndUnlimitedRemoves)
@@ -161,19 +162,20 @@ TEST(CapBatch, LaterEntriesWinAndUnlimitedRemoves)
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0);
 
+    const api::ContainerHandle c = rig.handle(*id);
     api::CapBatch batch;
-    batch.add(api::handleOf(rig.cluster, *id), 0.4);
-    batch.add(api::handleOf(rig.cluster, *id), 0.9); // later entry wins
+    batch.add(c, 0.4);
+    batch.add(c, 0.9); // later entry wins
     ASSERT_TRUE(rig.eco.applyCapBatch(batch).ok());
     rig.eco.settleTick(0, 60);
-    EXPECT_DOUBLE_EQ(rig.eco.getContainerPowercap(*id), 0.9);
+    EXPECT_DOUBLE_EQ(rig.eco.getContainerPowercap(c).value(), 0.9);
 
     api::CapBatch uncap;
-    uncap.add(api::handleOf(rig.cluster, *id), kUnlimitedW);
+    uncap.add(c, kUnlimitedW);
     ASSERT_TRUE(rig.eco.applyCapBatch(uncap).ok());
     rig.eco.settleTick(60, 60);
-    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(*id)));
-    EXPECT_NEAR(rig.eco.getContainerPower(*id), 1.25, 1e-9);
+    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(c).value()));
+    EXPECT_NEAR(rig.eco.getContainerPower(c).value(), 1.25, 1e-9);
 }
 
 TEST(CapBatch, RevokedContainerSkippedAtCommit)
@@ -184,9 +186,11 @@ TEST(CapBatch, RevokedContainerSkippedAtCommit)
     auto gone = rig.cluster.createContainer("a", 1.0);
     ASSERT_TRUE(keep && gone);
 
+    const api::ContainerHandle keep_h = rig.handle(*keep);
+    const api::ContainerHandle gone_h = rig.handle(*gone);
     api::CapBatch batch;
-    batch.add(api::handleOf(rig.cluster, *keep), 0.5);
-    batch.add(api::handleOf(rig.cluster, *gone), 0.5);
+    batch.add(keep_h, 0.5);
+    batch.add(gone_h, 0.5);
     ASSERT_TRUE(rig.eco.applyCapBatch(batch).ok());
 
     // Revocation between staging and settlement must not crash or
@@ -194,8 +198,12 @@ TEST(CapBatch, RevokedContainerSkippedAtCommit)
     rig.cluster.destroyContainer(*gone);
     rig.eco.settleTick(0, 60);
     EXPECT_EQ(rig.eco.pendingCapCount(), 0u);
-    EXPECT_DOUBLE_EQ(rig.eco.getContainerPowercap(*keep), 0.5);
-    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(*gone)));
+    EXPECT_DOUBLE_EQ(rig.eco.getContainerPowercap(keep_h).value(), 0.5);
+    EXPECT_EQ(rig.eco.getContainerPowercap(gone_h).code(),
+              api::ErrorCode::UnknownContainer);
+    const EcovisorImage img = rig.eco.captureState();
+    ASSERT_EQ(img.powercaps.size(), 1u);
+    EXPECT_EQ(img.powercaps[0].first, *keep);
 }
 
 } // namespace

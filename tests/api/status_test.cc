@@ -1,9 +1,8 @@
 /**
  * @file
- * v2 API error model: every Status error path returns a structured
- * code (never throws, never aborts), the all-or-nothing CapBatch
- * validation, and the v1 compat shims' fatal behaviour on the same
- * inputs.
+ * API error model: every Status error path returns a structured
+ * code (never throws, never aborts), and the all-or-nothing CapBatch
+ * validation.
  */
 
 #include <gtest/gtest.h>
@@ -218,8 +217,10 @@ TEST(Getters, StructuredErrors)
                   .getContainerPowercap(api::handleOf(rig.cluster, 5))
                   .code(),
               ErrorCode::UnknownContainer);
-    EXPECT_EQ(rig.eco.tryVes("nope").code(), ErrorCode::UnknownApp);
-    EXPECT_EQ(rig.eco.tryVes("a").value(), &rig.eco.ves("a"));
+    EXPECT_EQ(rig.eco.findApp("nope").code(), ErrorCode::UnknownApp);
+    EXPECT_EQ(rig.eco.getSolarPower(api::AppHandle(5)).code(),
+              ErrorCode::InvalidHandle);
+    EXPECT_EQ(rig.eco.ves(api::AppHandle(5)), nullptr);
 }
 
 TEST(RegisterTickCallback, NullCallbackRejected)
@@ -279,30 +280,14 @@ TEST(CapBatch, RejectedBatchLeavesNoTrace)
     // All-or-nothing: the valid entry was not staged either.
     EXPECT_EQ(rig.eco.pendingCapCount(), 0u);
     rig.eco.settleTick(0, 60);
-    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(*id)));
+    EXPECT_TRUE(
+        std::isinf(rig.eco.getContainerPowercap(rig.handle(*id)).value()));
 
     api::CapBatch negative;
     negative.add(api::handleOf(rig.cluster, *id), -2.0);
     EXPECT_EQ(rig.eco.applyCapBatch(negative).code(),
               ErrorCode::InvalidArgument);
     EXPECT_EQ(rig.eco.pendingCapCount(), 0u);
-}
-
-TEST(CompatShims, FatalBehaviourPreserved)
-{
-    Rig rig;
-    EXPECT_THROW(rig.eco.getSolarPower("nope"), FatalError);
-    EXPECT_THROW(rig.eco.getGridPower("nope"), FatalError);
-    EXPECT_THROW(rig.eco.getBatteryChargeLevel("nope"), FatalError);
-    EXPECT_THROW(rig.eco.setBatteryChargeRate("nope", 1.0), FatalError);
-    EXPECT_THROW(rig.eco.setBatteryMaxDischarge("nope", 1.0),
-                 FatalError);
-    EXPECT_THROW(rig.eco.setContainerPowercap(42, 1.0), FatalError);
-    EXPECT_THROW(rig.eco.ves("nope"), FatalError);
-    EXPECT_THROW(
-        rig.eco.registerTickCallback("nope", [](TimeS, TimeS) {}),
-        FatalError);
-    EXPECT_THROW(rig.eco.addApp("", AppShareConfig{}), FatalError);
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * recovered in a fresh process image — snapshot plus WAL-tail replay —
  * is bit-identical to an uninterrupted run, the leased tenant resumes
  * by token without re-registering, and damaged state files recover
- * per the taxonomy (torn tail truncates, corruption is DataLoss and
+ * per the taxonomy (torn tail truncates, corruption — a flipped byte
+ * or a CRC-valid record with a forged element count — is DataLoss and
  * mutates nothing).
  *
  * Carries the `threads` label: settlement shards under ECOV_THREADS,
@@ -21,8 +22,10 @@
 #include <unistd.h>
 
 #include "ckpt/record_io.h"
+#include "ckpt/snapshot.h"
 #include "net/client.h"
 #include "net/loopback.h"
+#include "net/wire.h"
 #include "world_harness.h"
 
 namespace ecov::ckpt {
@@ -179,6 +182,62 @@ TEST(CkptRecovery, CorruptWalIsDataLossAndMutatesNothing)
     EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
     EXPECT_EQ(b.tickCount(), 0);
     EXPECT_EQ(b.server.sessionCount(), 0u);
+}
+
+/**
+ * A 28-byte payload with a valid magic and version, tick and time 0,
+ * then an element count of 0xFFFFFFFF with no elements behind it —
+ * what a codec bug or version skew can leave inside a CRC-valid
+ * record. The first count of both the snapshot (cluster slots) and a
+ * WAL record (session events) sits at this offset.
+ */
+std::vector<std::uint8_t>
+forgedCountPayload(std::uint32_t magic, std::uint32_t version)
+{
+    std::vector<std::uint8_t> out;
+    net::WireWriter w(&out);
+    w.u32(magic);
+    w.u32(version);
+    w.u64(0);
+    w.u64(0);
+    w.u32(0xFFFFFFFFu);
+    return out;
+}
+
+TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
+{
+    // Snapshot: the forged record is published atomically, so the
+    // record layer's CRC accepts it and only the decoder can refuse.
+    {
+        const std::string dir = makeStateDir();
+        WorldHarness b(dir);
+        ASSERT_TRUE(publishRecordFile(
+                        b.mgr.snapshotPath(),
+                        forgedCountPayload(kSnapshotMagic,
+                                           kSnapshotVersion),
+                        FsyncPolicy::Never)
+                        .ok());
+        api::Status st;
+        EXPECT_NO_THROW(st = b.mgr.recover());
+        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
+        EXPECT_EQ(b.tickCount(), 0);
+        EXPECT_EQ(b.server.sessionCount(), 0u);
+    }
+    // WAL: same forgery as the first record of the log.
+    {
+        const std::string dir = makeStateDir();
+        WorldHarness b(dir, /*every=*/1000);
+        RecordWriter wal;
+        ASSERT_TRUE(wal.open(b.mgr.walPath(), FsyncPolicy::Never).ok());
+        ASSERT_TRUE(
+            wal.append(forgedCountPayload(kWalMagic, kWalVersion)).ok());
+        wal.close();
+        api::Status st;
+        EXPECT_NO_THROW(st = b.mgr.recover());
+        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
+        EXPECT_EQ(b.tickCount(), 0);
+        EXPECT_EQ(b.server.sessionCount(), 0u);
+    }
 }
 
 TEST(CkptRecovery, TornWalTailReplaysThePrefix)

@@ -77,6 +77,13 @@ struct Rig
     Rig(const Rig &) = delete;
     Rig &operator=(const Rig &) = delete;
 
+    /** Handle for a live container id (invalid once destroyed). */
+    api::ContainerHandle
+    handle(cop::ContainerId id) const
+    {
+        return api::handleOf(cluster, id);
+    }
+
     /** Run n ticks of dt seconds, dispatching callbacks + settling. */
     void
     run(int n, TimeS dt = 60, TimeS start = 0)

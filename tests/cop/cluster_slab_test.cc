@@ -117,9 +117,9 @@ TEST(ClusterSlab, ChurnAgreesWithShadowModel)
         for (ContainerId id : expected)
             expected_power += c.containerPowerW(id);
 
-        EXPECT_EQ(c.appContainers(std::string_view(app)), expected);
         const AppIndex idx = c.findAppIndex(app);
         ASSERT_NE(idx, kInvalidApp);
+        EXPECT_EQ(c.appContainers(idx), expected);
         EXPECT_EQ(c.appContainerCount(idx),
                   static_cast<int>(expected.size()));
         // forEach walks in creation == increasing-id order.
@@ -191,10 +191,8 @@ TEST(ClusterSlab, PowerAggregateInvalidation)
     ASSERT_TRUE(id3);
     EXPECT_NEAR(c.appPowerW(a), 2.0 * 0.9125 + 3.0 * 0.3375, 1e-12);
 
-    // Name-keyed compat path and unknown apps.
-    EXPECT_DOUBLE_EQ(c.appPowerW(std::string_view("a")),
-                     c.appPowerW(a));
-    EXPECT_DOUBLE_EQ(c.appPowerW(std::string_view("nope")), 0.0);
+    // Unknown apps.
+    EXPECT_DOUBLE_EQ(c.appPowerW(c.findAppIndex("nope")), 0.0);
     EXPECT_DOUBLE_EQ(c.appPowerW(kInvalidApp), 0.0);
 }
 

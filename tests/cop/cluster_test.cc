@@ -140,12 +140,12 @@ TEST(Cluster, AppAggregation)
     c.setDemand(*a1, 1.0);
     c.setDemand(*a2, 1.0);
     c.setDemand(*b1, 1.0);
-    EXPECT_EQ(c.appContainers("a").size(), 2u);
-    EXPECT_EQ(c.appContainers("b").size(), 1u);
-    EXPECT_NEAR(c.appPowerW("a"), 2.5, 1e-9);
-    EXPECT_NEAR(c.appPowerW("b"), 1.25, 1e-9);
-    auto apps = c.apps();
-    EXPECT_EQ(apps.size(), 2u);
+    const AppIndex a = c.findAppIndex("a");
+    const AppIndex b = c.findAppIndex("b");
+    EXPECT_EQ(c.appContainers(a).size(), 2u);
+    EXPECT_EQ(c.appContainers(b).size(), 1u);
+    EXPECT_NEAR(c.appPowerW(a), 2.5, 1e-9);
+    EXPECT_NEAR(c.appPowerW(b), 1.25, 1e-9);
 }
 
 TEST(Cluster, TotalPowerIncludesIdleBaseline)

@@ -281,18 +281,22 @@ struct Driver
 {
     Rig rig;
     std::vector<std::string> names;
+    std::vector<api::AppHandle> apps;
     std::vector<std::vector<ContainerId>> pools;
     Rng rng{424242};
 
-    explicit Driver(int threads, int apps = 6)
+    explicit Driver(int threads, int app_count = 6)
         : rig(core::EcovisorOptions{core::ExcessSolarPolicy::Redistribute,
                                     /*record_telemetry=*/true, threads})
     {
-        pools.resize(static_cast<std::size_t>(apps));
-        for (int a = 0; a < apps; ++a) {
+        pools.resize(static_cast<std::size_t>(app_count));
+        for (int a = 0; a < app_count; ++a) {
             names.push_back("app" + std::to_string(a));
-            rig.eco.addApp(names.back(),
-                           appShare(0.8 / apps, 800.0 / apps));
+            apps.push_back(
+                rig.eco
+                    .tryAddApp(names.back(), appShare(0.8 / app_count,
+                                                      800.0 / app_count))
+                    .value());
             auto id = rig.cluster.createContainer(names.back(), 1.0);
             if (id)
                 pools[static_cast<std::size_t>(a)].push_back(*id);
@@ -345,9 +349,10 @@ TEST(CopColumns, ShardedSettlementOverColumnsIsBitIdentical)
               par.rig.grid.totalEnergyWh());
     EXPECT_EQ(seq.rig.grid.totalCarbonG(),
               par.rig.grid.totalCarbonG());
-    for (const auto &name : seq.names) {
-        const auto &a = seq.rig.eco.ves(name);
-        const auto &b = par.rig.eco.ves(name);
+    for (std::size_t i = 0; i < seq.names.size(); ++i) {
+        const std::string &name = seq.names[i];
+        const auto &a = *seq.rig.eco.ves(seq.apps[i]);
+        const auto &b = *par.rig.eco.ves(par.apps[i]);
         EXPECT_EQ(a.totalCarbonG(), b.totalCarbonG()) << name;
         EXPECT_EQ(a.totalEnergyWh(), b.totalEnergyWh()) << name;
         EXPECT_EQ(a.totalGridWh(), b.totalGridWh()) << name;

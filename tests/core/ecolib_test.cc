@@ -38,8 +38,10 @@ struct Rig : testutil::Rig
         b.capacity_wh = 1440.0;
         b.initial_soc = 0.5;
         share.battery = b;
-        eco.addApp("app", share);
+        app = eco.tryAddApp("app", share).value();
     }
+
+    api::AppHandle app;
 };
 
 TEST(EcoLib, RequiresKnownApp)
@@ -86,8 +88,7 @@ TEST(EcoLib, CumulativeCarbonMatchesVes)
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0);
     rig.run(10, 60);
-    EXPECT_DOUBLE_EQ(lib.getAppCarbonG(),
-                     rig.eco.ves("app").totalCarbonG());
+    EXPECT_DOUBLE_EQ(lib.getAppCarbonG(), rig.eco.ves(rig.app)->totalCarbonG());
 }
 
 TEST(EcoLib, CarbonBudgetTracksRemaining)
@@ -98,7 +99,7 @@ TEST(EcoLib, CarbonBudgetTracksRemaining)
     EXPECT_THROW(lib.carbonBudgetRemaining(), FatalError);
 
     // Disable the battery so the load is served from the grid.
-    rig.eco.setBatteryMaxDischarge("app", 0.0);
+    ASSERT_TRUE(rig.eco.setBatteryMaxDischarge(rig.app, 0.0).ok());
     auto id = rig.cluster.createContainer("app", 4.0);
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0);
@@ -125,7 +126,7 @@ TEST(EcoLib, CarbonRateCapsContainers)
     Rig rig;
     EcoLib lib(&rig.eco, "app");
     // Drain the battery share so only grid serves the load.
-    rig.eco.setBatteryMaxDischarge("app", 0.0);
+    ASSERT_TRUE(rig.eco.setBatteryMaxDischarge(rig.app, 0.0).ok());
     auto id = rig.cluster.createContainer("app", 4.0);
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0);
@@ -134,22 +135,23 @@ TEST(EcoLib, CarbonRateCapsContainers)
     // solar at midnight).
     lib.setCarbonRate(1e-4);
     rig.run(30, 60);
-    double cap = rig.eco.getContainerPowercap(*id);
+    double cap = rig.eco.getContainerPowercap(rig.handle(*id)).value();
     EXPECT_NEAR(cap, 3.6, 0.1);
     // Achieved carbon rate respects the limit.
-    const auto &s = rig.eco.ves("app").lastSettlement();
+    const auto &s = rig.eco.ves(rig.app)->lastSettlement();
     EXPECT_LE(s.carbon_g / 60.0, 1e-4 + 1e-9);
 
     lib.clearCarbonRate();
     EXPECT_FALSE(lib.carbonRate().has_value());
-    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(*id)));
+    EXPECT_TRUE(
+        std::isinf(rig.eco.getContainerPowercap(rig.handle(*id)).value()));
 }
 
 TEST(EcoLib, ContainerCarbonRateCapsSingleContainer)
 {
     Rig rig;
     EcoLib lib(&rig.eco, "app");
-    rig.eco.setBatteryMaxDischarge("app", 0.0);
+    ASSERT_TRUE(rig.eco.setBatteryMaxDischarge(rig.app, 0.0).ok());
     auto limited = rig.cluster.createContainer("app", 4.0);
     auto free_c = rig.cluster.createContainer("app", 4.0);
     ASSERT_TRUE(limited && free_c);
@@ -160,13 +162,16 @@ TEST(EcoLib, ContainerCarbonRateCapsSingleContainer)
     // the other one stays uncapped.
     lib.setContainerCarbonRate(*limited, 1e-4);
     rig.run(10, 60);
-    EXPECT_NEAR(rig.eco.getContainerPowercap(*limited), 3.6, 0.1);
-    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(*free_c)));
-    EXPECT_NEAR(rig.eco.getContainerPower(*limited), 3.6, 0.1);
-    EXPECT_NEAR(rig.eco.getContainerPower(*free_c), 5.0, 1e-9);
+    const api::ContainerHandle limited_h = rig.handle(*limited);
+    const api::ContainerHandle free_h = rig.handle(*free_c);
+    EXPECT_NEAR(rig.eco.getContainerPowercap(limited_h).value(), 3.6, 0.1);
+    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(free_h).value()));
+    EXPECT_NEAR(rig.eco.getContainerPower(limited_h).value(), 3.6, 0.1);
+    EXPECT_NEAR(rig.eco.getContainerPower(free_h).value(), 5.0, 1e-9);
 
     lib.clearContainerCarbonRate(*limited);
-    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(*limited)));
+    EXPECT_TRUE(
+        std::isinf(rig.eco.getContainerPowercap(limited_h).value()));
 }
 
 TEST(EcoLib, ContainerCarbonRateRejectsForeignContainer)
@@ -215,7 +220,7 @@ TEST(EcoLib, BatteryFullNotificationEdgeTriggered)
     lib.notifyBatteryFull([&] { ++full_fires; });
 
     // Charge to full from the grid at max rate (night: no solar).
-    rig.eco.setBatteryChargeRate("app", 360.0);
+    ASSERT_TRUE(rig.eco.setBatteryChargeRate(rig.app, 360.0).ok());
     rig.run(5, 3600); // 0.25C fills from 50 % in 2 h; stay full after
     EXPECT_EQ(full_fires, 1); // edge-triggered: fires exactly once
 }
@@ -234,13 +239,13 @@ TEST(EcoLib, BatteryEmptyNotificationEdgeTriggered)
     b.capacity_wh = 1440.0;
     b.initial_soc = 0.32; // 28.8 Wh above the floor
     share.battery = b;
-    eco.addApp("app", share);
+    const auto app = eco.tryAddApp("app", share).value();
 
     EcoLib lib(&eco, "app");
     int empty_fires = 0;
     lib.notifyBatteryEmpty([&] { ++empty_fires; });
 
-    eco.setBatteryMaxDischarge("app", 1440.0);
+    ASSERT_TRUE(eco.setBatteryMaxDischarge(app, 1440.0).ok());
     auto id = cluster.createContainer("app", 4.0);
     ASSERT_TRUE(id);
     cluster.setDemand(*id, 1.0); // 5 W

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "carbon/carbon_signal.h"
 #include "common/rig.h"
 #include "core/ecovisor.h"
@@ -45,38 +43,42 @@ TEST(EcovisorEdge, AppWithNoContainersDrawsNothing)
 {
     Rig rig;
     AppShareConfig share;
-    rig.eco.addApp("idle", share);
+    const auto idle = rig.eco.tryAddApp("idle", share).value();
     rig.eco.settleTick(0, 3600);
-    EXPECT_DOUBLE_EQ(rig.eco.getGridPower("idle"), 0.0);
-    EXPECT_DOUBLE_EQ(rig.eco.ves("idle").totalCarbonG(), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getGridPower(idle).value(), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.ves(idle)->totalCarbonG(), 0.0);
 }
 
 TEST(EcovisorEdge, PowercapSurvivesContainerChurn)
 {
     Rig rig;
-    rig.eco.addApp("a", AppShareConfig{});
+    ASSERT_TRUE(rig.eco.tryAddApp("a", AppShareConfig{}).ok());
     auto id = rig.cluster.createContainer("a", 1.0);
     ASSERT_TRUE(id);
-    rig.eco.setContainerPowercap(*id, 0.8);
+    const api::ContainerHandle c = api::handleOf(rig.cluster, *id);
+    ASSERT_TRUE(rig.eco.setContainerPowercap(c, 0.8).ok());
     // Destroy the container behind the ecovisor's back (resource
     // revocation); the next settlement must clean the stale cap up
-    // rather than crash.
+    // rather than crash, and the stale handle reads as unknown.
     rig.cluster.destroyContainer(*id);
     rig.eco.settleTick(0, 60);
-    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(*id)));
+    EXPECT_EQ(rig.eco.getContainerPowercap(c).code(),
+              api::ErrorCode::UnknownContainer);
+    EXPECT_TRUE(rig.eco.captureState().powercaps.empty());
 }
 
 TEST(EcovisorEdge, ZeroPowercapStopsContainer)
 {
     Rig rig;
-    rig.eco.addApp("a", AppShareConfig{});
+    ASSERT_TRUE(rig.eco.tryAddApp("a", AppShareConfig{}).ok());
     auto id = rig.cluster.createContainer("a", 1.0);
     ASSERT_TRUE(id);
+    const api::ContainerHandle c = api::handleOf(rig.cluster, *id);
     rig.cluster.setDemand(*id, 1.0);
-    rig.eco.setContainerPowercap(*id, 0.0);
+    ASSERT_TRUE(rig.eco.setContainerPowercap(c, 0.0).ok());
     // A zero cap is below even the idle share: utilization drops to
     // zero, so the attributed power is just the idle share.
-    EXPECT_NEAR(rig.eco.getContainerPower(*id), 1.35 / 4.0, 1e-9);
+    EXPECT_NEAR(rig.eco.getContainerPower(c).value(), 1.35 / 4.0, 1e-9);
 }
 
 TEST(EcovisorEdge, GridShareShedsLoad)
@@ -84,13 +86,13 @@ TEST(EcovisorEdge, GridShareShedsLoad)
     Rig rig;
     AppShareConfig share;
     share.grid_max_w = 2.0; // tiny feeder share
-    rig.eco.addApp("capped", share);
+    const auto capped = rig.eco.tryAddApp("capped", share).value();
     auto id = rig.cluster.createContainer("capped", 4.0);
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0); // wants 5 W
     rig.eco.settleTick(0, 3600);
     // Demand beyond the share is shed: grid draw clamps at 2 W.
-    EXPECT_NEAR(rig.eco.getGridPower("capped"), 2.0, 1e-9);
+    EXPECT_NEAR(rig.eco.getGridPower(capped).value(), 2.0, 1e-9);
     EXPECT_NEAR(rig.grid.totalEnergyWh(), 2.0, 1e-9);
 }
 
@@ -104,7 +106,7 @@ TEST(EcovisorEdge, GpuNodesAttributeExtraPower)
     cop::Cluster cluster(nodes);
     energy::PhysicalEnergySystem phys(&grid, nullptr, std::nullopt);
     Ecovisor eco(&cluster, &phys);
-    eco.addApp("gpu", AppShareConfig{});
+    const auto gpu = eco.tryAddApp("gpu", AppShareConfig{}).value();
 
     // Two containers spread over the two nodes (fewest-instances).
     auto c1 = cluster.createContainer("gpu", 4.0);
@@ -117,10 +119,11 @@ TEST(EcovisorEdge, GpuNodesAttributeExtraPower)
     cop::ContainerId gpu_c =
         cluster.container(*c1).node == 1 ? *c1 : *c2;
     cluster.setGpuUtil(gpu_c, 1.0);
-    EXPECT_NEAR(eco.getContainerPower(gpu_c), 10.0, 1e-9);
+    EXPECT_NEAR(eco.getContainerPower(api::handleOf(cluster, gpu_c)).value(),
+                10.0, 1e-9);
     eco.settleTick(0, 3600);
     // App power = 5 (CPU node) + 10 (GPU node).
-    EXPECT_NEAR(eco.ves("gpu").lastSettlement().demand_w, 15.0, 1e-9);
+    EXPECT_NEAR(eco.ves(gpu)->lastSettlement().demand_w, 15.0, 1e-9);
 }
 
 TEST(EcovisorEdge, BatteryShareExactlyAtPhysicalLimitAccepted)
@@ -129,7 +132,7 @@ TEST(EcovisorEdge, BatteryShareExactlyAtPhysicalLimitAccepted)
     AppShareConfig share;
     energy::BatteryConfig b; // defaults = the full physical bank
     share.battery = b;
-    EXPECT_NO_THROW(rig.eco.addApp("whole-bank", share));
+    EXPECT_TRUE(rig.eco.tryAddApp("whole-bank", share).ok());
 }
 
 TEST(EcovisorEdge, SolarOnlyAppNeverTouchesGrid)
@@ -138,14 +141,14 @@ TEST(EcovisorEdge, SolarOnlyAppNeverTouchesGrid)
     AppShareConfig share;
     share.solar_fraction = 1.0;
     share.grid_max_w = 0.001; // effectively no grid
-    rig.eco.addApp("solar-only", share);
+    const auto app = rig.eco.tryAddApp("solar-only", share).value();
     auto id = rig.cluster.createContainer("solar-only", 4.0);
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0); // 5 W vs 100 W of solar
     rig.eco.settleTick(0, 3600);
-    EXPECT_NEAR(rig.eco.ves("solar-only").totalCarbonG(), 0.0, 1e-6);
-    EXPECT_NEAR(rig.eco.ves("solar-only").lastSettlement().solar_used_w,
-                5.0, 1e-9);
+    EXPECT_NEAR(rig.eco.ves(app)->totalCarbonG(), 0.0, 1e-6);
+    EXPECT_NEAR(rig.eco.ves(app)->lastSettlement().solar_used_w, 5.0,
+                1e-9);
 }
 
 TEST(EcovisorEdge, TelemetryCanBeDisabled)
@@ -157,7 +160,7 @@ TEST(EcovisorEdge, TelemetryCanBeDisabled)
     EcovisorOptions opts;
     opts.record_telemetry = false;
     Ecovisor eco(&cluster, &phys, opts);
-    eco.addApp("a", AppShareConfig{});
+    ASSERT_TRUE(eco.tryAddApp("a", AppShareConfig{}).ok());
     for (TimeS t = 0; t < 600; t += 60)
         eco.settleTick(t, 60);
     EXPECT_EQ(eco.db().seriesCount(), 0u);

@@ -27,18 +27,22 @@ struct Driver
 {
     Rig rig;
     std::vector<std::string> names;
+    std::vector<api::AppHandle> apps;
     std::vector<std::vector<cop::ContainerId>> pools;
     Rng rng{42};
 
-    explicit Driver(int threads, int apps = 7)
+    explicit Driver(int threads, int app_count = 7)
         : rig(EcovisorOptions{ExcessSolarPolicy::Redistribute,
                               /*record_telemetry=*/true, threads})
     {
-        pools.resize(static_cast<std::size_t>(apps));
-        for (int a = 0; a < apps; ++a) {
+        pools.resize(static_cast<std::size_t>(app_count));
+        for (int a = 0; a < app_count; ++a) {
             names.push_back("app" + std::to_string(a));
-            rig.eco.addApp(names.back(),
-                           appShare(0.8 / apps, 800.0 / apps));
+            apps.push_back(
+                rig.eco
+                    .tryAddApp(names.back(), appShare(0.8 / app_count,
+                                                      800.0 / app_count))
+                    .value());
             auto id = rig.cluster.createContainer(names.back(), 1.0);
             if (id)
                 pools[static_cast<std::size_t>(a)].push_back(*id);
@@ -89,9 +93,10 @@ TEST(EcovisorThreads, ShardedSettlementIsBitIdentical)
     EXPECT_EQ(seq.rig.grid.totalEnergyWh(),
               par.rig.grid.totalEnergyWh());
     EXPECT_EQ(seq.rig.grid.totalCarbonG(), par.rig.grid.totalCarbonG());
-    for (const auto &name : seq.names) {
-        const auto &a = seq.rig.eco.ves(name);
-        const auto &b = par.rig.eco.ves(name);
+    for (std::size_t i = 0; i < seq.names.size(); ++i) {
+        const std::string &name = seq.names[i];
+        const auto &a = *seq.rig.eco.ves(seq.apps[i]);
+        const auto &b = *par.rig.eco.ves(par.apps[i]);
         EXPECT_EQ(a.totalCarbonG(), b.totalCarbonG()) << name;
         EXPECT_EQ(a.totalEnergyWh(), b.totalEnergyWh()) << name;
         EXPECT_EQ(a.totalGridWh(), b.totalGridWh()) << name;
@@ -111,10 +116,10 @@ TEST(EcovisorThreads, MoreThreadsThanAppsIsSafe)
     Driver seq(1, 2), par(16, 2);
     seq.run(50);
     par.run(50);
-    for (const auto &name : seq.names) {
-        EXPECT_EQ(seq.rig.eco.ves(name).totalCarbonG(),
-                  par.rig.eco.ves(name).totalCarbonG())
-            << name;
+    for (std::size_t i = 0; i < seq.names.size(); ++i) {
+        EXPECT_EQ(seq.rig.eco.ves(seq.apps[i])->totalCarbonG(),
+                  par.rig.eco.ves(par.apps[i])->totalCarbonG())
+            << seq.names[i];
     }
 }
 

@@ -36,9 +36,10 @@ TEST(Degradation, UnarmedInjectorIsBitIdentical)
     Rig plain;
     Rig faulted;
     for (Rig *rig : {&plain, &faulted}) {
-        rig->eco.addApp("a", appShare(0.6, 720.0, 0.6));
-        rig->eco.addApp("b", appShare(0.4, 400.0, 0.4));
-        rig->eco.setBatteryMaxDischarge("a", 10.0);
+        const auto a =
+            rig->eco.tryAddApp("a", appShare(0.6, 720.0, 0.6)).value();
+        rig->eco.tryAddApp("b", appShare(0.4, 400.0, 0.4)).value();
+        rig->eco.setBatteryMaxDischarge(a, 10.0).orFatal();
         auto id = rig->cluster.createContainer("a", 2.0);
         ASSERT_TRUE(id);
         rig->cluster.setDemand(*id, 0.9);
@@ -52,13 +53,15 @@ TEST(Degradation, UnarmedInjectorIsBitIdentical)
     EXPECT_EQ(faulted.eco.degradedTicks(), 0);
     EXPECT_EQ(faulted.eco.sloViolationTicks(), 0);
     EXPECT_DOUBLE_EQ(faulted.eco.unservedWh(), 0.0);
-    for (const char *app : {"a", "b"}) {
-        EXPECT_EQ(plain.eco.getSolarPower(app),
-                  faulted.eco.getSolarPower(app));
-        EXPECT_EQ(plain.eco.getGridPower(app),
-                  faulted.eco.getGridPower(app));
-        EXPECT_EQ(plain.eco.getBatteryChargeLevel(app),
-                  faulted.eco.getBatteryChargeLevel(app));
+    // Both rigs registered the same apps in the same order, so the
+    // registration-index handles name the same tenant in each.
+    for (const api::AppHandle app : {api::AppHandle(0), api::AppHandle(1)}) {
+        EXPECT_EQ(plain.eco.getSolarPower(app).value(),
+                  faulted.eco.getSolarPower(app).value());
+        EXPECT_EQ(plain.eco.getGridPower(app).value(),
+                  faulted.eco.getGridPower(app).value());
+        EXPECT_EQ(plain.eco.getBatteryChargeLevel(app).value(),
+                  faulted.eco.getBatteryChargeLevel(app).value());
     }
     EXPECT_EQ(plain.grid.totalCarbonG(), faulted.grid.totalCarbonG());
 }
@@ -87,7 +90,7 @@ TEST(Degradation, SensorBlackoutServesLastSettledReadings)
     EXPECT_TRUE(snap.value().stale);
     EXPECT_DOUBLE_EQ(snap.value().solar_w, 0.0);
     EXPECT_DOUBLE_EQ(snap.value().grid_carbon_g_per_kwh, 50.0);
-    EXPECT_DOUBLE_EQ(rig.eco.getSolarPower("a"), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getSolarPower(h.value()).value(), 0.0);
     EXPECT_DOUBLE_EQ(rig.eco.getGridCarbon(), 50.0);
 
     // Settlement itself is ground truth and keeps using live values:
@@ -117,7 +120,7 @@ TEST(Degradation, SolarDropoutFallsBackToGrid)
     // solar must come straight off the grid.
     core::AppShareConfig share;
     share.solar_fraction = 1.0;
-    rig.eco.addApp("a", share);
+    const auto a = rig.eco.tryAddApp("a", share).value();
     auto id = rig.cluster.createContainer("a", 4.0);
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0); // 5 W: one full node
@@ -129,8 +132,8 @@ TEST(Degradation, SolarDropoutFallsBackToGrid)
 
     // 200 W of owned solar is gone; the whole 5 W comes off the grid,
     // and the live solar getter reports the derated (zero) output.
-    EXPECT_DOUBLE_EQ(rig.eco.getGridPower("a"), 5.0);
-    EXPECT_DOUBLE_EQ(rig.eco.getSolarPower("a"), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getGridPower(a).value(), 5.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getSolarPower(a).value(), 0.0);
     EXPECT_EQ(rig.eco.degradedTicks(), 1);
     // Dropout sheds nothing — the grid absorbs it, no SLO violation.
     EXPECT_EQ(rig.eco.sloViolationTicks(), 0);
@@ -141,7 +144,7 @@ TEST(Degradation, GridOutageCapsShedAndRecover)
     Rig rig;
     // No solar share, no battery: the islanded budget is exactly zero,
     // so an outage must emergency-cap the app to its idle floor.
-    rig.eco.addApp("a", core::AppShareConfig{});
+    const auto a = rig.eco.tryAddApp("a", core::AppShareConfig{}).value();
     auto id = rig.cluster.createContainer("a", 1.0);
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0); // 1.25 W on the canonical node
@@ -151,15 +154,16 @@ TEST(Degradation, GridOutageCapsShedAndRecover)
     FaultInjector injector(&rig.eco, std::move(sched));
 
     rig.eco.settleTick(0, 60); // healthy
-    EXPECT_DOUBLE_EQ(rig.eco.getGridPower("a"), 1.25);
+    EXPECT_DOUBLE_EQ(rig.eco.getGridPower(a).value(), 1.25);
 
     rig.eco.settleTick(60, 60); // outage tick 1
     rig.eco.settleTick(120, 60); // outage tick 2
     // No import at all during the outage...
-    EXPECT_DOUBLE_EQ(rig.eco.getGridPower("a"), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getGridPower(a).value(), 0.0);
     // ...the emergency cap floors the container at its idle draw
     // (0.3375 W: the 1-core share of the 1.35 W node idle)...
-    EXPECT_NEAR(rig.eco.getContainerPower(*id), 0.3375, 1e-12);
+    EXPECT_NEAR(rig.eco.getContainerPower(rig.handle(*id)).value(), 0.3375,
+                1e-12);
     // ...and that idle draw is shed as unserved load, honestly
     // accounted instead of pretending the import happened.
     EXPECT_NEAR(rig.eco.unservedWh(), 2.0 * 0.3375 * 60.0 / 3600.0,
@@ -171,16 +175,16 @@ TEST(Degradation, GridOutageCapsShedAndRecover)
     // First healthy tick lifts the emergency caps and restores the
     // full draw from the grid.
     rig.eco.settleTick(180, 60);
-    EXPECT_DOUBLE_EQ(rig.eco.getContainerPower(*id), 1.25);
-    EXPECT_DOUBLE_EQ(rig.eco.getGridPower("a"), 1.25);
+    EXPECT_DOUBLE_EQ(rig.eco.getContainerPower(rig.handle(*id)).value(), 1.25);
+    EXPECT_DOUBLE_EQ(rig.eco.getGridPower(a).value(), 1.25);
     EXPECT_EQ(rig.eco.sloViolationTicks(), 2);
 }
 
 TEST(Degradation, OutageServedFromOwnBatteryWithoutShedding)
 {
     Rig rig;
-    rig.eco.addApp("a", appShare(0.0, 360.0, 0.5));
-    rig.eco.setBatteryMaxDischarge("a", 10.0);
+    const auto a = rig.eco.tryAddApp("a", appShare(0.0, 360.0, 0.5)).value();
+    rig.eco.setBatteryMaxDischarge(a, 10.0).orFatal();
     auto id = rig.cluster.createContainer("a", 4.0);
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0); // 5 W
@@ -192,9 +196,9 @@ TEST(Degradation, OutageServedFromOwnBatteryWithoutShedding)
 
     // The battery can island the whole demand: no caps, no shedding —
     // but the tick still counts as degraded (a fault was armed).
-    EXPECT_DOUBLE_EQ(rig.eco.getBatteryDischargeRate("a"), 5.0);
-    EXPECT_DOUBLE_EQ(rig.eco.getGridPower("a"), 0.0);
-    EXPECT_DOUBLE_EQ(rig.eco.getContainerPower(*id), 5.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getBatteryDischargeRate(a).value(), 5.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getGridPower(a).value(), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getContainerPower(rig.handle(*id)).value(), 5.0);
     EXPECT_DOUBLE_EQ(rig.eco.unservedWh(), 0.0);
     EXPECT_EQ(rig.eco.sloViolationTicks(), 0);
     EXPECT_EQ(rig.eco.degradedTicks(), 1);
@@ -203,46 +207,47 @@ TEST(Degradation, OutageServedFromOwnBatteryWithoutShedding)
 TEST(Degradation, BatteryOfflineForcesGridImport)
 {
     Rig rig;
-    rig.eco.addApp("a", appShare(0.0, 360.0, 0.5));
-    rig.eco.setBatteryMaxDischarge("a", 5.0);
+    const auto a = rig.eco.tryAddApp("a", appShare(0.0, 360.0, 0.5)).value();
+    rig.eco.setBatteryMaxDischarge(a, 5.0).orFatal();
     auto id = rig.cluster.createContainer("a", 4.0);
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0); // 5 W
 
     rig.eco.settleTick(0, 3600); // healthy: battery carries the load
-    EXPECT_DOUBLE_EQ(rig.eco.getBatteryDischargeRate("a"), 5.0);
-    EXPECT_DOUBLE_EQ(rig.eco.getGridPower("a"), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getBatteryDischargeRate(a).value(), 5.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getGridPower(a).value(), 0.0);
 
     core::EnergyFaults f;
     f.battery_offline = true;
     rig.eco.setEnergyFaults(f);
     rig.eco.settleTick(3600, 3600);
-    EXPECT_DOUBLE_EQ(rig.eco.getBatteryDischargeRate("a"), 0.0);
-    EXPECT_DOUBLE_EQ(rig.eco.getGridPower("a"), 5.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getBatteryDischargeRate(a).value(), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getGridPower(a).value(), 5.0);
 }
 
 TEST(Degradation, CapacityFadeClampsStoredEnergyExactly)
 {
     Rig rig;
-    rig.eco.addApp("a", appShare(0.0, 360.0, 1.0)); // 360 Wh stored
+    // 360 Wh stored.
+    const auto a = rig.eco.tryAddApp("a", appShare(0.0, 360.0, 1.0)).value();
 
     core::EnergyFaults f;
     f.battery_capacity_factor = 0.5;
     rig.eco.setEnergyFaults(f);
     rig.eco.settleTick(0, 60);
     // An exact clamp to the usable capacity, not a decay model.
-    EXPECT_DOUBLE_EQ(rig.eco.getBatteryChargeLevel("a"), 180.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getBatteryChargeLevel(a).value(), 180.0);
 
     // Lifting the fade does not refill what the clamp removed.
     rig.eco.setEnergyFaults(core::EnergyFaults{});
     rig.eco.settleTick(60, 60);
-    EXPECT_DOUBLE_EQ(rig.eco.getBatteryChargeLevel("a"), 180.0);
+    EXPECT_DOUBLE_EQ(rig.eco.getBatteryChargeLevel(a).value(), 180.0);
 }
 
 TEST(Degradation, InjectorUninstallsHookOnDestruction)
 {
     Rig rig;
-    rig.eco.addApp("a", appShare(0.0, 360.0, 0.5));
+    ASSERT_TRUE(rig.eco.tryAddApp("a", appShare(0.0, 360.0, 0.5)).ok());
 
     {
         FaultSchedule sched;
@@ -287,8 +292,8 @@ faultedDigest(int threads)
     auto hb = rig.eco.tryAddApp("b", appShare(0.3, 400.0, 0.4));
     auto hc = rig.eco.tryAddApp("c", core::AppShareConfig{});
     EXPECT_TRUE(ha.ok() && hb.ok() && hc.ok());
-    rig.eco.setBatteryMaxDischarge("a", 30.0);
-    rig.eco.setBatteryMaxDischarge("b", 10.0);
+    rig.eco.setBatteryMaxDischarge(ha.value(), 30.0).orFatal();
+    rig.eco.setBatteryMaxDischarge(hb.value(), 10.0).orFatal();
     auto ca = rig.cluster.createContainer("a", 2.0);
     auto cb = rig.cluster.createContainer("b", 1.0);
     auto cc = rig.cluster.createContainer("c", 1.0);

@@ -28,7 +28,7 @@ struct TestSite
           cluster(8, power::ServerPowerConfig{4, 1.35, 5.0, 0.0}),
           phys(&grid, nullptr, std::nullopt), eco(&cluster, &phys)
     {
-        eco.addApp("job", core::AppShareConfig{});
+        job = eco.tryAddApp("job", core::AppShareConfig{}).value();
     }
 
     void
@@ -36,6 +36,16 @@ struct TestSite
     {
         eco.settleTick(t, dt);
     }
+
+    /** Live containers of the site's "job" app. */
+    std::size_t
+    jobContainers() const
+    {
+        return static_cast<std::size_t>(
+            cluster.appContainerCount(eco.copAppIndex(job)));
+    }
+
+    api::AppHandle job;
 };
 
 GeoBatchJobConfig
@@ -57,8 +67,8 @@ TEST(GeoBatchJob, RunsAtOneSite)
     GeoBatchJob job(&coord, jobConfig());
     job.start(0, 0);
     EXPECT_EQ(job.activeSite(), 0);
-    EXPECT_EQ(a.cluster.appContainers("job").size(), 4u);
-    EXPECT_EQ(b.cluster.appContainers("job").size(), 0u);
+    EXPECT_EQ(a.jobContainers(), 4u);
+    EXPECT_EQ(b.jobContainers(), 0u);
     // 4 workers x 600 s of work at rate 4/s -> 600 s.
     TimeS t = 0;
     while (!job.done()) {
@@ -67,7 +77,7 @@ TEST(GeoBatchJob, RunsAtOneSite)
         ASSERT_LT(t, 100000);
     }
     EXPECT_EQ(job.runtime(), 600);
-    EXPECT_EQ(a.cluster.appContainers("job").size(), 0u);
+    EXPECT_EQ(a.jobContainers(), 0u);
 }
 
 TEST(GeoBatchJob, MigrationMovesContainers)
@@ -81,8 +91,8 @@ TEST(GeoBatchJob, MigrationMovesContainers)
     job.migrate(1, 0);
     EXPECT_EQ(job.activeSite(), 1);
     EXPECT_EQ(job.migrations(), 1);
-    EXPECT_EQ(a.cluster.appContainers("job").size(), 0u);
-    EXPECT_EQ(b.cluster.appContainers("job").size(), 4u);
+    EXPECT_EQ(a.jobContainers(), 0u);
+    EXPECT_EQ(b.jobContainers(), 4u);
     // Migrating to the current site is a no-op.
     job.migrate(1, 0);
     EXPECT_EQ(job.migrations(), 1);

@@ -40,8 +40,10 @@ struct TestSite
         b.max_discharge_w = 20.0;
         b.initial_soc = battery_soc;
         share.battery = b;
-        eco.addApp("job", share);
+        job = eco.tryAddApp("job", share).value();
     }
+
+    api::AppHandle job;
 };
 
 struct Fleet
@@ -118,8 +120,8 @@ TEST(GeoCoordinator, AggregateMetersSumOverSites)
     ASSERT_TRUE(id1 && id2);
     f.ontario.cluster.setDemand(*id1, 1.0);
     f.uruguay.cluster.setDemand(*id2, 1.0);
-    f.ontario.eco.setBatteryMaxDischarge("job", 0.0);
-    f.uruguay.eco.setBatteryMaxDischarge("job", 0.0);
+    ASSERT_TRUE(f.ontario.eco.setBatteryMaxDischarge(f.ontario.job, 0.0).ok());
+    ASSERT_TRUE(f.uruguay.eco.setBatteryMaxDischarge(f.uruguay.job, 0.0).ok());
     f.ontario.eco.settleTick(0, 3600);
     f.uruguay.eco.settleTick(0, 3600);
     // 5 Wh each; carbon = 5/1000*30 + 5/1000*80 = 0.15 + 0.40.

@@ -112,7 +112,7 @@ runWebScenario(bool dynamic_budget)
     cop::Cluster cluster(32, power::ServerPowerConfig{4, 1.35, 5.0, 0.0});
     energy::PhysicalEnergySystem phys(&grid, nullptr, std::nullopt);
     Ecovisor eco(&cluster, &phys);
-    eco.addApp("web", AppShareConfig{});
+    const api::AppHandle web = eco.tryAddApp("web", AppShareConfig{}).value();
 
     auto trace = makeRequestTrace(webApp1Workload(), 31);
     WebAppConfig wc;
@@ -142,8 +142,7 @@ runWebScenario(bool dynamic_budget)
 
     app.start(4);
     simul.runUntil(horizon);
-    return WebResult{app.sloViolations(),
-                     eco.ves("web").totalCarbonG()};
+    return WebResult{app.sloViolations(), eco.ves(web)->totalCarbonG()};
 }
 
 TEST(Fig6Scenario, DynamicBudgetingBeatsStaticRate)
@@ -183,7 +182,7 @@ runSparkScenario(bool dynamic)
     b.max_discharge_w = 200.0;
     b.initial_soc = 0.5;
     share.battery = b;
-    eco.addApp("spark", share);
+    eco.tryAddApp("spark", share).value();
 
     SparkJobConfig jc;
     jc.app = "spark";
@@ -252,7 +251,7 @@ TEST(Fig8Scenario, ZeroCarbonMaintained)
     b.max_discharge_w = 200.0;
     b.initial_soc = 0.5;
     share.battery = b;
-    eco.addApp("spark", share);
+    const api::AppHandle spark = eco.tryAddApp("spark", share).value();
 
     SparkJobConfig jc;
     jc.app = "spark";
@@ -274,8 +273,8 @@ TEST(Fig8Scenario, ZeroCarbonMaintained)
     simul.runUntil(2 * 24 * 3600);
 
     // Grid draw should be negligible relative to total consumption.
-    double grid_share = eco.ves("spark").totalGridWh() /
-                        std::max(1e-9, eco.ves("spark").totalEnergyWh());
+    double grid_share = eco.ves(spark)->totalGridWh() /
+                        std::max(1e-9, eco.ves(spark)->totalEnergyWh());
     EXPECT_LT(grid_share, 0.05);
 }
 
@@ -292,7 +291,7 @@ TEST(Fig10Scenario, DynamicCapsBeatStaticAtLowSolar)
         Ecovisor eco(&cluster, &phys);
         AppShareConfig share;
         share.solar_fraction = 1.0;
-        eco.addApp("par", share);
+        eco.tryAddApp("par", share).value();
 
         StragglerJobConfig cfg;
         cfg.app = "par";

@@ -48,18 +48,18 @@ runAt(TimeS tick_s)
     b.max_discharge_w = 50.0;
     b.initial_soc = 0.5;
     share.battery = b;
-    eco.addApp("app", share);
+    const api::AppHandle app = eco.tryAddApp("app", share).value();
 
     auto id = cluster.createContainer("app", 4.0);
     if (!id)
         fatal("tick_invariance: cannot place container");
     cluster.setDemand(*id, 1.0); // constant 5 W
-    eco.setBatteryMaxDischarge("app", 3.0);
+    eco.setBatteryMaxDischarge(app, 3.0).orFatal();
 
     for (TimeS t = 0; t < 2 * 3600; t += tick_s)
         eco.settleTick(t, tick_s);
 
-    const auto &v = eco.ves("app");
+    const auto &v = *eco.ves(app);
     return Totals{v.totalEnergyWh(), v.totalGridWh(), v.totalCarbonG(),
                   v.battery().energyWh(), v.totalCurtailedWh()};
 }

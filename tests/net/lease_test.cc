@@ -122,7 +122,7 @@ TEST(SessionLease, ExpiryRunsRevocation)
     ASSERT_TRUE(client.spawnContainer(app.value(), 1.0).ok());
 
     // Capture a raw ref the way a leaked capability would.
-    const auto ids = rig.cluster.appContainers("exp");
+    const auto ids = rig.cluster.appContainers(rig.cluster.findAppIndex("exp"));
     ASSERT_FALSE(ids.empty());
     const cop::ContainerRef leaked = rig.cluster.refOf(ids.front());
 
@@ -192,7 +192,8 @@ TEST(SessionLease, QueuedMutationCommitsOnceAcrossResume)
     EXPECT_EQ(core.stats().duplicates_replayed, 1u);
     EXPECT_EQ(core.stats().coalesced_committed, committed_before + 1);
     // The demand took effect exactly once.
-    const auto ids = rig.cluster.appContainers("once");
+    const auto ids =
+        rig.cluster.appContainers(rig.cluster.findAppIndex("once"));
     ASSERT_EQ(ids.size(), 1u);
     ticker.tick();
     EXPECT_GT(rig.cluster.containerPowerW(ids.front()), 0.0);

@@ -283,7 +283,8 @@ TEST(ServerCore, DisconnectRevokesContainers)
 
         // Capture the underlying ref the way a leaked capability
         // would: straight from the cluster.
-        const auto ids = rig.cluster.appContainers("rev");
+        const auto ids =
+            rig.cluster.appContainers(rig.cluster.findAppIndex("rev"));
         ASSERT_FALSE(ids.empty());
         leaked = rig.cluster.refOf(ids.front());
         ASSERT_NE(rig.cluster.find(leaked), nullptr);

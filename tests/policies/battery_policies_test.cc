@@ -41,8 +41,10 @@ struct Rig : testutil::Rig
         b.max_discharge_w = 200.0;
         b.initial_soc = 0.6;
         share.battery = b;
-        eco.addApp("app", share);
+        app = eco.tryAddApp("app", share).value();
     }
+
+    api::AppHandle app;
 };
 
 BatteryPolicyConfig
@@ -73,13 +75,13 @@ TEST(StaticBatteryPolicy, FixedWorkersByDayNoneByNight)
     policy.onTick(7 * 3600, 60);
     EXPECT_EQ(workers, 4);
     // Battery may discharge up to the guaranteed power during day.
-    EXPECT_DOUBLE_EQ(rig.eco.ves("app").maxDischargeW(), 5.0);
+    EXPECT_DOUBLE_EQ(rig.eco.ves(rig.app)->maxDischargeW(), 5.0);
 
     // Night again: suspended, battery preserved.
     rig.eco.settleTick(19 * 3600 - 60, 60);
     policy.onTick(19 * 3600, 60);
     EXPECT_EQ(workers, 0);
-    EXPECT_DOUBLE_EQ(rig.eco.ves("app").maxDischargeW(), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.ves(rig.app)->maxDischargeW(), 0.0);
 }
 
 TEST(DynamicSparkBatteryPolicy, ScalesUpOnFullBattery)
@@ -95,8 +97,8 @@ TEST(DynamicSparkBatteryPolicy, ScalesUpOnFullBattery)
 
     // Force the battery full, then tick during daylight.
     rig.eco.settleTick(7 * 3600 - 60, 60);
-    rig.eco.setBatteryChargeRate("app", 50.0);
-    for (TimeS t = 7 * 3600; rig.eco.ves("app").battery().soc() < 0.95;
+    rig.eco.setBatteryChargeRate(rig.app, 50.0).orFatal();
+    for (TimeS t = 7 * 3600; rig.eco.ves(rig.app)->battery().soc() < 0.95;
          t += 600)
         rig.eco.settleTick(t, 600);
     policy.onTick(12 * 3600, 60);
@@ -123,9 +125,9 @@ TEST(DynamicSparkBatteryPolicy, RetreatsToGuaranteedOnLowBattery)
 
     // Drain below the low mark by discharging into a big load
     // (64 workers x 1.25 W = 80 W against a 40 W solar share).
-    rig.eco.setBatteryMaxDischarge("app", 200.0);
+    rig.eco.setBatteryMaxDischarge(rig.app, 200.0).orFatal();
     job.setWorkers(64);
-    for (TimeS t = 7 * 3600; rig.eco.ves("app").battery().soc() > 0.45;
+    for (TimeS t = 7 * 3600; rig.eco.ves(rig.app)->battery().soc() > 0.45;
          t += 600) {
         for (auto id : job.containers())
             rig.cluster.setDemand(id, 1.0);

@@ -37,8 +37,10 @@ struct Rig : testutil::Rig
         b.initial_soc = 0.0;
         b.efficiency = efficiency;
         share.battery = b;
-        eco.addApp("app", share);
+        app = eco.tryAddApp("app", share).value();
     }
+
+    api::AppHandle app;
 };
 
 CarbonArbitrageConfig
@@ -60,15 +62,15 @@ TEST(CarbonArbitragePolicy, ModesFollowIntensity)
     // Clean hour: charges.
     pol.onTick(0, 60);
     EXPECT_EQ(pol.mode(), CarbonArbitragePolicy::Mode::Charging);
-    EXPECT_DOUBLE_EQ(rig.eco.ves("app").chargeRateW(), 20.0);
-    EXPECT_DOUBLE_EQ(rig.eco.ves("app").maxDischargeW(), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.ves(rig.app)->chargeRateW(), 20.0);
+    EXPECT_DOUBLE_EQ(rig.eco.ves(rig.app)->maxDischargeW(), 0.0);
 
     // Dirty hour: discharges.
     rig.eco.settleTick(3600 - 60, 60);
     pol.onTick(3600, 60);
     EXPECT_EQ(pol.mode(), CarbonArbitragePolicy::Mode::Discharging);
-    EXPECT_DOUBLE_EQ(rig.eco.ves("app").chargeRateW(), 0.0);
-    EXPECT_DOUBLE_EQ(rig.eco.ves("app").maxDischargeW(), 40.0);
+    EXPECT_DOUBLE_EQ(rig.eco.ves(rig.app)->chargeRateW(), 0.0);
+    EXPECT_DOUBLE_EQ(rig.eco.ves(rig.app)->maxDischargeW(), 40.0);
 }
 
 TEST(CarbonArbitragePolicy, HoldBetweenThresholds)
@@ -81,7 +83,7 @@ TEST(CarbonArbitragePolicy, HoldBetweenThresholds)
     core::Ecovisor eco(&cluster, &phys);
     core::AppShareConfig share;
     share.battery = energy::BatteryConfig{};
-    eco.addApp("app", share);
+    eco.tryAddApp("app", share).value();
     CarbonArbitragePolicy pol(&eco, "app", config());
     pol.onTick(0, 60);
     EXPECT_EQ(pol.mode(), CarbonArbitragePolicy::Mode::Hold);
@@ -97,14 +99,14 @@ TEST(CarbonArbitragePolicy, ReducesCarbonForConstantLoad)
         rig.cluster.setDemand(*id, 1.0); // constant 5 W
         if (!arbitrage) {
             // Battery idle: no charge, no discharge.
-            rig.eco.setBatteryMaxDischarge("app", 0.0);
+            rig.eco.setBatteryMaxDischarge(rig.app, 0.0).orFatal();
         }
         for (TimeS t = 0; t < 24 * 3600; t += 60) {
             if (arbitrage)
                 pol.onTick(t, 60);
             rig.eco.settleTick(t, 60);
         }
-        return rig.eco.ves("app").totalCarbonG();
+        return rig.eco.ves(rig.app)->totalCarbonG();
     };
     double base = runWith(false);
     double arb = runWith(true);
@@ -134,7 +136,7 @@ TEST(CarbonArbitragePolicy, RoundTripLossCanNegateThinSpreads)
         b.initial_soc = 0.0;
         b.efficiency = efficiency;
         share.battery = b;
-        eco.addApp("app", share);
+        const api::AppHandle app = eco.tryAddApp("app", share).value();
 
         CarbonArbitrageConfig cfg;
         cfg.low_g_per_kwh = 110.0;
@@ -150,7 +152,7 @@ TEST(CarbonArbitragePolicy, RoundTripLossCanNegateThinSpreads)
             pol.onTick(t, 60);
             eco.settleTick(t, 60);
         }
-        return eco.ves("app").totalCarbonG();
+        return eco.ves(app)->totalCarbonG();
     };
     // Thin spread + lossy battery: arbitrage hurts.
     EXPECT_GT(runWith(0.7, 130.0), runWith(1.0, 130.0));
@@ -169,7 +171,7 @@ TEST(CarbonArbitragePolicy, InvalidConstructionFatal)
                  FatalError);
 
     // App without a battery share cannot arbitrage.
-    rig.eco.addApp("no-batt", core::AppShareConfig{});
+    rig.eco.tryAddApp("no-batt", core::AppShareConfig{}).value();
     EXPECT_THROW(CarbonArbitragePolicy(&rig.eco, "no-batt", config()),
                  FatalError);
 }

@@ -31,8 +31,10 @@ struct Rig : testutil::Rig
           }())
     {
         core::AppShareConfig share;
-        eco.addApp("web", share);
+        web = eco.tryAddApp("web", share).value();
     }
+
+    api::AppHandle web;
 };
 
 wl::WebAppConfig
@@ -98,7 +100,7 @@ TEST(StaticCarbonRatePolicy, AchievedRateStaysNearLimit)
     // Steady state: the app's carbon rate is at or below the limit
     // (floor() on worker count plus partial utilization keep it
     // under), but the provisioned workers are actually used.
-    const auto &s = rig.eco.ves("web").lastSettlement();
+    const auto &s = rig.eco.ves(rig.web)->lastSettlement();
     EXPECT_LE(s.carbon_g / 60.0, rate * 1.05);
     EXPECT_GT(s.carbon_g / 60.0, rate * 0.3);
 }

@@ -33,7 +33,7 @@ struct Rig : testutil::Rig
           }())
     {
         core::AppShareConfig share; // grid-only app
-        eco.addApp("job", share);
+        app = eco.tryAddApp("job", share).value();
     }
 
     /** One full tick: policy, workload, settle. */
@@ -44,6 +44,8 @@ struct Rig : testutil::Rig
         job.onTick(t, dt);
         eco.settleTick(t, dt);
     }
+
+    api::AppHandle app;
 };
 
 wl::BatchJobConfig
@@ -106,10 +108,10 @@ TEST(SuspendResumePolicy, EmitsNoCarbonWhileSuspended)
     TimeS t = 0;
     for (; t < 3600; t += 60)
         rig.tick(job, policy, t);
-    double carbon_after_low = rig.eco.ves("job").totalCarbonG();
+    double carbon_after_low = rig.eco.ves(rig.app)->totalCarbonG();
     for (; t < 7200; t += 60)
         rig.tick(job, policy, t);
-    EXPECT_NEAR(rig.eco.ves("job").totalCarbonG(), carbon_after_low,
+    EXPECT_NEAR(rig.eco.ves(rig.app)->totalCarbonG(), carbon_after_low,
                 1e-9);
 }
 

@@ -34,7 +34,7 @@ struct Rig : testutil::Rig
     {
         core::AppShareConfig share;
         share.solar_fraction = 1.0;
-        eco.addApp("par", share);
+        eco.tryAddApp("par", share).value();
     }
 };
 
@@ -57,7 +57,8 @@ TEST(StaticSolarCapPolicy, SplitsBudgetEvenly)
     StaticSolarCapPolicy policy(&rig.eco, &job);
     policy.onTick(0, 60);
     for (auto id : job.containers())
-        EXPECT_NEAR(rig.eco.getContainerPowercap(id), 1.0, 1e-9);
+        EXPECT_NEAR(rig.eco.getContainerPowercap(rig.handle(id)).value(), 1.0,
+                    1e-9);
 }
 
 TEST(DynamicSolarCapPolicy, ShiftsPowerToBusyWorkers)
@@ -73,7 +74,8 @@ TEST(DynamicSolarCapPolicy, ShiftsPowerToBusyWorkers)
     job.onTick(0, 60);
     // All computing: equal split of 5 W = 1.25 W each (their max).
     for (auto id : job.containers())
-        EXPECT_NEAR(rig.eco.getContainerPowercap(id), 1.25, 1e-9);
+        EXPECT_NEAR(rig.eco.getContainerPowercap(rig.handle(id)).value(), 1.25,
+                    1e-9);
 
     // Force two workers to finish the round.
     auto ids = job.containers();
@@ -96,7 +98,8 @@ TEST(DynamicSolarCapPolicy, ShiftsPowerToBusyWorkers)
     if (busy > 0 && busy < 4) {
         policy.onTick(t, 60);
         for (const auto &w : st) {
-            double cap = rig.eco.getContainerPowercap(w.id);
+            double cap =
+                rig.eco.getContainerPowercap(rig.handle(w.id)).value();
             if (!w.computing)
                 EXPECT_NEAR(cap, 0.4, 1e-9); // io_power_w default
             else

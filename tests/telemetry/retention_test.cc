@@ -426,8 +426,10 @@ struct Driver
         pools.resize(static_cast<std::size_t>(apps));
         for (int a = 0; a < apps; ++a) {
             names.push_back("app" + std::to_string(a));
-            rig.eco.addApp(names.back(),
-                           appShare(0.8 / apps, 800.0 / apps));
+            rig.eco
+                .tryAddApp(names.back(),
+                           appShare(0.8 / apps, 800.0 / apps))
+                .value();
             auto id = rig.cluster.createContainer(names.back(), 1.0);
             if (id)
                 pools[static_cast<std::size_t>(a)].push_back(*id);
@@ -465,7 +467,7 @@ TEST(Retention, OptionsPlumbToEverySeries)
 {
     Rig rig(EcovisorOptions{.retention_samples = 64,
                             .retention_window_s = 7200});
-    rig.eco.addApp("a", appShare(0.5, 360.0));
+    ASSERT_TRUE(rig.eco.tryAddApp("a", appShare(0.5, 360.0)).ok());
     auto id = rig.cluster.createContainer("a", 1.0);
     ASSERT_TRUE(id);
     rig.run(3);
@@ -537,7 +539,7 @@ TEST(Retention, ExpectedTicksReservationIsCappedWhenBounded)
 {
     Rig rig(EcovisorOptions{.expected_ticks = 1000000,
                             .retention_samples = 128});
-    rig.eco.addApp("a", appShare(0.5, 360.0));
+    ASSERT_TRUE(rig.eco.tryAddApp("a", appShare(0.5, 360.0)).ok());
     rig.eco.settleTick(0, 60);
     const TimeSeries &s = rig.eco.db().series("grid_carbon");
     EXPECT_LE(s.capacity(), 2 * (128u + s.retention().seal_batch));

@@ -1,8 +1,8 @@
 /**
  * @file
- * The TsDatabase series slab: interned SeriesIds, the string compat
- * shim delegating onto the slab bit-identically, and the visibility
- * rules for interned-but-never-written series.
+ * The TsDatabase series slab: interned SeriesIds, idempotent
+ * interning, and the visibility rules for interned-but-never-written
+ * series.
  */
 
 #include <gtest/gtest.h>
@@ -29,10 +29,11 @@ TEST(SeriesSlab, InternIsStableAndIdempotent)
     EXPECT_EQ(db.internedCount(), 3u);
 }
 
-TEST(SeriesSlab, AppendByIdEqualsWriteByString)
+TEST(SeriesSlab, AppendByIdEqualsAppendByReinternedName)
 {
-    // Interleaved writes through both surfaces must land in the same
-    // series in the same order with the same bits.
+    // Interleaved appends through cached ids and through a fresh
+    // intern() per sample must land in the same series in the same
+    // order with the same bits: intern() of a known pair is a lookup.
     TsDatabase by_id, by_string;
     const SeriesId p = by_id.intern("power", "a");
     const SeriesId q = by_id.intern("power", "b");
@@ -41,8 +42,8 @@ TEST(SeriesSlab, AppendByIdEqualsWriteByString)
         const double v2 = 7.0 / (static_cast<double>(t) + 3.0);
         by_id.append(p, t, v1);
         by_id.append(q, t, v2);
-        by_string.write("power", "a", t, v1);
-        by_string.write("power", "b", t, v2);
+        by_string.append(by_string.intern("power", "a"), t, v1);
+        by_string.append(by_string.intern("power", "b"), t, v2);
     }
     for (const char *tag : {"a", "b"}) {
         const TimeSeries &x = by_id.series("power", tag);

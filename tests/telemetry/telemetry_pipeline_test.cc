@@ -1,12 +1,12 @@
 /**
  * @file
  * The interned telemetry pipeline end to end: the SeriesId fast path
- * must be bit-identical to the legacy string-shim path on a seeded
- * churny simulation, sharded recording must be bit-identical to
- * sequential at any thread count (the docs/PERF.md determinism
- * contract extended to telemetry), and per-container series caches
- * must be generation-checked — a recycled slab slot can never alias
- * its predecessor's series.
+ * must be bit-identical to a test-only string-keyed reference recorder
+ * on a seeded churny simulation, sharded recording must be
+ * bit-identical to sequential at any thread count (the docs/PERF.md
+ * determinism contract extended to telemetry), and per-container
+ * series caches must be generation-checked — a recycled slab slot can
+ * never alias its predecessor's series.
  */
 
 #include <gtest/gtest.h>
@@ -55,10 +55,80 @@ expectDbBitIdentical(const ts::TsDatabase &a, const ts::TsDatabase &b)
     }
 }
 
-/** Drive one rig through a seeded churn+demand workload. */
+/**
+ * Executable reference for the recording contract: a string-keyed
+ * recorder built on public state only. After each settled tick it
+ * interns every series by name and appends the value the ecovisor
+ * records for it — globals, then per-app and per-container series in
+ * canonical (sorted-by-name) app order, containers in creation order.
+ * No SeriesId caching, no slot caches, no sharding: the interned
+ * pipeline must reproduce this store bit for bit.
+ */
+class StringKeyedRecorder
+{
+  public:
+    explicit StringKeyedRecorder(Ecovisor *eco) : eco_(eco) {}
+
+    /** Record the tick that settled at t_s. */
+    void
+    record(TimeS t_s)
+    {
+        energy::PhysicalEnergySystem &phys = eco_->physical();
+        const cop::Cluster &cluster = eco_->cluster();
+        write("grid_carbon", "", t_s, phys.gridCarbonAt(t_s));
+        write("solar_w", "", t_s, phys.solarPowerAt(t_s));
+        write("cluster_power_w", "", t_s, cluster.totalPowerW());
+
+        for (const std::string &app : eco_->appNames()) {
+            const api::AppHandle h = eco_->findApp(app).value();
+            const VirtualEnergySystem &ves = *eco_->ves(h);
+            const TickSettlement &s = ves.lastSettlement();
+            write("app_power_w", app, t_s, s.demand_w);
+            write("app_grid_w", app, t_s, s.grid_w);
+            write("app_solar_used_w", app, t_s, s.solar_used_w);
+            write("app_batt_discharge_w", app, t_s, s.batt_discharge_w);
+            write("app_batt_charge_w", app, t_s,
+                  s.batt_charge_solar_w + s.batt_charge_grid_w);
+            write("app_carbon_g", app, t_s, s.carbon_g);
+            if (ves.hasBattery())
+                write("app_batt_soc", app, t_s, ves.battery().soc());
+            const cop::AppIndex idx = eco_->copAppIndex(h);
+            write("app_containers", app, t_s,
+                  static_cast<double>(cluster.appContainerCount(idx)));
+            // Carbon attributed by share of app demand.
+            cluster.forEachAppContainer(idx, [&](const cop::Container &c) {
+                const std::string tag = std::to_string(c.id);
+                const double p_w = cluster.containerPowerW(c.id);
+                write("container_power_w", tag, t_s, p_w);
+                const double share =
+                    s.demand_w > 1e-12 ? p_w / s.demand_w : 0.0;
+                write("container_carbon_g", tag, t_s, s.carbon_g * share);
+            });
+        }
+    }
+
+    const ts::TsDatabase &db() const { return db_; }
+
+  private:
+    void
+    write(const std::string &measurement, const std::string &tag,
+          TimeS t_s, double value)
+    {
+        db_.append(db_.intern(measurement, tag), t_s, value);
+    }
+
+    Ecovisor *eco_;
+    ts::TsDatabase db_;
+};
+
+/**
+ * Drive one rig through a seeded churn+demand workload, recording
+ * every settled tick into the string-keyed reference as well.
+ */
 struct Driver
 {
     Rig rig;
+    StringKeyedRecorder reference{&rig.eco};
     std::vector<std::string> names;
     std::vector<std::vector<cop::ContainerId>> pools;
     Rng rng{1234};
@@ -69,8 +139,10 @@ struct Driver
         pools.resize(static_cast<std::size_t>(apps));
         for (int a = 0; a < apps; ++a) {
             names.push_back("app" + std::to_string(a));
-            rig.eco.addApp(names.back(),
-                           appShare(0.8 / apps, 800.0 / apps));
+            rig.eco
+                .tryAddApp(names.back(),
+                           appShare(0.8 / apps, 800.0 / apps))
+                .value();
             auto id = rig.cluster.createContainer(names.back(), 1.0);
             if (id)
                 pools[static_cast<std::size_t>(a)].push_back(*id);
@@ -102,17 +174,16 @@ struct Driver
             }
             rig.eco.dispatchTickCallbacks(t, 60);
             rig.eco.settleTick(t, 60);
+            reference.record(t);
         }
     }
 };
 
-TEST(TelemetryPipeline, SeriesIdPathEqualsStringShimPath)
+TEST(TelemetryPipeline, SeriesIdPathEqualsStringKeyedReference)
 {
-    Driver fast(EcovisorOptions{.telemetry_via_strings = false});
-    Driver shim(EcovisorOptions{.telemetry_via_strings = true});
-    fast.run(150);
-    shim.run(150);
-    expectDbBitIdentical(fast.rig.eco.db(), shim.rig.eco.db());
+    Driver d(EcovisorOptions{.threads = 1});
+    d.run(150);
+    expectDbBitIdentical(d.rig.eco.db(), d.reference.db());
 }
 
 TEST(TelemetryPipeline, ShardedRecordingIsBitIdentical)
@@ -125,21 +196,20 @@ TEST(TelemetryPipeline, ShardedRecordingIsBitIdentical)
     expectDbBitIdentical(seq.rig.eco.db(), par.rig.eco.db());
 }
 
-TEST(TelemetryPipeline, ShardedEqualsStringShim)
+TEST(TelemetryPipeline, ShardedEqualsStringKeyedReference)
 {
-    // Transitivity check across both axes at once: 4-way sharded
-    // SeriesId recording vs the sequential seed-era string path.
+    // Both axes at once: 4-way sharded SeriesId recording vs the
+    // sequential string-keyed reference.
     Driver par(EcovisorOptions{.threads = 4});
-    Driver shim(EcovisorOptions{.telemetry_via_strings = true});
-    par.run(100);
-    shim.run(100);
-    expectDbBitIdentical(par.rig.eco.db(), shim.rig.eco.db());
+    ASSERT_EQ(par.rig.eco.settleThreads(), 4);
+    par.run(150);
+    expectDbBitIdentical(par.rig.eco.db(), par.reference.db());
 }
 
 TEST(TelemetryPipeline, RecycledSlotNeverAliasesOldSeries)
 {
     Rig rig;
-    rig.eco.addApp("a", appShare(0.5, 360.0));
+    ASSERT_TRUE(rig.eco.tryAddApp("a", appShare(0.5, 360.0)).ok());
     auto first = rig.cluster.createContainer("a", 1.0);
     ASSERT_TRUE(first);
     rig.cluster.setDemand(*first, 0.9);
@@ -190,8 +260,8 @@ TEST(TelemetryPipeline, RecycledSlotNeverAliasesOldSeries)
 TEST(TelemetryPipeline, AppSeriesIdMatchesStringLookup)
 {
     Rig rig;
-    rig.eco.addApp("a", appShare(0.5, 360.0));
-    const api::AppHandle h = rig.eco.findApp("a").value();
+    const api::AppHandle h =
+        rig.eco.tryAddApp("a", appShare(0.5, 360.0)).value();
     rig.eco.settleTick(0, 60);
 
     EXPECT_EQ(rig.eco.appSeriesId(h, api::AppMetric::PowerW).value(),
@@ -211,8 +281,8 @@ TEST(TelemetryPipeline, AppSeriesIdMatchesStringLookup)
 TEST(TelemetryPipeline, ExpectedTicksPreSizesSeries)
 {
     Rig rig(EcovisorOptions{.expected_ticks = 500});
-    rig.eco.addApp("a", appShare(0.5, 360.0));
-    const api::AppHandle h = rig.eco.findApp("a").value();
+    const api::AppHandle h =
+        rig.eco.tryAddApp("a", appShare(0.5, 360.0)).value();
     auto id = rig.cluster.createContainer("a", 1.0);
     ASSERT_TRUE(id);
     rig.eco.settleTick(0, 60);
@@ -232,7 +302,7 @@ TEST(TelemetryPipeline, ExpectedTicksPreSizesSeries)
 TEST(TelemetryPipeline, EcoLibCursorQueriesMatchPlainQueries)
 {
     Rig rig;
-    rig.eco.addApp("a", appShare(0.5, 360.0));
+    ASSERT_TRUE(rig.eco.tryAddApp("a", appShare(0.5, 360.0)).ok());
     auto id = rig.cluster.createContainer("a", 1.0);
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 0.8);

@@ -10,11 +10,11 @@
 namespace ecov::ts {
 namespace {
 
-TEST(TsDatabase, WriteCreatesSeries)
+TEST(TsDatabase, FirstAppendMakesSeriesVisible)
 {
     TsDatabase db;
     EXPECT_FALSE(db.has("power", "app1"));
-    db.write("power", "app1", 0, 5.0);
+    db.append(db.intern("power", "app1"), 0, 5.0);
     EXPECT_TRUE(db.has("power", "app1"));
     EXPECT_EQ(db.seriesCount(), 1u);
 }
@@ -30,8 +30,8 @@ TEST(TsDatabase, UnknownSeriesIsEmptyNotFatal)
 TEST(TsDatabase, TagsSeparateSeries)
 {
     TsDatabase db;
-    db.write("power", "app1", 0, 5.0);
-    db.write("power", "app2", 0, 7.0);
+    db.append(db.intern("power", "app1"), 0, 5.0);
+    db.append(db.intern("power", "app2"), 0, 7.0);
     EXPECT_DOUBLE_EQ(db.series("power", "app1").last(), 5.0);
     EXPECT_DOUBLE_EQ(db.series("power", "app2").last(), 7.0);
     EXPECT_EQ(db.seriesCount(), 2u);
@@ -40,8 +40,8 @@ TEST(TsDatabase, TagsSeparateSeries)
 TEST(TsDatabase, MeasurementsSeparateSeries)
 {
     TsDatabase db;
-    db.write("power", "x", 0, 1.0);
-    db.write("carbon", "x", 0, 2.0);
+    db.append(db.intern("power", "x"), 0, 1.0);
+    db.append(db.intern("carbon", "x"), 0, 2.0);
     EXPECT_DOUBLE_EQ(db.series("power", "x").last(), 1.0);
     EXPECT_DOUBLE_EQ(db.series("carbon", "x").last(), 2.0);
 }
@@ -49,9 +49,9 @@ TEST(TsDatabase, MeasurementsSeparateSeries)
 TEST(TsDatabase, KeysAreSortedAndComplete)
 {
     TsDatabase db;
-    db.write("b", "2", 0, 0.0);
-    db.write("a", "1", 0, 0.0);
-    db.write("a", "2", 0, 0.0);
+    db.append(db.intern("b", "2"), 0, 0.0);
+    db.append(db.intern("a", "1"), 0, 0.0);
+    db.append(db.intern("a", "2"), 0, 0.0);
     auto keys = db.keys();
     ASSERT_EQ(keys.size(), 3u);
     EXPECT_EQ(keys[0].measurement, "a");
@@ -64,7 +64,7 @@ TEST(TsDatabase, KeysAreSortedAndComplete)
 TEST(TsDatabase, ClearDropsEverything)
 {
     TsDatabase db;
-    db.write("m", "t", 0, 1.0);
+    db.append(db.intern("m", "t"), 0, 1.0);
     db.clear();
     EXPECT_EQ(db.seriesCount(), 0u);
     EXPECT_FALSE(db.has("m", "t"));
@@ -73,7 +73,7 @@ TEST(TsDatabase, ClearDropsEverything)
 TEST(TsDatabase, DefaultTagIsEmptyString)
 {
     TsDatabase db;
-    db.write("grid_carbon", "", 0, 250.0);
+    db.append(db.intern("grid_carbon", ""), 0, 250.0);
     EXPECT_TRUE(db.has("grid_carbon"));
     EXPECT_DOUBLE_EQ(db.series("grid_carbon").last(), 250.0);
 }
@@ -82,7 +82,7 @@ TEST(TsDatabase, AppendsAccumulate)
 {
     TsDatabase db;
     for (TimeS t = 0; t < 600; t += 60)
-        db.write("power", "a", t, static_cast<double>(t));
+        db.append(db.intern("power", "a"), t, static_cast<double>(t));
     EXPECT_EQ(db.series("power", "a").size(), 10u);
 }
 

@@ -64,7 +64,7 @@ TEST(BatchJob, StartCreatesBaseWorkers)
     job.start(0);
     EXPECT_TRUE(job.running());
     EXPECT_EQ(job.containers().size(), 4u);
-    EXPECT_EQ(cluster.appContainers("ml").size(), 4u);
+    EXPECT_EQ(cluster.appContainers(cluster.findAppIndex("ml")).size(), 4u);
 }
 
 TEST(BatchJob, ProgressAndCompletion)
@@ -81,7 +81,7 @@ TEST(BatchJob, ProgressAndCompletion)
     EXPECT_EQ(job.completionTime(), 100);
     EXPECT_EQ(job.runtime(), 100);
     // Containers released on completion.
-    EXPECT_EQ(cluster.appContainers("ml").size(), 0u);
+    EXPECT_EQ(cluster.appContainers(cluster.findAppIndex("ml")).size(), 0u);
 }
 
 TEST(BatchJob, SuspendReleasesContainersAndHaltsProgress)
@@ -92,11 +92,11 @@ TEST(BatchJob, SuspendReleasesContainersAndHaltsProgress)
     job.onTick(0, 10);
     double p = job.progress();
     job.suspend();
-    EXPECT_EQ(cluster.appContainers("ml").size(), 0u);
+    EXPECT_EQ(cluster.appContainers(cluster.findAppIndex("ml")).size(), 0u);
     job.onTick(10, 1000);
     EXPECT_DOUBLE_EQ(job.progress(), p);
     job.resume();
-    EXPECT_EQ(cluster.appContainers("ml").size(), 4u);
+    EXPECT_EQ(cluster.appContainers(cluster.findAppIndex("ml")).size(), 4u);
 }
 
 TEST(BatchJob, ScaleChangesWorkerCount)

@@ -130,7 +130,7 @@ TEST(StragglerJob, ReplicaContainersAreCleanedUp)
     cluster.setUtilizationCap(ids[0], 0.01);
     job.onTick(0, 60);
     ASSERT_TRUE(job.addReplica(0));
-    EXPECT_EQ(cluster.appContainers("par").size(), 3u);
+    EXPECT_EQ(cluster.appContainers(cluster.findAppIndex("par")).size(), 3u);
     TimeS t = 60;
     while (!job.done()) {
         job.onTick(t, 60);
