@@ -167,9 +167,19 @@ echo "server_smoke: durable daemon up on port ${port} (pid ${daemon_pid})"
 "${EXAMPLE}" "${port}" --chaos >"${CLOG}" 2>&1 &
 chaos_pid=$!
 
-# Give the session time to open AND land in a WAL tick before the
-# kill — anything the client saw acknowledged is durable.
-sleep 0.25
+# Kill only once the session is durable: the daemon answers
+# RegisterApp after the committing tick's WAL append, and the client
+# prints this line when that answer arrives.
+registered=""
+for _ in $(seq 1 250); do
+    grep -q "^chaos: registered " "${CLOG}" && registered=1 && break
+    kill -0 "${chaos_pid}" 2>/dev/null || break
+    sleep 0.02
+done
+[[ -n "${registered}" ]] || {
+    cat "${CLOG}" >&2
+    fail "chaos client never registered (durable leg)"
+}
 kill -KILL "${daemon_pid}" 2>/dev/null
 wait "${daemon_pid}" 2>/dev/null
 daemon_pid=""

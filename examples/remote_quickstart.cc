@@ -150,6 +150,11 @@ runChaos(const std::string &host, std::uint16_t port,
         auto a = client.registerApp(name, core::AppShareConfig{});
         if (!a.ok())
             return false;
+        // The daemon answers only after the committing tick's WAL
+        // append, so a --state-dir daemon now holds this session
+        // durably; ci/server_smoke.sh waits for this line to kill it.
+        std::printf("chaos: registered %s\n", name);
+        std::fflush(stdout);
         auto c = client.spawnContainer(a.value(), 1.0);
         if (!c.ok())
             return false;
@@ -171,6 +176,16 @@ runChaos(const std::string &host, std::uint16_t port,
                 ++resumes;
                 backoff.reset();
                 return true;
+            }
+            // A broken connection is not an answer: a daemon that is
+            // dying can still accept a connect and then reset it, so
+            // the lease may be alive. Reconnect and ask again; only a
+            // daemon that answered (unknown or expired token) ends
+            // the session.
+            if (!client.connectionError().ok()) {
+                if (!backoff.next())
+                    return false;
+                continue;
             }
             client.abandonSession();
             if (enroll()) {

@@ -140,9 +140,9 @@ CheckpointManager::beginTick()
         rec.events = world_.server->drainSessionEvents();
         rec.ops = world_.server->canonicalBatch();
     }
-    std::vector<std::uint8_t> payload;
-    encodeTickRecord(payload, rec);
-    return wal_.append(payload);
+    tick_buf_.clear();
+    encodeTickRecord(tick_buf_, rec);
+    return wal_.append(tick_buf_);
 }
 
 api::Status
@@ -162,9 +162,10 @@ CheckpointManager::writeSnapshot()
 {
     if (!recovered_)
         fatal("CheckpointManager::writeSnapshot: recover() first");
-    std::vector<std::uint8_t> payload;
-    encodeSnapshot(payload, captureSnapshot(world_));
-    auto st = publishRecordFile(snapshotPath(), payload, options_.fsync);
+    snapshot_buf_.clear();
+    encodeSnapshot(snapshot_buf_, captureSnapshot(world_));
+    auto st =
+        publishRecordFile(snapshotPath(), snapshot_buf_, options_.fsync);
     if (!st.ok())
         return st;
     // The snapshot covers everything the WAL recorded — drop it. A

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ckpt/record_io.h"
 #include "ckpt/snapshot.h"
@@ -102,6 +103,10 @@ class CheckpointManager
     World world_;
     CheckpointOptions options_;
     RecordWriter wal_;
+    /** Encode buffers reused across ticks and snapshots: each keeps
+     *  its capacity, so a steady-state tick maps no fresh pages. */
+    std::vector<std::uint8_t> tick_buf_;
+    std::vector<std::uint8_t> snapshot_buf_;
     bool recovered_ = false;
     std::int64_t recovered_tick_ = 0;
     std::int64_t replayed_ticks_ = 0;

@@ -90,7 +90,7 @@ class RecordWriter
     int fd_ = -1;
     FsyncPolicy fsync_ = FsyncPolicy::Always;
     std::string path_; ///< diagnostics only
-    std::vector<std::uint8_t> frame_; ///< reused header+payload buffer
+    std::vector<std::uint8_t> header_; ///< reused record header buffer
 };
 
 /**

@@ -361,23 +361,28 @@ putSessions(WireWriter &w, const net::ServerCoreImage &img)
             putI32(w, ref.slot);
             w.u32(ref.generation);
         }
-        w.u32(static_cast<std::uint32_t>(s.done.size()));
-        for (const auto &[req_id, bytes] : s.done) {
-            w.u32(req_id);
-            w.u32(static_cast<std::uint32_t>(bytes.size()));
-            w.bytes(std::string_view(
-                reinterpret_cast<const char *>(bytes.data()),
-                bytes.size()));
+        // Flat in memory, but the layout stays one (id, length,
+        // bytes) triple per entry.
+        const net::DedupWindow &d = s.done;
+        const auto *arena = reinterpret_cast<const char *>(d.bytes.data());
+        w.u32(static_cast<std::uint32_t>(d.ids.size()));
+        for (std::size_t k = 0; k < d.ids.size(); ++k) {
+            const std::uint32_t len = d.ends[k] - d.start(k);
+            w.u32(d.ids[k]);
+            w.u32(len);
+            w.bytes(std::string_view(arena + d.start(k), len));
         }
     }
 }
 
-bool
+api::Status
 getSessions(WireReader &r, net::ServerCoreImage *img)
 {
+    const api::Status truncated =
+        corrupt("snapshot: truncated session plane");
     std::uint32_t n = 0;
     if (!r.u32(&img->next_session) || !getCount(r, kSessionMinBytes, &n))
-        return false;
+        return truncated;
     img->sessions.clear();
     img->sessions.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -387,42 +392,51 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
         if (!r.u32(&s.id) || !r.u64(&s.token) || !r.u8(&bound) ||
             !r.u32(&s.lease_left) || !r.u32(&s.committed_max) ||
             !getCount(r, 4, &m))
-            return false;
+            return truncated;
         s.bound = bound != 0;
         s.apps.reserve(m);
         for (std::uint32_t k = 0; k < m; ++k) {
             std::int32_t a = 0;
             if (!getI32(r, &a))
-                return false;
+                return truncated;
             s.apps.push_back(a);
         }
         if (!getCount(r, 4 + 4, &m))
-            return false;
+            return truncated;
         s.containers.reserve(m);
         for (std::uint32_t k = 0; k < m; ++k) {
             cop::ContainerRef ref;
             if (!getI32(r, &ref.slot) || !r.u32(&ref.generation))
-                return false;
+                return truncated;
             s.containers.push_back(ref);
         }
         if (!getCount(r, 4 + 4, &m))
-            return false;
-        s.done.reserve(m);
+            return truncated;
+        net::DedupWindow &d = s.done;
+        d.ids.reserve(m);
+        d.ends.reserve(m);
         for (std::uint32_t k = 0; k < m; ++k) {
             std::uint32_t req_id = 0, len = 0;
             std::string_view v;
             if (!r.u32(&req_id) || !r.u32(&len) || !r.bytes(&v, len))
-                return false;
-            s.done.emplace_back(
-                req_id,
-                std::vector<std::uint8_t>(
-                    reinterpret_cast<const std::uint8_t *>(v.data()),
-                    reinterpret_cast<const std::uint8_t *>(v.data()) +
-                        v.size()));
+                return truncated;
+            // The server binary-searches the window and admits only
+            // ids above the watermark: both rest on this invariant.
+            if (!d.ids.empty() && req_id <= d.ids.back())
+                return corrupt("snapshot: session " +
+                               std::to_string(s.id) +
+                               " dedup window not strictly ascending");
+            d.ids.push_back(req_id);
+            d.bytes.insert(d.bytes.end(), v.begin(), v.end());
+            d.ends.push_back(static_cast<std::uint32_t>(d.bytes.size()));
         }
+        if (!d.ids.empty() && d.ids.back() > s.committed_max)
+            return corrupt("snapshot: session " + std::to_string(s.id) +
+                           " dedup window above its committed "
+                           "watermark");
         img->sessions.push_back(std::move(s));
     }
-    return true;
+    return api::Status::okStatus();
 }
 
 } // namespace
@@ -500,8 +514,11 @@ decodeSnapshot(const std::vector<std::uint8_t> &payload, Snapshot *out)
     out->has_phys_battery = has_batt != 0;
     out->has_grid = has_grid != 0;
     out->has_server = has_server != 0;
-    if (out->has_server && !getSessions(r, &out->server))
-        return corrupt("snapshot: truncated session plane");
+    if (out->has_server) {
+        const api::Status st = getSessions(r, &out->server);
+        if (!st.ok())
+            return st;
+    }
     if (!r.done())
         return corrupt("snapshot: trailing bytes");
     return api::Status::okStatus();

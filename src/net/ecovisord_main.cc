@@ -158,6 +158,13 @@ main(int argc, char **argv)
     core_opts.lease_ticks = static_cast<std::uint32_t>(lease_ticks);
     net::ServerCore server(&eco, core_opts);
 
+    // Handlers go in before recovery and its "recovered to tick"
+    // line: a SIGTERM from then on ends the run cleanly (final
+    // snapshot, drain, exit 0) instead of killing the process.
+    std::signal(SIGINT, onSignal);
+    std::signal(SIGTERM, onSignal);
+    std::signal(SIGPIPE, SIG_IGN);
+
     // Durable state: recover (replaying any WAL tail) before the
     // listener opens, so resumed tenants find their sessions leased
     // and waiting (docs/CHECKPOINT.md).
@@ -198,10 +205,6 @@ main(int argc, char **argv)
                      tcp.status().message().c_str());
         return 1;
     }
-
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGPIPE, SIG_IGN);
 
     // The smoke harness greps this exact line for the bound port.
     std::printf("ecovisord: listening on 127.0.0.1:%u\n",

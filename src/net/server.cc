@@ -466,26 +466,28 @@ void
 ServerCore::admitDeduped(Session &s, PendingOp &&op)
 {
     if (options_.lease_ticks > 0) {
-        // Exactly-once under retransmit: an id that already committed
-        // replays its stored response verbatim; one still queued is
-        // swallowed (the commit will answer it).
-        auto done = s.done.find(op.req_id);
-        if (done != s.done.end()) {
-            ++stats_.duplicates_replayed;
-            s.outbox.insert(s.outbox.end(), done->second.begin(),
-                            done->second.end());
-            return;
-        }
-        if (s.queued.count(op.req_id) != 0)
-            return;
         // Request ids are monotone per session, so an id at or below
-        // the committed watermark is a retransmit even when its
-        // stored response has been evicted from the window. It must
-        // NOT re-commit (that would break exactly-once); the original
-        // response is unrecoverable, so say so instead of lying with
-        // a fresh apply.
+        // the committed watermark is a retransmit, and every stored
+        // id lies at or below it: a fresh request never searches the
+        // window. A retransmit whose response is still stored replays
+        // it verbatim. One already evicted must NOT re-commit (that
+        // would break exactly-once); the original response is
+        // unrecoverable, so say so instead of lying with a fresh
+        // apply.
         if (op.req_id <= s.committed_max) {
             ++stats_.duplicates_replayed;
+            const DedupWindow &w = s.done;
+            const auto first =
+                w.ids.begin() + static_cast<std::ptrdiff_t>(s.done_head);
+            const auto it = std::lower_bound(first, w.ids.end(), op.req_id);
+            if (it != w.ids.end() && *it == op.req_id) {
+                const auto k =
+                    static_cast<std::size_t>(it - w.ids.begin());
+                s.outbox.insert(s.outbox.end(),
+                                w.bytes.begin() + w.start(k),
+                                w.bytes.begin() + w.ends[k]);
+                return;
+            }
             encodeErrorResponse(s.outbox, op.op, op.req_id,
                                 err(api::ErrorCode::Unavailable,
                                     "request already committed; "
@@ -493,9 +495,16 @@ ServerCore::admitDeduped(Session &s, PendingOp &&op)
                                     "replay window"));
             return;
         }
+        // Above the watermark: a duplicate of a still-queued id is
+        // swallowed (the commit will answer it).
+        const auto pos = std::lower_bound(s.queued.begin(),
+                                          s.queued.end(), op.req_id);
+        if (pos != s.queued.end() && *pos == op.req_id)
+            return;
+        const auto at = pos - s.queued.begin();
         const std::uint32_t req_id = op.req_id;
         if (admit(s, std::move(op)))
-            s.queued.insert(req_id);
+            s.queued.insert(s.queued.begin() + at, req_id);
         return;
     }
     admit(s, std::move(op));
@@ -529,12 +538,38 @@ void
 ServerCore::recordDone(Session &s, std::uint32_t req_id,
                        const std::uint8_t *bytes, std::size_t n)
 {
-    s.done[req_id].assign(bytes, bytes + n);
-    s.done_order.push_back(req_id);
-    while (s.done_order.size() > options_.dedup_window) {
-        s.done.erase(s.done_order.front());
-        s.done_order.pop_front();
+    // Commit order is ascending per session and every admitted id lies
+    // above the watermark, so the window stays sorted by construction.
+    if (req_id <= s.committed_max)
+        panic("ServerCore::recordDone: request id " +
+              std::to_string(req_id) + " not above the committed "
+              "watermark " + std::to_string(s.committed_max));
+    s.committed_max = req_id;
+    DedupWindow &w = s.done;
+    w.ids.push_back(req_id);
+    w.bytes.insert(w.bytes.end(), bytes, bytes + n);
+    w.ends.push_back(static_cast<std::uint32_t>(w.bytes.size()));
+
+    // Evict down to the window; a restored window larger than it
+    // shrinks here in one step.
+    std::size_t live = w.ids.size() - s.done_head;
+    if (live > options_.dedup_window) {
+        s.done_head += live - options_.dedup_window;
+        live = options_.dedup_window;
     }
+    // Compact once the evicted prefix is as long as the live window:
+    // the move costs O(live), paid for by the `live` evictions since
+    // the last compaction, and storage stays within twice the window.
+    if (s.done_head == 0 || s.done_head < live)
+        return;
+    const auto head = static_cast<std::ptrdiff_t>(s.done_head);
+    const std::uint32_t base = w.start(s.done_head);
+    w.ids.erase(w.ids.begin(), w.ids.begin() + head);
+    w.ends.erase(w.ends.begin(), w.ends.begin() + head);
+    for (std::uint32_t &end : w.ends)
+        end -= base;
+    w.bytes.erase(w.bytes.begin(), w.bytes.begin() + base);
+    s.done_head = 0;
 }
 
 void
@@ -566,9 +601,8 @@ ServerCore::commitCoalesced(TimeS start_s, TimeS dt_s)
             --s.inflight;
             ++stats_.coalesced_committed;
             if (options_.lease_ticks > 0) {
-                s.queued.erase(op.req_id);
-                s.committed_max =
-                    std::max(s.committed_max, op.req_id);
+                // This batch commits every op the session queued.
+                s.queued.clear();
                 recordDone(s, op.req_id, s.outbox.data() + before,
                            s.outbox.size() - before);
                 // A detached session has no stream to deliver on;
@@ -810,7 +844,19 @@ ServerCore::enqueueForReplay(PendingOp op)
     if (it == sessions_.end())
         fatal("ServerCore::enqueueForReplay: unknown session "
               "(corrupt WAL?)");
-    ++it->second.inflight;
+    Session &s = it->second;
+    if (options_.lease_ticks > 0) {
+        // The log holds each tick's batch in canonical order, every id
+        // above its session's watermark: the commit's window invariant.
+        const std::uint32_t last =
+            s.queued.empty() ? s.committed_max : s.queued.back();
+        if (op.req_id <= last)
+            fatal("ServerCore::enqueueForReplay: request id " +
+                  std::to_string(op.req_id) + " not above " +
+                  std::to_string(last) + " (corrupt WAL?)");
+        s.queued.push_back(op.req_id);
+    }
+    ++s.inflight;
     pending_.push_back(std::move(op));
 }
 
@@ -915,14 +961,15 @@ ServerCore::captureSessions() const
         img.containers.reserve(s.containers.size());
         for (const api::ContainerHandle &h : s.containers)
             img.containers.push_back(h.ref());
-        img.done.reserve(s.done_order.size());
-        for (std::uint32_t req_id : s.done_order) {
-            auto dit = s.done.find(req_id);
-            if (dit == s.done.end())
-                fatal("ServerCore::captureSessions: done window "
-                      "order/map mismatch");
-            img.done.emplace_back(req_id, dit->second);
-        }
+        // The live window, rebased so the image starts at offset 0.
+        const DedupWindow &w = s.done;
+        const auto head = static_cast<std::ptrdiff_t>(s.done_head);
+        const std::uint32_t base = w.start(s.done_head);
+        img.done.ids.assign(w.ids.begin() + head, w.ids.end());
+        img.done.ends.assign(w.ends.begin() + head, w.ends.end());
+        for (std::uint32_t &end : img.done.ends)
+            end -= base;
+        img.done.bytes.assign(w.bytes.begin() + base, w.bytes.end());
         image.sessions.push_back(std::move(img));
     }
     return image;
@@ -954,10 +1001,7 @@ ServerCore::restoreSessions(const ServerCoreImage &image)
         s.containers.reserve(img.containers.size());
         for (const cop::ContainerRef &ref : img.containers)
             s.containers.push_back(api::ContainerHandle(ref));
-        for (const auto &[req_id, bytes] : img.done) {
-            s.done[req_id] = bytes;
-            s.done_order.push_back(req_id);
-        }
+        s.done = img.done;
         if (next_session_ <= img.id)
             next_session_ = img.id + 1;
     }
@@ -983,7 +1027,7 @@ ServerCore::beginDrain()
                             err(api::ErrorCode::Unavailable,
                                 "server draining"));
         --it->second.inflight;
-        it->second.queued.erase(op.req_id);
+        it->second.queued.clear();
     }
     pending_.clear();
 

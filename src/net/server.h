@@ -66,9 +66,7 @@
 #define ECOV_NET_SERVER_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -163,6 +161,26 @@ struct SessionEvent
 };
 
 /**
+ * Committed responses remembered for duplicate replay, in flat
+ * storage (docs/PERF.md §7): request ids strictly ascending, and
+ * response k's bytes at [start(k), ends[k]) of one arena.
+ * Appending an entry allocates nothing once the vectors have reached
+ * their steady-state capacity.
+ */
+struct DedupWindow
+{
+    std::vector<std::uint32_t> ids;
+    std::vector<std::uint32_t> ends;
+    std::vector<std::uint8_t> bytes;
+
+    /** Offset of entry k's first response byte. */
+    std::uint32_t start(std::size_t k) const
+    {
+        return k == 0 ? 0 : ends[k - 1];
+    }
+};
+
+/**
  * Transport-free image of one session for snapshot capture/restore.
  * Everything that determines future committed state is here: the
  * handle namespace, the lease position, and the dedup window.
@@ -182,9 +200,9 @@ struct SessionImage
     std::vector<std::int32_t> apps;
     /** Local container id -> slab ref, in local-id order. */
     std::vector<cop::ContainerRef> containers;
-    /** Dedup window in commit order: (request id, response bytes). */
-    std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>
-        done;
+    /** Dedup window in commit order, oldest entry first; every id is
+     *  at or below `committed_max`. */
+    DedupWindow done;
 };
 
 /** Full session-plane image (sessions in id order + id allocator). */
@@ -407,18 +425,20 @@ class ServerCore
         std::uint32_t lease_left = 0;
         /** Resume token (0 when leases are disabled). */
         std::uint64_t token = 0;
-        /** Committed request id -> stored response bytes (replayed
-         *  verbatim on duplicate receipt). */
-        std::map<std::uint32_t, std::vector<std::uint8_t>> done;
-        /** Commit order of `done` entries, for window trimming. */
-        std::deque<std::uint32_t> done_order;
-        /** Request ids queued but not yet committed (duplicates of
-         *  these are swallowed; the commit produces the reply). */
-        std::set<std::uint32_t> queued;
-        /** Highest request id ever committed. Client request ids are
-         *  monotone per session, so any arriving id at or below this
-         *  watermark is a retransmit — even one already evicted from
-         *  the `done` window, which must never re-commit. */
+        /** Committed responses, replayed verbatim on duplicate
+         *  receipt. Entries before `done_head` are evicted and wait
+         *  for compaction; the live window is [done_head, size). */
+        DedupWindow done;
+        std::size_t done_head = 0;
+        /** Request ids queued but not yet committed, ascending
+         *  (duplicates of these are swallowed; the commit produces the
+         *  reply). At most max_inflight_per_conn long. */
+        std::vector<std::uint32_t> queued;
+        /** Highest request id ever committed. Every stored id is at or
+         *  below it and every queued id above it. Client request ids
+         *  are monotone per session, so any arriving id at or below
+         *  this watermark is a retransmit — even one already evicted
+         *  from the `done` window, which must never re-commit. */
         std::uint32_t committed_max = 0;
     };
 
@@ -436,8 +456,8 @@ class ServerCore
     /** Apply one queued request against the v2 surface. */
     void apply(const PendingOp &op, Session &s);
 
-    /** Record a committed response for duplicate replay, trimming
-     *  the window. */
+    /** Record a committed response for duplicate replay, advancing
+     *  the watermark and trimming the window. */
     void recordDone(Session &s, std::uint32_t req_id,
                     const std::uint8_t *bytes, std::size_t n);
 

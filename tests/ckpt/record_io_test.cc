@@ -64,6 +64,20 @@ TEST(RecordIo, Crc32KnownAnswer)
     const char *s = "123456789";
     EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(s), 9),
               0xCBF43926u);
+
+    // Reference values from zlib.crc32, spanning the 8-byte blocks and
+    // the byte-wise tail.
+    EXPECT_EQ(crc32(nullptr, 0), 0x00000000u);
+    const std::vector<std::uint8_t> zeros(32, 0);
+    EXPECT_EQ(crc32(zeros.data(), zeros.size()), 0x190A55ADu);
+    const std::vector<std::uint8_t> ramp = payloadOf(256, 0);
+    EXPECT_EQ(crc32(ramp.data(), ramp.size()), 0x29058C73u);
+    // Bytes 0x01..0xFF: an odd length from an unaligned start.
+    EXPECT_EQ(crc32(ramp.data() + 1, ramp.size() - 1), 0xD0161F87u);
+    const std::string fox = "The quick brown fox jumps over the lazy dog";
+    EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(fox.data()),
+                    fox.size()),
+              0x414FA339u);
 }
 
 TEST(RecordIo, AppendReadRoundTrip)

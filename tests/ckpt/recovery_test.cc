@@ -5,9 +5,9 @@
  * recovered in a fresh process image — snapshot plus WAL-tail replay —
  * is bit-identical to an uninterrupted run, the leased tenant resumes
  * by token without re-registering, and damaged state files recover
- * per the taxonomy (torn tail truncates, corruption — a flipped byte
- * or a CRC-valid record with a forged element count — is DataLoss and
- * mutates nothing).
+ * per the taxonomy (torn tail truncates, corruption — a flipped byte,
+ * or a CRC-valid record with a forged element count or an out-of-order
+ * dedup window — is DataLoss and mutates nothing).
  *
  * Carries the `threads` label: settlement shards under ECOV_THREADS,
  * and the digest equality must hold at any thread count.
@@ -26,6 +26,7 @@
 #include "net/client.h"
 #include "net/loopback.h"
 #include "net/wire.h"
+#include "util/logging.h"
 #include "world_harness.h"
 
 namespace ecov::ckpt {
@@ -71,16 +72,21 @@ TEST(CkptRecovery, FreshDirectoryIsFreshStart)
 // from snapshot + WAL tail, the tenant resumes by token *without
 // re-registering*, mutates through its old handles, and at the
 // horizon the world digests bit-identically to a reference world
-// that never restarted.
-TEST(CkptRecovery, RestartResumeMatchesUninterrupted)
+// that never restarted. With a dedup window of 2, the 7 commits
+// before the tick-8 snapshot have wrapped and compacted the window
+// twice, so the snapshot holds a window captured from mid-storage.
+void
+checkRestartResumeMatchesUninterrupted(std::uint32_t dedup_window)
 {
     const std::string d1 = makeStateDir();
     const std::string d2 = makeStateDir();
     std::uint64_t token = 0;
+    constexpr int kDemands = 5; // one tick each: ticks 3..7
+    const auto demand = [](int i) { return 3.5 - 0.25 * i; };
 
     // Life 1: churny tenant work, then the "process" stops.
     {
-        WorldHarness a(d1);
+        WorldHarness a(d1, 4, 64, dedup_window);
         ASSERT_TRUE(a.mgr.recover().ok());
         net::LoopbackTransport lt(&a.server);
         lt.setIdleHandler([&] { a.tick(); });
@@ -93,13 +99,15 @@ TEST(CkptRecovery, RestartResumeMatchesUninterrupted)
         ASSERT_TRUE(app.ok());
         auto cont = c.spawnContainer(app.value(), 2.0);
         ASSERT_TRUE(cont.ok());
-        ASSERT_TRUE(c.setDemand(cont.value(), 3.5).ok());
+        for (int i = 0; i < kDemands; ++i)
+            ASSERT_TRUE(c.setDemand(cont.value(), demand(i)).ok());
+        ASSERT_LT(a.tickCount(), 8);
         a.runTo(10);
     }
 
     // Life 2: recover. Cadence is every 4 ticks, so the snapshot sits
     // at tick 8 and the WAL tail replays ticks 8 and 9.
-    WorldHarness b(d1);
+    WorldHarness b(d1, 4, 64, dedup_window);
     ASSERT_TRUE(b.mgr.recover().ok());
     EXPECT_EQ(b.mgr.recoveredTick(), 10);
     EXPECT_EQ(b.mgr.replayedTicks(), 2);
@@ -119,7 +127,7 @@ TEST(CkptRecovery, RestartResumeMatchesUninterrupted)
     b.runTo(20);
 
     // Reference: the same tenant history without any restart.
-    WorldHarness r(d2);
+    WorldHarness r(d2, 4, 64, dedup_window);
     ASSERT_TRUE(r.mgr.recover().ok());
     net::LoopbackTransport ltr(&r.server);
     ltr.setIdleHandler([&] { r.tick(); });
@@ -130,12 +138,26 @@ TEST(CkptRecovery, RestartResumeMatchesUninterrupted)
     ASSERT_TRUE(app.ok());
     auto cont = cr.spawnContainer(app.value(), 2.0);
     ASSERT_TRUE(cont.ok());
-    ASSERT_TRUE(cr.setDemand(cont.value(), 3.5).ok());
+    for (int i = 0; i < kDemands; ++i)
+        ASSERT_TRUE(cr.setDemand(cont.value(), demand(i)).ok());
     r.runTo(10);
     ASSERT_TRUE(cr.setDemand(cont.value(), 7.25).ok());
     r.runTo(20);
 
     EXPECT_EQ(b.mgr.digest(), r.mgr.digest());
+}
+
+TEST(CkptRecovery, RestartResumeMatchesUninterrupted)
+{
+    {
+        SCOPED_TRACE("default dedup window");
+        checkRestartResumeMatchesUninterrupted(
+            net::ServerCoreOptions{}.dedup_window);
+    }
+    {
+        SCOPED_TRACE("dedup window of 2");
+        checkRestartResumeMatchesUninterrupted(2);
+    }
 }
 
 TEST(CkptRecovery, CorruptSnapshotIsDataLossAndMutatesNothing)
@@ -223,6 +245,58 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
         EXPECT_EQ(b.tickCount(), 0);
         EXPECT_EQ(b.server.sessionCount(), 0u);
     }
+    // Snapshot: a live session's two dedup entries swapped into
+    // descending order, and then in order but above the committed
+    // watermark. Both break the invariant the server's window search
+    // relies on; a decoder that re-sorted or trusted them would
+    // recover a world whose replays go wrong.
+    for (const bool descending : {true, false}) {
+        SCOPED_TRACE(descending ? "descending window"
+                                : "window above watermark");
+        Snapshot snap;
+        {
+            WorldHarness a(makeStateDir());
+            ASSERT_TRUE(a.mgr.recover().ok());
+            net::LoopbackTransport lt(&a.server);
+            lt.setIdleHandler([&] { a.tick(); });
+            net::Client c(&lt);
+            ASSERT_TRUE(c.beginSession().ok());
+            auto app = c.registerApp("t", testutil::appShare(0.3, 100.0));
+            ASSERT_TRUE(app.ok());
+            ASSERT_TRUE(c.spawnContainer(app.value(), 1.0).ok());
+            snap = captureSnapshot(a.world());
+        }
+        ASSERT_EQ(snap.server.sessions.size(), 1u);
+        net::SessionImage &img = snap.server.sessions[0];
+        net::DedupWindow &d = img.done;
+        ASSERT_EQ(d.ids.size(), 2u);
+        if (descending) {
+            const std::vector<std::uint8_t> first(
+                d.bytes.begin(), d.bytes.begin() + d.ends[0]);
+            const std::vector<std::uint8_t> second(
+                d.bytes.begin() + d.ends[0], d.bytes.end());
+            std::swap(d.ids[0], d.ids[1]);
+            d.bytes = second;
+            d.bytes.insert(d.bytes.end(), first.begin(), first.end());
+            d.ends = {static_cast<std::uint32_t>(second.size()),
+                      static_cast<std::uint32_t>(d.bytes.size())};
+        } else {
+            img.committed_max = d.ids[0];
+        }
+        std::vector<std::uint8_t> payload;
+        encodeSnapshot(payload, snap);
+
+        WorldHarness b(makeStateDir());
+        ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
+                                      FsyncPolicy::Never)
+                        .ok());
+        api::Status st;
+        EXPECT_NO_THROW(st = b.mgr.recover());
+        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
+        EXPECT_EQ(b.tickCount(), 0);
+        EXPECT_EQ(b.server.sessionCount(), 0u);
+        EXPECT_EQ(b.rig.eco.appCount(), 0u);
+    }
     // WAL: same forgery as the first record of the log.
     {
         const std::string dir = makeStateDir();
@@ -238,6 +312,49 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
         EXPECT_EQ(b.tickCount(), 0);
         EXPECT_EQ(b.server.sessionCount(), 0u);
     }
+}
+
+TEST(CkptRecovery, WalRepeatingACommittedRequestIsFatal)
+{
+    // A CRC-valid WAL whose batch carries the same request id twice
+    // cannot have come from the live front door, which swallows a
+    // duplicate of a queued id. Replay must refuse it rather than
+    // commit it twice.
+    const std::string dir = makeStateDir();
+    {
+        WorldHarness a(dir, /*every=*/1000);
+        ASSERT_TRUE(a.mgr.recover().ok());
+        net::LoopbackTransport lt(&a.server);
+        lt.setIdleHandler([&] { a.tick(); });
+        net::Client c(&lt);
+        ASSERT_TRUE(c.beginSession().ok());
+        auto app = c.registerApp("t", testutil::appShare(0.3, 100.0));
+        ASSERT_TRUE(app.ok());
+        ASSERT_TRUE(c.spawnContainer(app.value(), 1.0).ok());
+        a.runTo(4);
+    }
+    std::vector<std::vector<std::uint8_t>> recs;
+    ASSERT_TRUE(readRecords(dir + "/wal.eckw", &recs).ok());
+    const std::string forged = makeStateDir();
+    RecordWriter wal;
+    ASSERT_TRUE(wal.open(forged + "/wal.eckw", FsyncPolicy::Never).ok());
+    bool duplicated = false;
+    for (const auto &payload : recs) {
+        TickRecord rec;
+        ASSERT_TRUE(decodeTickRecord(payload, &rec).ok());
+        if (!duplicated && !rec.ops.empty()) {
+            rec.ops.push_back(rec.ops.back());
+            duplicated = true;
+        }
+        std::vector<std::uint8_t> out;
+        encodeTickRecord(out, rec);
+        ASSERT_TRUE(wal.append(out).ok());
+    }
+    wal.close();
+    ASSERT_TRUE(duplicated);
+
+    WorldHarness b(forged, /*every=*/1000);
+    EXPECT_THROW((void)b.mgr.recover(), FatalError);
 }
 
 TEST(CkptRecovery, TornWalTailReplaysThePrefix)

@@ -42,10 +42,11 @@ struct WorldHarness
     ckpt::CheckpointManager mgr;
 
     static net::ServerCoreOptions
-    serverOpts(std::uint32_t lease_ticks)
+    serverOpts(std::uint32_t lease_ticks, std::uint32_t dedup_window)
     {
         net::ServerCoreOptions o;
         o.lease_ticks = lease_ticks;
+        o.dedup_window = dedup_window;
         o.token_seed = 42; // deterministic tokens across restarts
         return o;
     }
@@ -75,12 +76,13 @@ struct WorldHarness
         return w;
     }
 
-    explicit WorldHarness(const std::string &dir,
-                          std::int64_t every = 4,
-                          std::uint32_t lease_ticks = 64)
+    explicit WorldHarness(
+        const std::string &dir, std::int64_t every = 4,
+        std::uint32_t lease_ticks = 64,
+        std::uint32_t dedup_window = net::ServerCoreOptions{}.dedup_window)
         : simul(60),
           attached_((rig.eco.attach(simul), 0)),
-          server(&rig.eco, serverOpts(lease_ticks)),
+          server(&rig.eco, serverOpts(lease_ticks, dedup_window)),
           mgr(world(), ckptOpts(dir, every))
     {}
 

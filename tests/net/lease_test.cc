@@ -365,40 +365,102 @@ TEST(SessionLease, DrainRevokesDetachedSessions)
     EXPECT_EQ(rig.cluster.containerCount(), 0);
 }
 
+/** Status of the single response frame in `bytes`, answering `req`. */
+ErrorCode
+replyCode(const std::vector<std::uint8_t> &bytes, std::uint32_t req)
+{
+    FrameDecoder dec;
+    dec.feed(bytes.data(), bytes.size());
+    Frame f;
+    ResponseHead head;
+    std::size_t consumed = 0;
+    EXPECT_EQ(dec.next(&f), DecodeStatus::Frame);
+    EXPECT_EQ(f.request_id, req);
+    EXPECT_TRUE(
+        decodeResponseHead(f.payload, f.payload_len, &head, &consumed));
+    EXPECT_EQ(dec.buffered(), 0u);
+    return head.code;
+}
+
 TEST(SessionLease, EvictedDuplicateNeverRecommits)
 {
-    // A retransmit whose stored response was already trimmed from
-    // the dedup window must answer an error, not re-commit: the
-    // committed-request-id watermark keeps exactly-once intact even
-    // past the window.
+    // A retransmit replays its stored reply byte for byte while the id
+    // is in the dedup window, and once the reply has been trimmed it
+    // must answer an error, not re-commit: the committed-request-id
+    // watermark keeps exactly-once intact even past the window. Three
+    // times the window commits, so the flat window wraps and compacts
+    // twice before the retransmits.
+    constexpr std::uint32_t kWindow = 4;
+    constexpr std::uint32_t kLast = 3 * kWindow; // request ids 1..12
     Rig rig;
     ServerCoreOptions o;
     o.lease_ticks = 8;
-    o.dedup_window = 1;
+    o.dedup_window = kWindow;
     ServerCore core(&rig.eco, o);
     Ticker ticker{&rig};
-    LoopbackTransport transport(&core);
-    transport.setIdleHandler([&ticker] { ticker.tick(); });
-    Client client(&transport);
-    ASSERT_TRUE(client.beginSession().ok()); // request id 1
-    const auto app =
-        client.registerApp("evict", testutil::appShare(0.5, 360));
-    ASSERT_TRUE(app.ok()); // request id 2
-    ASSERT_TRUE(client.spawnContainer(app.value(), 1.0).ok()); // id 3
-    // Window of 1: the spawn's response evicted the register's.
-    const auto committed = core.stats().coalesced_committed;
+    const ConnId conn = core.openConnection();
 
-    // Wire-level retransmit of the long-acknowledged RegisterApp.
-    std::vector<std::uint8_t> frame;
-    RegisterAppReq rr;
-    rr.name = "evict";
-    rr.share = testutil::appShare(0.5, 360);
-    encodeRegisterApp(frame, 2, rr);
-    ASSERT_TRUE(transport.send(frame.data(), frame.size()).ok());
-    EXPECT_EQ(core.pendingCount(), 0u); // nothing re-queued
-    EXPECT_EQ(client.await(2).code(), ErrorCode::Unavailable);
+    // Feed one frame, settle a tick, take what the connection got.
+    const auto exchange = [&](const std::vector<std::uint8_t> &frame,
+                              bool tick) {
+        EXPECT_TRUE(core.onBytes(conn, frame.data(), frame.size()));
+        if (tick)
+            ticker.tick();
+        std::vector<std::uint8_t> got;
+        got.swap(core.outbox(conn));
+        return got;
+    };
+    const auto request = [](std::uint32_t id) {
+        std::vector<std::uint8_t> frame;
+        if (id == 1) {
+            RegisterAppReq rr;
+            rr.name = "evict";
+            rr.share = testutil::appShare(0.5, 360);
+            encodeRegisterApp(frame, id, rr);
+        } else if (id == 2) {
+            encodeIdValue(frame, Opcode::SpawnContainer, id,
+                          IdValueReq{0, 1.0});
+        } else {
+            encodeIdValue(frame, Opcode::SetDemand, id,
+                          IdValueReq{0, 0.05 * id});
+        }
+        return frame;
+    };
+
+    std::vector<std::vector<std::uint8_t>> replies(kLast + 1);
+    for (std::uint32_t id = 1; id <= kLast; ++id) {
+        replies[id] = exchange(request(id), /*tick=*/true);
+        ASSERT_EQ(replyCode(replies[id], id), ErrorCode::Ok);
+    }
+    const auto committed = core.stats().coalesced_committed;
+    EXPECT_EQ(committed, kLast);
+
+    // The oldest surviving id replays its original reply verbatim.
+    const std::uint32_t oldest = kLast - kWindow + 1;
+    EXPECT_EQ(exchange(request(oldest), /*tick=*/false), replies[oldest]);
+    EXPECT_EQ(core.pendingCount(), 0u);
+    // The newest evicted id, and the very first one, answer
+    // Unavailable without queueing anything.
+    for (const std::uint32_t evicted : {oldest - 1, 1u}) {
+        const auto got = exchange(request(evicted), /*tick=*/false);
+        EXPECT_EQ(replyCode(got, evicted), ErrorCode::Unavailable);
+        EXPECT_EQ(core.pendingCount(), 0u);
+    }
+    // The newest id replays too, and a tick later nothing re-committed.
+    EXPECT_EQ(exchange(request(kLast), /*tick=*/true), replies[kLast]);
     EXPECT_EQ(core.stats().coalesced_committed, committed);
-    EXPECT_EQ(core.stats().duplicates_replayed, 1u);
+    EXPECT_EQ(core.stats().duplicates_replayed, 4u);
+
+    // The next fresh id commits once and the window moves on, now
+    // with an evicted entry ahead of it awaiting compaction.
+    const auto next = exchange(request(kLast + 1), /*tick=*/true);
+    EXPECT_EQ(replyCode(next, kLast + 1), ErrorCode::Ok);
+    EXPECT_EQ(core.stats().coalesced_committed, committed + 1);
+    EXPECT_EQ(replyCode(exchange(request(oldest), /*tick=*/false), oldest),
+              ErrorCode::Unavailable);
+    EXPECT_EQ(exchange(request(oldest + 1), /*tick=*/false),
+              replies[oldest + 1]);
+    EXPECT_EQ(core.pendingCount(), 0u);
 }
 
 TEST(SessionLease, ClientStopsAtAdvertisedDedupWindow)
