@@ -1,5 +1,8 @@
 #include "ckpt/snapshot.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "energy/grid_connection.h"
 #include "energy/physical_energy_system.h"
 #include "fault/injector.h"
@@ -439,6 +442,40 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
     return api::Status::okStatus();
 }
 
+/**
+ * The watt-cap list Ecovisor::restoreState writes into the cluster's
+ * cap column: strictly ascending ids (capture walks the live list,
+ * which runs in id order), each naming a container live in the same
+ * image, and each cap finite and non-negative (+inf means uncapped
+ * and is never listed). A destroyed container's cap dies with its
+ * slot, so capture lists only live containers, and every listed cap
+ * passed the same checks when it was set: no valid writer breaks any
+ * of these, and a list that does has no slot to restore into.
+ */
+api::Status
+checkPowercaps(const Snapshot &s)
+{
+    std::vector<cop::ContainerId> live;
+    for (const auto &slot : s.cluster.slots)
+        if (slot.live)
+            live.push_back(slot.c.id);
+    std::sort(live.begin(), live.end());
+    const auto &caps = s.eco.powercaps;
+    for (std::size_t k = 0; k < caps.size(); ++k) {
+        const auto &[id, cap_w] = caps[k];
+        if (k > 0 && id <= caps[k - 1].first)
+            return corrupt("snapshot: powercaps not strictly ascending");
+        if (!std::binary_search(live.begin(), live.end(), id))
+            return corrupt("snapshot: powercap for container " +
+                           std::to_string(id) + ", which is not live");
+        if (!(cap_w >= 0.0) || std::isinf(cap_w))
+            return corrupt("snapshot: powercap for container " +
+                           std::to_string(id) +
+                           " is not finite and non-negative");
+    }
+    return api::Status::okStatus();
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -521,7 +558,7 @@ decodeSnapshot(const std::vector<std::uint8_t> &payload, Snapshot *out)
     }
     if (!r.done())
         return corrupt("snapshot: trailing bytes");
-    return api::Status::okStatus();
+    return checkPowercaps(*out);
 }
 
 api::Status

@@ -106,7 +106,10 @@ struct TickRecord
 Snapshot captureSnapshot(const World &w);
 
 /** Encode / decode the snapshot payload. Decode returns DataLoss on
- *  bad magic, unknown version, or malformed structure. */
+ *  bad magic, unknown version, malformed structure, a dedup window
+ *  out of order or above its watermark, or a watt-cap list that is
+ *  out of order, names a container not live in the image, or holds a
+ *  cap that is not finite and non-negative. */
 void encodeSnapshot(std::vector<std::uint8_t> &out, const Snapshot &s);
 api::Status decodeSnapshot(const std::vector<std::uint8_t> &payload,
                            Snapshot *out);

@@ -1,5 +1,8 @@
 #include "cop/cluster.h"
 
+#include <bit>
+#include <cmath>
+
 #include "util/logging.h"
 
 namespace ecov::cop {
@@ -11,6 +14,7 @@ Cluster::Cluster(int node_count, const power::ServerPowerConfig &node_config)
     nodes_.reserve(static_cast<std::size_t>(node_count));
     for (int i = 0; i < node_count; ++i)
         nodes_.emplace_back(node_config);
+    buildPlacement();
 }
 
 Cluster::Cluster(const std::vector<power::ServerPowerConfig> &nodes)
@@ -20,6 +24,7 @@ Cluster::Cluster(const std::vector<power::ServerPowerConfig> &nodes)
     nodes_.reserve(nodes.size());
     for (const auto &cfg : nodes)
         nodes_.emplace_back(cfg);
+    buildPlacement();
 }
 
 double
@@ -77,21 +82,86 @@ Cluster::appName(AppIndex app) const
 // Container lifecycle.
 // ---------------------------------------------------------------------
 
+bool
+Cluster::fewerInstances(int a, int b) const
+{
+    const int ia = nodes_[static_cast<std::size_t>(a)].instances;
+    const int ib = nodes_[static_cast<std::size_t>(b)].instances;
+    return ia < ib || (ia == ib && a < b);
+}
+
+bool
+Cluster::fits(int node, double cores) const
+{
+    return !(nodes_[static_cast<std::size_t>(node)].freeCores() + 1e-9 <
+             cores);
+}
+
+Cluster::PlaceEntry
+Cluster::combinePlacement(const PlaceEntry &l, const PlaceEntry &r) const
+{
+    PlaceEntry e;
+    e.best = (l.best < 0 || (r.best >= 0 && fewerInstances(r.best, l.best)))
+                 ? r.best
+                 : l.best;
+    // NaN-propagating max: a range holding a NaN free count is never
+    // pruned, so its leaves meet the scheduler's room test itself.
+    e.max_free = (std::isnan(l.max_free) || l.max_free > r.max_free)
+                     ? l.max_free
+                     : r.max_free;
+    return e;
+}
+
+void
+Cluster::buildPlacement()
+{
+    place_leaves_ = std::bit_ceil(nodes_.size());
+    place_.assign(2 * place_leaves_, PlaceEntry{});
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        place_[place_leaves_ + i] =
+            PlaceEntry{static_cast<int>(i), nodes_[i].freeCores()};
+    for (std::size_t t = place_leaves_; t-- > 1;)
+        place_[t] = combinePlacement(place_[2 * t], place_[2 * t + 1]);
+}
+
+void
+Cluster::updatePlacement(int node)
+{
+    std::size_t t = place_leaves_ + static_cast<std::size_t>(node);
+    place_[t].max_free = nodes_[static_cast<std::size_t>(node)].freeCores();
+    for (t /= 2; t >= 1; t /= 2)
+        place_[t] = combinePlacement(place_[2 * t], place_[2 * t + 1]);
+}
+
+void
+Cluster::descendPlacement(std::size_t t, double cores, int &best) const
+{
+    const PlaceEntry &e = place_[t];
+    // Prune a range where no node has room, or whose least-loaded
+    // node cannot beat the best found so far.
+    if (e.best < 0 || e.max_free + 1e-9 < cores ||
+        (best >= 0 && !fewerInstances(e.best, best)))
+        return;
+    // The range's least-loaded node has room, so nothing else in the
+    // range can beat it. A leaf that passed the prune always ends
+    // here: its max_free is its node's freeCores().
+    if (fits(e.best, cores)) {
+        best = e.best;
+        return;
+    }
+    descendPlacement(2 * t, cores, best);
+    descendPlacement(2 * t + 1, cores, best);
+}
+
 int
 Cluster::pickNode(double cores) const
 {
-    // LXD default scheduler: fewest instances among feasible nodes;
-    // break ties by lowest index for determinism.
+    // LXD default scheduler: fewest instances among nodes with room;
+    // ties go to the lowest index for determinism. The descent visits
+    // left ranges first and prunes on (instances, index), so it
+    // returns exactly the node a scan of every node would.
     int best = -1;
-    for (int i = 0; i < nodeCount(); ++i) {
-        if (nodes_[static_cast<std::size_t>(i)].freeCores() + 1e-9 < cores)
-            continue;
-        if (best < 0 ||
-            nodes_[static_cast<std::size_t>(i)].instances <
-                nodes_[static_cast<std::size_t>(best)].instances) {
-            best = i;
-        }
-    }
+    descendPlacement(1, cores, best);
     return best;
 }
 
@@ -164,6 +234,7 @@ Cluster::createContainer(std::string_view app, double cores)
     auto &n = nodes_[static_cast<std::size_t>(node)];
     n.cores_allocated += cores;
     n.instances += 1;
+    updatePlacement(node);
     return slot.c.id;
 }
 
@@ -180,6 +251,7 @@ Cluster::destroyContainer(ContainerId id)
     if (n.cores_allocated < 0.0)
         n.cores_allocated = 0.0;
     n.instances -= 1;
+    updatePlacement(slot.c.node);
 
     const auto si = static_cast<std::size_t>(s);
     const std::int32_t app_next = cols_.app_next[si];
@@ -343,6 +415,7 @@ Cluster::setCores(ContainerId id, double cores)
     if (delta > n.freeCores() + 1e-9)
         return false;
     n.cores_allocated += delta;
+    updatePlacement(slot.c.node);
     slot.c.cores = cores;
     cols_.cores[static_cast<std::size_t>(s)] = cores;
     refreshModelCoefficients(s);
@@ -351,14 +424,18 @@ Cluster::setCores(ContainerId id, double cores)
 }
 
 void
-Cluster::setUtilizationCap(ContainerId id, double cap)
+Cluster::storeUtilCap(std::int32_t s, double cap)
 {
-    const std::int32_t s =
-        liveSlotIndex(id, "Cluster::setUtilizationCap");
     Slot &slot = slots_[static_cast<std::size_t>(s)];
     slot.c.util_cap = clamp(cap, 0.0, 1.0);
     cols_.util_cap[static_cast<std::size_t>(s)] = slot.c.util_cap;
     markAppPowerDirty(slot.c.app);
+}
+
+void
+Cluster::setUtilizationCap(ContainerId id, double cap)
+{
+    storeUtilCap(liveSlotIndex(id, "Cluster::setUtilizationCap"), cap);
 }
 
 void
@@ -403,19 +480,90 @@ Cluster::containerPowerW(ContainerRef ref) const
 }
 
 double
-Cluster::utilizationCapForPower(ContainerId id, double cap_w) const
+Cluster::utilCapAtSlot(std::int32_t s, double cap_w) const
 {
     // ServerPowerModel::utilizationForCap over the coefficient
     // columns: idle_w/dyn_w already hold the idle-share and dynamic
     // terms it derives, with identical guards.
-    const auto s = static_cast<std::size_t>(
-        liveSlotIndex(id, "Cluster::container"));
-    if (cols_.cores[s] <= 0.0)
+    const auto i = static_cast<std::size_t>(s);
+    if (cols_.cores[i] <= 0.0)
         return 0.0;
-    const double dyn = cols_.dyn_w[s];
+    const double dyn = cols_.dyn_w[i];
     if (dyn <= 0.0)
         return 0.0;
-    return clamp((cap_w - cols_.idle_w[s]) / dyn, 0.0, 1.0);
+    return clamp((cap_w - cols_.idle_w[i]) / dyn, 0.0, 1.0);
+}
+
+double
+Cluster::utilizationCapForPower(ContainerId id, double cap_w) const
+{
+    return utilCapAtSlot(liveSlotIndex(id, "Cluster::container"), cap_w);
+}
+
+// ---------------------------------------------------------------------
+// Watt caps.
+// ---------------------------------------------------------------------
+
+void
+Cluster::setPowerCap(ContainerRef ref, double cap_w)
+{
+    if (!find(ref))
+        fatal("Cluster::setPowerCap: stale container ref");
+    if (!(cap_w >= 0.0))
+        fatal("Cluster::setPowerCap: negative or NaN cap");
+    cols_.power_cap_w[static_cast<std::size_t>(ref.slot)] = cap_w;
+    storeUtilCap(ref.slot,
+                 std::isinf(cap_w) ? 1.0 : utilCapAtSlot(ref.slot, cap_w));
+}
+
+double
+Cluster::powerCap(ContainerRef ref) const
+{
+    if (!find(ref))
+        fatal("Cluster::powerCap: stale container ref");
+    return cols_.power_cap_w[static_cast<std::size_t>(ref.slot)];
+}
+
+void
+Cluster::applyPowerCaps()
+{
+    for (std::int32_t s = all_head_; s >= 0;
+         s = cols_.all_next[static_cast<std::size_t>(s)]) {
+        const auto i = static_cast<std::size_t>(s);
+        if (std::isinf(cols_.power_cap_w[i]))
+            continue;
+        const double cap = utilCapAtSlot(s, cols_.power_cap_w[i]);
+        // Rewriting an identical value would change nothing but would
+        // touch the cold slot and dirty the app's aggregate. The bit
+        // compare keeps a -0.0 override from standing in for +0.0.
+        if (std::bit_cast<std::uint64_t>(cap) ==
+            std::bit_cast<std::uint64_t>(cols_.util_cap[i]))
+            continue;
+        storeUtilCap(s, cap);
+    }
+}
+
+std::vector<std::pair<ContainerId, double>>
+Cluster::powerCaps() const
+{
+    std::vector<std::pair<ContainerId, double>> out;
+    for (std::int32_t s = all_head_; s >= 0;
+         s = cols_.all_next[static_cast<std::size_t>(s)]) {
+        const auto i = static_cast<std::size_t>(s);
+        if (!std::isinf(cols_.power_cap_w[i]))
+            out.emplace_back(slots_[i].c.id, cols_.power_cap_w[i]);
+    }
+    return out;
+}
+
+void
+Cluster::restorePowerCap(ContainerId id, double cap_w)
+{
+    const std::int32_t s = liveSlotIndex(id, "Cluster::restorePowerCap");
+    if (!(cap_w >= 0.0) || std::isinf(cap_w))
+        fatal("Cluster::restorePowerCap: cap is not finite and "
+              "non-negative");
+    cols_.power_cap_w[static_cast<std::size_t>(s)] = cap_w;
 }
 
 double
@@ -597,6 +745,7 @@ Cluster::restoreState(const ClusterImage &image)
         n.instances += 1;
         live.push_back(static_cast<std::int32_t>(i));
     }
+    buildPlacement();
 
     // Second pass: relink both intrusive lists by tail-append in
     // increasing-id order — exactly the order create() built them in,

@@ -46,6 +46,13 @@
  *  - Each app carries a cached power aggregate invalidated by any
  *    demand/cap/cores/gpu change, so repeated appPowerW() calls
  *    within a tick are O(1).
+ *  - Placement descends a tournament tree over the nodes (each entry
+ *    holds its range's least-loaded node and largest free-core
+ *    count), so a create costs O(log nodes), not a scan of every
+ *    node, and picks exactly the node the scan would.
+ *  - Tenant watt caps live in a slot column (power_cap_w), so setting,
+ *    reading and dropping one is O(1) and re-deriving them all is one
+ *    dense walk of the live list.
  */
 
 #ifndef ECOV_COP_CLUSTER_H
@@ -53,10 +60,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/status.h"
@@ -242,7 +251,9 @@ class Cluster
      * Create a container for an application.
      *
      * Placement follows LXD's default scheduler: the node hosting the
-     * fewest container instances among those with enough free cores.
+     * fewest container instances among those with enough free cores
+     * (lowest index on ties), found in O(log nodes) by the placement
+     * tree.
      *
      * @param app owning application name (interned on first use)
      * @param cores core allocation (must be > 0)
@@ -326,6 +337,46 @@ class Cluster
      * via the hosting node's power model (Thunderbolt-style mapping).
      */
     double utilizationCapForPower(ContainerId id, double cap_w) const;
+
+    // ------------------------------------------------------------------
+    // Watt caps (Ecovisor::setContainerPowercap, §3.3). One module owns
+    // both the stored watts (the power_cap_w column) and the
+    // utilization cap derived from them.
+    // ------------------------------------------------------------------
+
+    /**
+     * Set a container's watt cap and derive its utilization cap now,
+     * as utilizationCapForPower() does. kNoPowerCap removes the cap
+     * and lifts the utilization cap to 1. Fatal on a stale ref or a
+     * negative or NaN cap.
+     */
+    void setPowerCap(ContainerRef ref, double cap_w);
+
+    /** A container's watt cap; kNoPowerCap when uncapped. Fatal on a
+     *  stale ref. */
+    double powerCap(ContainerRef ref) const;
+
+    /**
+     * Re-derive every capped container's utilization cap from its
+     * watt cap, in one walk of the live list. A setCores() since the
+     * cap was set, or a direct setUtilizationCap() override, is undone
+     * here.
+     */
+    void applyPowerCaps();
+
+    /**
+     * Every finite watt cap as (id, cap), ascending by id: the live
+     * list runs in creation order, which is id order.
+     */
+    std::vector<std::pair<ContainerId, double>> powerCaps() const;
+
+    /**
+     * Write back a captured watt cap without deriving anything: the
+     * restored slab already holds the utilization cap the captured
+     * run had. Fatal on an id that is not live or a cap that is not
+     * finite and non-negative.
+     */
+    void restorePowerCap(ContainerId id, double cap_w);
 
     /** Attributed power of the container at utilization 1. */
     double maxContainerPowerW(ContainerId id) const;
@@ -458,8 +509,10 @@ class Cluster
     /**
      * Rebuild the full layout from an image: slab + columns + both
      * intrusive lists (relinked in increasing-id order, which equals
-     * the captured link order), id table, node accounting, free-list
-     * verbatim. Slot-side series caches reset to the never-filled
+     * the captured link order), id table, node accounting, placement
+     * tree, free-list verbatim. Watt caps are not in the image and
+     * come back uncapped (Ecovisor::restoreState writes them).
+     * Slot-side series caches reset to the never-filled
      * sentinel — telemetry lazily re-interns. Fatal on a structurally
      * impossible image (corruption is caught upstream by the record
      * CRC; this guards internal invariants).
@@ -503,7 +556,38 @@ class Cluster
         mutable bool power_dirty = true;
     };
 
+    /**
+     * One placement-tree entry: its node range's least-loaded node
+     * (fewest instances, lowest index on ties, whether or not it has
+     * room) and the range's largest freeCores(). Padding leaves past
+     * the last node hold best = -1.
+     */
+    struct PlaceEntry
+    {
+        int best = -1;
+        double max_free = -std::numeric_limits<double>::infinity();
+    };
+
+    /** The scheduler's node for `cores`; -1 when none has room. */
     int pickNode(double cores) const;
+
+    /** True when node a sorts before node b in placement order. */
+    bool fewerInstances(int a, int b) const;
+
+    /** The scheduler's room test. */
+    bool fits(int node, double cores) const;
+
+    PlaceEntry combinePlacement(const PlaceEntry &l,
+                                const PlaceEntry &r) const;
+
+    /** (Re)build the whole placement tree from the node accounting. */
+    void buildPlacement();
+
+    /** Refresh one node's leaf and its ancestors: O(log nodes). */
+    void updatePlacement(int node);
+
+    /** pickNode's pruned descent from tree entry t. */
+    void descendPlacement(std::size_t t, double cores, int &best) const;
 
     /** Slot index for a live id; -1 otherwise. O(1). */
     std::int32_t slotOf(ContainerId id) const;
@@ -537,9 +621,24 @@ class Cluster
     /** Refresh a slot's coefficient columns from its node's model. */
     void refreshModelCoefficients(std::int32_t s);
 
+    /**
+     * utilizationCapForPower over one slot's columns:
+     * ServerPowerModel::utilizationForCap with identical guards.
+     */
+    double utilCapAtSlot(std::int32_t s, double cap_w) const;
+
+    /** Write a slot's utilization cap to its column and row view. */
+    void storeUtilCap(std::int32_t s, double cap);
+
     void markAppPowerDirty(AppIndex app);
 
     std::vector<Node> nodes_;
+    /**
+     * Placement tree in heap order: entry 1 is the root, entry t has
+     * children 2t and 2t+1, and node i's leaf is place_leaves_ + i.
+     */
+    std::vector<PlaceEntry> place_;
+    std::size_t place_leaves_ = 0; ///< leaf count: nodes rounded up to 2^k
     std::vector<Slot> slots_;
     HotColumns cols_; ///< slot-indexed hot columns (size == slots_)
     std::vector<std::int32_t> free_;       ///< LIFO recycled slots

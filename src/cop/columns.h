@@ -35,15 +35,20 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace ecov::cop {
 
+/** A slot's watt cap when it has none (core::kUnlimitedW). */
+inline constexpr double kNoPowerCap =
+    std::numeric_limits<double>::infinity();
+
 /**
  * Parallel slot-indexed hot columns owned by the cluster slab.
  * Every column always has exactly one element per slab slot; dead
- * (free-listed) slots hold zeros and -1 links and are unreachable
- * from any list walk.
+ * (free-listed) slots hold zeros, -1 links and no watt cap, and are
+ * unreachable from any list walk.
  */
 struct HotColumns
 {
@@ -73,6 +78,15 @@ struct HotColumns
     /** Hosting node index (totalPowerW's per-node accumulation). */
     std::vector<std::int32_t> node;
 
+    /**
+     * Tenant watt cap (Ecovisor::setContainerPowercap); kNoPowerCap
+     * (+inf) means uncapped. Dead slots hold kNoPowerCap, so a
+     * destroyed container's cap dies with it and a recycled slot
+     * never inherits one. Cluster::applyPowerCaps re-derives util_cap
+     * from every finite entry at each settle.
+     */
+    std::vector<double> power_cap_w;
+
     // ------------------------------------------------------------------
     // Forward intrusive-list links (creation == increasing-id order;
     // the iteration-order part of the determinism contract). Backward
@@ -84,7 +98,7 @@ struct HotColumns
     /** Slots provisioned (== the slab's slot count). */
     std::size_t size() const { return demand.size(); }
 
-    /** Provision one more slot, zeroed and unlinked. */
+    /** Provision one more slot, zeroed, uncapped and unlinked. */
     void
     grow()
     {
@@ -96,6 +110,7 @@ struct HotColumns
         dyn_w.push_back(0.0);
         gpu_peak_w.push_back(0.0);
         node.push_back(-1);
+        power_cap_w.push_back(kNoPowerCap);
         app_next.push_back(-1);
         all_next.push_back(-1);
     }
@@ -113,6 +128,7 @@ struct HotColumns
         dyn_w[i] = 0.0;
         gpu_peak_w[i] = 0.0;
         node[i] = -1;
+        power_cap_w[i] = kNoPowerCap;
         app_next[i] = -1;
         all_next[i] = -1;
     }

@@ -207,6 +207,15 @@ Ecovisor::tryAddApp(const std::string &app, const AppShareConfig &share)
     const auto idx = static_cast<std::int32_t>(apps_.size());
     apps_.push_back(std::move(st));
     index_.emplace(app, idx);
+    // Apps are never removed, so registration is the only change the
+    // canonical (sorted-by-name) settle order ever sees.
+    settle_order_.insert(
+        std::lower_bound(settle_order_.begin(), settle_order_.end(), app,
+                         [this](std::int32_t i, const std::string &name) {
+                             return apps_[static_cast<std::size_t>(i)]
+                                        .name < name;
+                         }),
+        idx);
     return AppHandle(idx);
 }
 
@@ -295,8 +304,7 @@ Ecovisor::setContainerPowercap(ContainerHandle c, double cap_w)
 {
     // O(1) slab resolution: an invalid handle and a handle whose
     // container was destroyed (generation mismatch) fail identically.
-    const cop::Container *ct = cluster_->find(c.ref());
-    if (!ct)
+    if (!cluster_->find(c.ref()))
         return Status::error(ErrorCode::UnknownContainer,
                              "Ecovisor::setContainerPowercap: unknown "
                              "container");
@@ -304,15 +312,7 @@ Ecovisor::setContainerPowercap(ContainerHandle c, double cap_w)
         return Status::error(ErrorCode::InvalidArgument,
                              "Ecovisor::setContainerPowercap: negative "
                              "cap");
-    const cop::ContainerId id = ct->id;
-    if (std::isinf(cap_w)) {
-        powercaps_w_.erase(id);
-        cluster_->setUtilizationCap(id, 1.0);
-        return Status::okStatus();
-    }
-    powercaps_w_[id] = cap_w;
-    cluster_->setUtilizationCap(
-        id, cluster_->utilizationCapForPower(id, cap_w));
+    cluster_->setPowerCap(c.ref(), cap_w);
     return Status::okStatus();
 }
 
@@ -341,19 +341,11 @@ Ecovisor::commitStagedCaps()
 {
     for (const auto &req : staged_caps_) {
         // A container revoked between staging and settlement is
-        // skipped, exactly as applyPowercaps() prunes stale caps —
-        // the generation check also skips a recycled slot, so a cap
-        // staged for a dead container can never leak onto its
-        // successor.
-        const cop::Container *ct = cluster_->find(req.container.ref());
-        if (!ct)
-            continue;
-        if (std::isinf(req.cap_w)) {
-            powercaps_w_.erase(ct->id);
-            cluster_->setUtilizationCap(ct->id, 1.0);
-        } else {
-            powercaps_w_[ct->id] = req.cap_w;
-        }
+        // skipped: its cap died with its slot. The generation check
+        // also skips a recycled slot, so a cap staged for a dead
+        // container can never leak onto its successor.
+        if (cluster_->find(req.container.ref()))
+            cluster_->setPowerCap(req.container.ref(), req.cap_w);
     }
     staged_caps_.clear();
 }
@@ -435,13 +427,11 @@ Ecovisor::getBatteryChargeLevel(AppHandle h) const
 Result<double>
 Ecovisor::getContainerPowercap(ContainerHandle c) const
 {
-    const cop::Container *ct = cluster_->find(c.ref());
-    if (!ct)
+    if (!cluster_->find(c.ref()))
         return Status::error(ErrorCode::UnknownContainer,
                              "Ecovisor::getContainerPowercap: unknown "
                              "container");
-    auto it = powercaps_w_.find(ct->id);
-    return it == powercaps_w_.end() ? kUnlimitedW : it->second;
+    return cluster_->powerCap(c.ref()); // kNoPowerCap == kUnlimitedW
 }
 
 Result<double>
@@ -483,6 +473,7 @@ Ecovisor::registerTickCallback(AppHandle h, TickCallback cb)
     if (!st)
         return invalidHandle();
     st->callbacks.push_back(std::move(cb));
+    ++callback_count_;
     return Status::okStatus();
 }
 
@@ -577,6 +568,9 @@ void
 Ecovisor::dispatchTickCallbacks(TimeS start_s, TimeS dt_s)
 {
     now_hint_s_ = start_s;
+    // Remote tenants register no upcalls: skip the walk altogether.
+    if (callback_count_ == 0)
+        return;
     // Re-resolve apps_[idx] on every access instead of holding a
     // reference: a callback may legally call tryAddApp(), which can
     // reallocate the contiguous app vector mid-dispatch (index_ map
@@ -585,21 +579,6 @@ Ecovisor::dispatchTickCallbacks(TimeS start_s, TimeS dt_s)
         const auto idx = static_cast<std::size_t>(kv.second);
         for (std::size_t i = 0; i < apps_[idx].callbacks.size(); ++i)
             apps_[idx].callbacks[i](start_s, dt_s);
-    }
-}
-
-void
-Ecovisor::applyPowercaps()
-{
-    for (auto it = powercaps_w_.begin(); it != powercaps_w_.end();) {
-        if (!cluster_->exists(it->first)) {
-            it = powercaps_w_.erase(it);
-            continue;
-        }
-        cluster_->setUtilizationCap(
-            it->first,
-            cluster_->utilizationCapForPower(it->first, it->second));
-        ++it;
     }
 }
 
@@ -625,12 +604,12 @@ Ecovisor::applyEmergencyCaps(double site_solar_w, TimeS dt_s)
     // Recompute from scratch each outage tick: last tick's emergency
     // caps would otherwise compound (a capped container reports less
     // power, shrinking next tick's budget). Tenant powercaps were
-    // re-applied by applyPowercaps() just above, so clearing only
-    // touches containers with no tenant cap of their own.
+    // re-applied by Cluster::applyPowerCaps() just above, so clearing
+    // only touches containers with no tenant cap of their own.
     clearEmergencyCaps();
     bool any_capped = false;
-    for (AppState *stp : settle_order_) {
-        AppState &st = *stp;
+    for (std::int32_t idx : settle_order_) {
+        AppState &st = apps_[static_cast<std::size_t>(idx)];
         // The islanded budget: owned solar plus whatever the app's
         // battery may discharge this tick. An exact bound — if the
         // budget cannot serve the demand, the demand is cut, never
@@ -663,11 +642,13 @@ void
 Ecovisor::clearEmergencyCaps()
 {
     for (cop::ContainerId id : emergency_capped_) {
-        if (!cluster_->exists(id))
+        const cop::ContainerRef ref = cluster_->refOf(id);
+        if (!ref.valid())
             continue;
         // Containers with a tenant powercap got it re-applied this
-        // tick by applyPowercaps(); only the rest revert to uncapped.
-        if (powercaps_w_.count(id))
+        // tick by Cluster::applyPowerCaps(); only the rest revert to
+        // uncapped.
+        if (!std::isinf(cluster_->powerCap(ref)))
             continue;
         cluster_->setUtilizationCap(id, 1.0);
     }
@@ -701,7 +682,7 @@ Ecovisor::settleTick(TimeS start_s, TimeS dt_s)
     // Commit any staged CapBatch, then re-apply watt caps:
     // allocations may have changed this tick.
     commitStagedCaps();
-    applyPowercaps();
+    cluster_->applyPowerCaps();
 
     double solar_w = phys_->solarPowerAt(start_s);
     const double intensity = phys_->gridCarbonAt(start_s);
@@ -719,15 +700,6 @@ Ecovisor::settleTick(TimeS start_s, TimeS dt_s)
         limits.battery_capacity_factor = faults_.battery_capacity_factor;
         ++degraded_ticks_;
     }
-
-    // Canonical settlement order (sorted by name — the order the
-    // seed's name-keyed map iterated in). Pointers stay valid for
-    // the whole tick: nothing below registers apps.
-    settle_order_.clear();
-    settle_order_.reserve(apps_.size());
-    for (const auto &kv : index_)
-        settle_order_.push_back(
-            &apps_[static_cast<std::size_t>(kv.second)]);
 
     // Grid outage: clamp demand to each app's grid-safe budget before
     // settlement reads container power; lift the clamps on the first
@@ -751,8 +723,8 @@ Ecovisor::settleTick(TimeS start_s, TimeS dt_s)
     double total_curtailed_w = 0.0;
     double total_unserved_w = 0.0;
 
-    for (AppState *stp : settle_order_) {
-        AppState &st = *stp;
+    for (std::int32_t idx : settle_order_) {
+        const AppState &st = apps_[static_cast<std::size_t>(idx)];
         owned_solar_fraction += st.solar_fraction;
         const TickSettlement &s = st.ves->lastSettlement();
         total_grid_w += s.grid_w;
@@ -772,11 +744,11 @@ Ecovisor::settleTick(TimeS start_s, TimeS dt_s)
     // or curtail).
     if (total_curtailed_w > 1e-12) {
         if (options_.excess_solar == ExcessSolarPolicy::Redistribute) {
-            for (const auto &kv : index_) {
+            for (std::int32_t idx : settle_order_) {
                 if (total_curtailed_w <= 1e-12)
                     break;
                 double took =
-                    apps_[static_cast<std::size_t>(kv.second)]
+                    apps_[static_cast<std::size_t>(idx)]
                         .ves->absorbRedistributedSolar(
                             total_curtailed_w, dt_s);
                 total_curtailed_w -= took;
@@ -831,9 +803,7 @@ Ecovisor::captureState() const
         ai.ves = st.ves->captureState();
         img.apps.push_back(std::move(ai));
     }
-    img.powercaps.reserve(powercaps_w_.size());
-    for (const auto &[id, cap_w] : powercaps_w_)
-        img.powercaps.emplace_back(id, cap_w);
+    img.powercaps = cluster_->powerCaps();
     img.emergency_capped = emergency_capped_;
     img.degraded_ticks = degraded_ticks_;
     img.slo_violation_ticks = slo_violation_ticks_;
@@ -865,9 +835,9 @@ Ecovisor::restoreState(const EcovisorImage &image)
         apps_[static_cast<std::size_t>(r.value().index())]
             .ves->restoreState(ai.ves);
     }
-    powercaps_w_.clear();
+    // The cluster was restored first, so every captured id is live.
     for (const auto &[id, cap_w] : image.powercaps)
-        powercaps_w_.emplace(id, cap_w);
+        cluster_->restorePowerCap(id, cap_w);
     emergency_capped_ = image.emergency_capped;
     degraded_ticks_ = image.degraded_ticks;
     slo_violation_ticks_ = image.slo_violation_ticks;
@@ -948,9 +918,8 @@ Ecovisor::recordApp(const AppState &st, TimeS start_s)
 void
 Ecovisor::recordTelemetry(TimeS start_s)
 {
-    // Only called from settleTick, which built settle_order_ (the
-    // canonical sorted-by-name app order) earlier this tick. Globals
-    // are cross-app state: always sequential, before the shards start.
+    // Globals are cross-app state: always sequential, before the
+    // shards start.
     db_.append(s_grid_carbon_, start_s, phys_->gridCarbonAt(start_s));
     db_.append(s_solar_w_, start_s, phys_->solarPowerAt(start_s));
     db_.append(s_cluster_power_, start_s, cluster_->totalPowerW());
@@ -960,10 +929,10 @@ Ecovisor::recordTelemetry(TimeS start_s)
     // tick. Interning mutates the shared store, so it must finish
     // before the shards run; in steady state this pass is a
     // generation compare per live container and nothing else.
-    for (AppState *stp : settle_order_)
+    for (std::int32_t idx : settle_order_)
         cluster_->forEachAppContainerSlot(
-            stp->cop_app, [&](const cop::Container &c,
-                              std::int32_t slot) {
+            apps_[static_cast<std::size_t>(idx)].cop_app,
+            [&](const cop::Container &c, std::int32_t slot) {
                 ensureContainerSeries(c, slot);
             });
 

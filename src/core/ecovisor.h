@@ -131,7 +131,7 @@ struct EcovisorImage
         VesImage ves;         ///< runtime state of the app's VES
     };
     std::vector<AppImage> apps; ///< registration (handle-index) order
-    /** Powercap map entries in key order (container id ascending). */
+    /** Finite watt caps of live containers, container id ascending. */
     std::vector<std::pair<cop::ContainerId, double>> powercaps;
     std::vector<cop::ContainerId> emergency_capped;
     std::int64_t degraded_ticks = 0;
@@ -426,7 +426,9 @@ class Ecovisor
      * handle indices, COP intern indices and telemetry SeriesIds come
      * out exactly as the captured run assigned them; the VES internals
      * are then overwritten with the captured runtime state. Restore
-     * the cluster first — tryAddApp re-interns against it.
+     * the cluster first — tryAddApp re-interns against it, and the
+     * watt caps go back into its cap column (fatal on a cap for a
+     * container the restored cluster does not hold live).
      */
     void restoreState(const EcovisorImage &image);
 
@@ -476,7 +478,6 @@ class Ecovisor
     const AppState *state(api::AppHandle h) const;
 
     void commitStagedCaps();
-    void applyPowercaps();
 
     /**
      * Record the tick into the telemetry store. Globals and the
@@ -521,8 +522,8 @@ class Ecovisor
         const int app_count = static_cast<int>(settle_order_.size());
         const int shards = std::min(threads_, app_count);
         if (shards <= 1) {
-            for (AppState *stp : settle_order_)
-                fn(*stp);
+            for (std::int32_t idx : settle_order_)
+                fn(apps_[static_cast<std::size_t>(idx)]);
             return;
         }
         if (!pool_ || pool_->threads() != threads_)
@@ -531,7 +532,8 @@ class Ecovisor
             const int lo = shard * app_count / shards;
             const int hi = (shard + 1) * app_count / shards;
             for (int i = lo; i < hi; ++i)
-                fn(*settle_order_[static_cast<std::size_t>(i)]);
+                fn(apps_[static_cast<std::size_t>(
+                    settle_order_[static_cast<std::size_t>(i)])]);
         });
     }
 
@@ -568,14 +570,22 @@ class Ecovisor
     /** Contiguous per-app state; AppHandle::index() addresses it. */
     std::vector<AppState> apps_;
     /**
-     * Name -> registration index. Also fixes the deterministic
-     * iteration order (sorted by name) used for settlement, callback
-     * dispatch and telemetry — the order the seed's name-keyed map
-     * iterated in, preserved so the redesign is behavior-identical.
+     * Name -> registration index. Its iteration order (sorted by
+     * name) is the deterministic order for callback dispatch — the
+     * order the seed's name-keyed map iterated in, preserved so the
+     * redesign is behavior-identical.
      */
     std::map<std::string, std::int32_t, std::less<>> index_;
+    /**
+     * The same sorted-by-name order as registration indices, kept
+     * across ticks for settlement, the cross-app reductions and
+     * telemetry. Apps are never removed, so tryAddApp() is its only
+     * writer and steady-state ticks neither rebuild nor allocate it.
+     */
+    std::vector<std::int32_t> settle_order_;
+    /** Upcalls registered across all apps (0: dispatch is a no-op). */
+    std::size_t callback_count_ = 0;
 
-    std::map<cop::ContainerId, double> powercaps_w_;
     /** Caps staged by applyCapBatch(), committed at settlement. */
     std::vector<api::CapRequest> staged_caps_;
 
@@ -594,15 +604,9 @@ class Ecovisor
     std::int64_t slo_violation_ticks_ = 0;
     double unserved_wh_ = 0.0;
 
-    /**
-     * Settlement parallelism (>= 1) and its lazily-built pool. The
-     * scratch vector holds the canonical (sorted-by-name) app order
-     * for one settleTick; a member so steady-state ticks allocate
-     * nothing.
-     */
+    /** Settlement parallelism (>= 1) and its lazily-built pool. */
     int threads_ = 1;
     std::unique_ptr<WorkerPool> pool_;
-    std::vector<AppState *> settle_order_;
 
     ts::TsDatabase db_;
     /** Pre-interned global series (constructor). */

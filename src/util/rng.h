@@ -10,8 +10,11 @@
 #ifndef ECOV_UTIL_RNG_H
 #define ECOV_UTIL_RNG_H
 
+#include <cmath>
 #include <cstdint>
 #include <random>
+
+#include "util/logging.h"
 
 namespace ecov {
 
@@ -43,12 +46,24 @@ class Rng
         return d(engine_);
     }
 
-    /** Gaussian sample with the given mean and standard deviation. */
+    /**
+     * Gaussian sample with the given mean and standard deviation.
+     * A zero deviation returns `mean` but still draws, so the stream
+     * stays where any other deviation would leave it. Fatal on a
+     * negative or NaN deviation.
+     *
+     * std::normal_distribution requires stddev > 0, so this draws a
+     * unit normal and scales it: libstdc++ computes
+     * `z * stddev + mean` itself, so values and draw counts match
+     * the distribution called with (mean, stddev) exactly.
+     */
     double
     gaussian(double mean, double stddev)
     {
-        std::normal_distribution<double> d(mean, stddev);
-        return d(engine_);
+        if (stddev < 0.0 || std::isnan(stddev))
+            fatal("Rng::gaussian: negative or NaN stddev");
+        std::normal_distribution<double> unit(0.0, 1.0);
+        return unit(engine_) * stddev + mean;
     }
 
     /** Exponential sample with the given rate (lambda). */

@@ -6,8 +6,9 @@
  * is bit-identical to an uninterrupted run, the leased tenant resumes
  * by token without re-registering, and damaged state files recover
  * per the taxonomy (torn tail truncates, corruption — a flipped byte,
- * or a CRC-valid record with a forged element count or an out-of-order
- * dedup window — is DataLoss and mutates nothing).
+ * or a CRC-valid record with a forged element count, an out-of-order
+ * dedup window or a forged watt-cap list — is DataLoss and mutates
+ * nothing).
  *
  * Carries the `threads` label: settlement shards under ECOV_THREADS,
  * and the digest equality must hold at any thread count.
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -296,6 +298,78 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
         EXPECT_EQ(b.tickCount(), 0);
         EXPECT_EQ(b.server.sessionCount(), 0u);
         EXPECT_EQ(b.rig.eco.appCount(), 0u);
+    }
+    // Snapshot: the watt-cap list the ecovisor restores into its slot
+    // column, captured live with caps on the first and last of three
+    // containers (set out of id order) and the middle one destroyed,
+    // then forged five ways. No valid writer emits any of them; a
+    // decoder that re-sorted, restored or applied them would recover a
+    // world no run produced.
+    enum class CapForgery { Descending, DeadId, NaN, Negative, Infinite };
+    for (const CapForgery forgery :
+         {CapForgery::Descending, CapForgery::DeadId, CapForgery::NaN,
+          CapForgery::Negative, CapForgery::Infinite}) {
+        SCOPED_TRACE("cap forgery " +
+                     std::to_string(static_cast<int>(forgery)));
+        Snapshot snap;
+        cop::ContainerId dead = cop::kInvalidContainer;
+        {
+            WorldHarness a(makeStateDir());
+            ASSERT_TRUE(a.mgr.recover().ok());
+            ASSERT_TRUE(
+                a.rig.eco.tryAddApp("t", testutil::appShare(0.3, 100.0))
+                    .ok());
+            std::vector<cop::ContainerId> ids;
+            for (int i = 0; i < 3; ++i) {
+                auto id = a.rig.cluster.createContainer("t", 1.0);
+                ASSERT_TRUE(id);
+                ids.push_back(*id);
+            }
+            ASSERT_TRUE(a.rig.eco
+                            .setContainerPowercap(a.rig.handle(ids[2]), 2.5)
+                            .ok());
+            ASSERT_TRUE(a.rig.eco
+                            .setContainerPowercap(a.rig.handle(ids[0]), 1.5)
+                            .ok());
+            dead = ids[1];
+            a.rig.cluster.destroyContainer(dead);
+            a.runTo(1);
+            snap = captureSnapshot(a.world());
+        }
+        auto &caps = snap.eco.powercaps;
+        ASSERT_EQ(caps.size(), 2u);
+        ASSERT_LT(caps[0].first, dead);
+        ASSERT_GT(caps[1].first, dead);
+        switch (forgery) {
+          case CapForgery::Descending:
+            std::swap(caps[0], caps[1]);
+            break;
+          case CapForgery::DeadId:
+            caps[0].first = dead; // still ascending
+            break;
+          case CapForgery::NaN:
+            caps[0].second = std::nan("");
+            break;
+          case CapForgery::Negative:
+            caps[1].second = -1.0;
+            break;
+          case CapForgery::Infinite:
+            caps[1].second = core::kUnlimitedW;
+            break;
+        }
+        std::vector<std::uint8_t> payload;
+        encodeSnapshot(payload, snap);
+
+        WorldHarness b(makeStateDir());
+        ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
+                                      FsyncPolicy::Never)
+                        .ok());
+        api::Status st;
+        EXPECT_NO_THROW(st = b.mgr.recover());
+        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
+        EXPECT_EQ(b.tickCount(), 0);
+        EXPECT_EQ(b.rig.eco.appCount(), 0u);
+        EXPECT_EQ(b.rig.cluster.containerCount(), 0);
     }
     // WAL: same forgery as the first record of the log.
     {

@@ -8,16 +8,19 @@
  * resize/set sequences and assert, after every single operation,
  * that columns == row views == an independent shadow model — plus
  * that the coefficient columns reproduce the power model's exact
- * products, that recycled slots never leak a previous incarnation's
- * column state, and that sharded settlement over the columns stays
- * bit-identical to the sequential path (the determinism contract,
- * docs/ARCHITECTURE.md). All floating-point comparisons are
- * EXPECT_EQ: bit-exact, no tolerance.
+ * products, that watt caps and the utilization caps derived from them
+ * follow the model, that recycled slots never leak a previous
+ * incarnation's column state (its watt cap included), and that
+ * sharded settlement over the columns stays bit-identical to the
+ * sequential path (the determinism contract, docs/ARCHITECTURE.md).
+ * All floating-point comparisons are EXPECT_EQ: bit-exact, no
+ * tolerance.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,6 +57,7 @@ struct Shadow
     double util_cap = 1.0;
     double demand = 0.0;
     double gpu_util = 0.0;
+    double power_cap_w = kNoPowerCap;
 };
 
 using ShadowMap = std::map<ContainerId, Shadow>; // id-sorted
@@ -91,6 +95,8 @@ expectCoherent(const Cluster &c, const ShadowMap &shadow)
         EXPECT_EQ(row->util_cap, sh.util_cap) << "id " << id;
         EXPECT_EQ(row->demand, sh.demand) << "id " << id;
         EXPECT_EQ(row->gpu_util, sh.gpu_util) << "id " << id;
+        EXPECT_EQ(cols.power_cap_w[s], sh.power_cap_w) << "id " << id;
+        EXPECT_EQ(c.powerCap(ref), sh.power_cap_w) << "id " << id;
 
         // Coefficient columns hold the model's exact products.
         const auto &model = c.node(row->node).model;
@@ -117,7 +123,15 @@ expectCoherent(const Cluster &c, const ShadowMap &shadow)
         EXPECT_EQ(cols.gpu_util[s], 0.0) << "slot " << s;
         EXPECT_EQ(cols.idle_w[s], 0.0) << "slot " << s;
         EXPECT_EQ(cols.dyn_w[s], 0.0) << "slot " << s;
+        EXPECT_EQ(cols.power_cap_w[s], kNoPowerCap) << "slot " << s;
     }
+
+    // The captured cap list: the shadow's finite caps in id order.
+    std::vector<std::pair<ContainerId, double>> caps;
+    for (const auto &[id, sh] : shadow)
+        if (!std::isinf(sh.power_cap_w))
+            caps.emplace_back(id, sh.power_cap_w);
+    EXPECT_EQ(c.powerCaps(), caps);
 
     // Per-app iteration order and the cached aggregate: walk order
     // must be the shadow's increasing-id order, and the column-walk
@@ -180,15 +194,39 @@ TEST(CopColumns, ChurnKeepsColumnsCoherentWithShadow)
                 const double d = rng.uniform(-0.2, 1.2);
                 c.setDemand(it->first, d);
                 it->second.demand = std::clamp(d, 0.0, 1.0);
-            } else if (sub < 0.75) {
+            } else if (sub < 0.65) {
                 const double cap = rng.uniform(-0.2, 1.2);
                 c.setUtilizationCap(it->first, cap);
                 it->second.util_cap = std::clamp(cap, 0.0, 1.0);
+            } else if (sub < 0.75) {
+                // A watt cap (one in four lifted again) derives the
+                // utilization cap through the node's model at once.
+                Shadow &sh = it->second;
+                sh.power_cap_w =
+                    rng.bernoulli(0.25) ? kNoPowerCap : rng.uniform(0.0, 4.0);
+                c.setPowerCap(c.refOf(it->first), sh.power_cap_w);
+                sh.util_cap =
+                    std::isinf(sh.power_cap_w)
+                        ? 1.0
+                        : c.node(c.container(it->first).node)
+                              .model.utilizationForCap(sh.cores,
+                                                       sh.power_cap_w);
             } else {
                 const double g = rng.uniform(-0.2, 1.2);
                 c.setGpuUtil(it->first, g);
                 it->second.gpu_util = std::clamp(g, 0.0, 1.0);
             }
+        }
+        // Settlement's re-derivation, now and then: every capped
+        // container's utilization cap follows its watt cap again,
+        // undoing resizes and direct overrides since.
+        if (step % 25 == 24) {
+            c.applyPowerCaps();
+            for (auto &[id, sh] : shadow)
+                if (!std::isinf(sh.power_cap_w))
+                    sh.util_cap = c.node(c.container(id).node)
+                                      .model.utilizationForCap(
+                                          sh.cores, sh.power_cap_w);
         }
         expectCoherent(c, shadow);
         if (HasFatalFailure())
@@ -204,6 +242,7 @@ TEST(CopColumns, RecycledSlotNeverLeaksColumnState)
     c.setDemand(*id1, 0.9);
     c.setGpuUtil(*id1, 0.8);
     const ContainerRef ref1 = c.refOf(*id1);
+    c.setPowerCap(ref1, 2.0);
     const auto s = static_cast<std::size_t>(ref1.slot);
 
     c.destroyContainer(*id1);
@@ -212,6 +251,7 @@ TEST(CopColumns, RecycledSlotNeverLeaksColumnState)
     EXPECT_EQ(cols.gpu_util[s], 0.0);
     EXPECT_EQ(cols.idle_w[s], 0.0);
     EXPECT_EQ(cols.node[s], -1);
+    EXPECT_EQ(cols.power_cap_w[s], kNoPowerCap);
 
     // The recycle reuses the slot under a new generation; its columns
     // must reflect only the new incarnation, and the stale ref must
@@ -225,6 +265,10 @@ TEST(CopColumns, RecycledSlotNeverLeaksColumnState)
     EXPECT_EQ(cols.demand[s], 0.0);
     EXPECT_EQ(cols.util_cap[s], 1.0);
     EXPECT_EQ(cols.gpu_util[s], 0.0);
+    EXPECT_EQ(c.powerCap(ref2), kNoPowerCap);
+    c.applyPowerCaps();
+    EXPECT_EQ(cols.util_cap[s], 1.0);
+    EXPECT_TRUE(c.powerCaps().empty());
 
     // Power queries agree between the column path and the model.
     c.setDemand(*id2, 0.5);

@@ -1,11 +1,14 @@
 /**
  * @file
  * Ecovisor edge cases and failure injection: empty systems, container
- * churn under power caps, grid-share shedding, heterogeneous (GPU)
- * nodes, and zero-demand accounting.
+ * churn under power caps, the watt-cap slot column's lifecycle,
+ * grid-share shedding, heterogeneous (GPU) nodes, and zero-demand
+ * accounting.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "carbon/carbon_signal.h"
 #include "common/rig.h"
@@ -58,13 +61,112 @@ TEST(EcovisorEdge, PowercapSurvivesContainerChurn)
     const api::ContainerHandle c = api::handleOf(rig.cluster, *id);
     ASSERT_TRUE(rig.eco.setContainerPowercap(c, 0.8).ok());
     // Destroy the container behind the ecovisor's back (resource
-    // revocation); the next settlement must clean the stale cap up
-    // rather than crash, and the stale handle reads as unknown.
+    // revocation): the cap dies with its slot at once, settlement
+    // does not crash, and the stale handle reads as unknown.
     rig.cluster.destroyContainer(*id);
+    EXPECT_TRUE(rig.eco.captureState().powercaps.empty());
     rig.eco.settleTick(0, 60);
     EXPECT_EQ(rig.eco.getContainerPowercap(c).code(),
               api::ErrorCode::UnknownContainer);
     EXPECT_TRUE(rig.eco.captureState().powercaps.empty());
+
+    // The next create recycles the slot. It must not inherit the
+    // dead container's cap, before or after a settle.
+    auto next = rig.cluster.createContainer("a", 1.0);
+    ASSERT_TRUE(next);
+    const api::ContainerHandle n = api::handleOf(rig.cluster, *next);
+    ASSERT_EQ(n.ref().slot, c.ref().slot);
+    rig.cluster.setDemand(*next, 1.0);
+    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(n).value()));
+    rig.eco.settleTick(60, 60);
+    EXPECT_TRUE(std::isinf(rig.eco.getContainerPowercap(n).value()));
+    EXPECT_EQ(rig.cluster.container(*next).util_cap, 1.0);
+    EXPECT_TRUE(rig.eco.captureState().powercaps.empty());
+}
+
+TEST(EcovisorEdge, CapturedPowercapsAscendByIdWhateverTheSetOrder)
+{
+    Rig rig;
+    ASSERT_TRUE(rig.eco.tryAddApp("a", AppShareConfig{}).ok());
+    std::vector<cop::ContainerId> ids;
+    for (int i = 0; i < 4; ++i)
+        ids.push_back(rig.cluster.createContainer("a", 1.0).value());
+    // Caps land out of id order, through both surfaces; one is
+    // lifted again before the capture.
+    ASSERT_TRUE(rig.eco.setContainerPowercap(rig.handle(ids[3]), 3.0).ok());
+    api::CapBatch batch;
+    batch.add(rig.handle(ids[2]), 2.0);
+    batch.add(rig.handle(ids[0]), 0.5);
+    batch.add(rig.handle(ids[1]), 1.0);
+    ASSERT_TRUE(rig.eco.applyCapBatch(batch).ok());
+    rig.eco.settleTick(0, 60);
+    ASSERT_TRUE(
+        rig.eco.setContainerPowercap(rig.handle(ids[1]), kUnlimitedW).ok());
+
+    const std::vector<std::pair<cop::ContainerId, double>> want = {
+        {ids[0], 0.5}, {ids[2], 2.0}, {ids[3], 3.0}};
+    EXPECT_EQ(rig.eco.captureState().powercaps, want);
+}
+
+TEST(EcovisorEdge, PowercapIsRederivedAtSettleAfterSetCores)
+{
+    Rig rig;
+    ASSERT_TRUE(rig.eco.tryAddApp("a", AppShareConfig{}).ok());
+    const cop::ContainerId id = rig.cluster.createContainer("a", 1.0).value();
+    ASSERT_TRUE(rig.eco.setContainerPowercap(rig.handle(id), 0.9).ok());
+    const double one_core = rig.cluster.utilizationCapForPower(id, 0.9);
+    EXPECT_EQ(rig.cluster.container(id).util_cap, one_core);
+
+    // A resize keeps the old utilization cap until the next settle,
+    // which re-derives it for the new allocation.
+    ASSERT_TRUE(rig.cluster.setCores(id, 2.0));
+    EXPECT_EQ(rig.cluster.container(id).util_cap, one_core);
+    rig.eco.settleTick(0, 60);
+    const double two_cores = rig.cluster.utilizationCapForPower(id, 0.9);
+    EXPECT_NE(two_cores, one_core);
+    EXPECT_EQ(rig.cluster.container(id).util_cap, two_cores);
+
+    // So is a direct utilization-cap override.
+    rig.cluster.setUtilizationCap(id, 1.0);
+    rig.eco.settleTick(60, 60);
+    EXPECT_EQ(rig.cluster.container(id).util_cap, two_cores);
+    EXPECT_DOUBLE_EQ(rig.eco.getContainerPowercap(rig.handle(id)).value(),
+                     0.9);
+}
+
+TEST(EcovisorEdge, EmergencyCapGivesBackTheTenantCapWhenHealthy)
+{
+    Rig rig;
+    // No solar share and no battery: an outage caps both containers
+    // to their idle floor.
+    ASSERT_TRUE(rig.eco.tryAddApp("a", AppShareConfig{}).ok());
+    const cop::ContainerId capped =
+        rig.cluster.createContainer("a", 1.0).value();
+    const cop::ContainerId uncapped =
+        rig.cluster.createContainer("a", 1.0).value();
+    rig.cluster.setDemand(capped, 1.0);
+    rig.cluster.setDemand(uncapped, 1.0);
+    ASSERT_TRUE(rig.eco.setContainerPowercap(rig.handle(capped), 0.9).ok());
+    const double tenant = rig.cluster.container(capped).util_cap;
+    ASSERT_GT(tenant, 0.0);
+
+    EnergyFaults outage;
+    outage.grid_out = true;
+    rig.eco.setEnergyFaults(outage);
+    rig.eco.settleTick(0, 60);
+    EXPECT_EQ(rig.cluster.container(capped).util_cap, 0.0);
+    EXPECT_EQ(rig.cluster.container(uncapped).util_cap, 0.0);
+    EXPECT_EQ(rig.eco.captureState().emergency_capped.size(), 2u);
+
+    // First healthy tick: the tenant cap comes back, the uncapped
+    // container is lifted to 1, and the watt cap itself never moved.
+    rig.eco.setEnergyFaults(EnergyFaults{});
+    rig.eco.settleTick(60, 60);
+    EXPECT_EQ(rig.cluster.container(capped).util_cap, tenant);
+    EXPECT_EQ(rig.cluster.container(uncapped).util_cap, 1.0);
+    EXPECT_DOUBLE_EQ(
+        rig.eco.getContainerPowercap(rig.handle(capped)).value(), 0.9);
+    EXPECT_TRUE(rig.eco.captureState().emergency_capped.empty());
 }
 
 TEST(EcovisorEdge, ZeroPowercapStopsContainer)

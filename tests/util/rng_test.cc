@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+
 #include "util/rng.h"
 
 namespace ecov {
@@ -65,6 +68,35 @@ TEST(Rng, GaussianMoments)
     double var = sum_sq / n - mean * mean;
     EXPECT_NEAR(mean, 5.0, 0.05);
     EXPECT_NEAR(var, 4.0, 0.15);
+}
+
+TEST(Rng, GaussianZeroStddevReturnsMeanAndKeepsTheStream)
+{
+    Rng zero(11), unit(11);
+    for (int i = 0; i < 1000; ++i) {
+        EXPECT_EQ(zero.gaussian(4.5, 0.0), 4.5);
+        unit.gaussian(4.5, 1.0);
+    }
+    // Both engines advanced by the same number of draws.
+    EXPECT_EQ(zero.engine()(), unit.engine()());
+}
+
+TEST(Rng, GaussianMatchesStdNormalDistributionDrawForDraw)
+{
+    Rng r(12);
+    std::mt19937_64 ref_engine(12);
+    for (int i = 0; i < 10000; ++i) {
+        std::normal_distribution<double> d(5.0, 2.0);
+        EXPECT_EQ(r.gaussian(5.0, 2.0), d(ref_engine)) << "draw " << i;
+    }
+    EXPECT_EQ(r.engine()(), ref_engine());
+}
+
+TEST(Rng, GaussianNegativeStddevIsFatal)
+{
+    Rng r(13);
+    EXPECT_THROW(r.gaussian(1.0, -0.5), FatalError);
+    EXPECT_THROW(r.gaussian(1.0, std::nan("")), FatalError);
 }
 
 TEST(Rng, BernoulliFrequency)
