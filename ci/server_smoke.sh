@@ -19,6 +19,11 @@
 #      restart (--state-dir, recovery sized from the "recovered to
 #      tick" banner) must print the same final state digest as an
 #      uninterrupted reference run of the same length.
+#   8. idle-CPU leg: with no tenants, 2000 ticks at --tick-ms=1 must
+#      keep to schedule (>= 1.9 s of wall time) while the daemon
+#      sleeps between ticks (user + system CPU under 25% of the wall
+#      time). A wait truncated to whole milliseconds spins through
+#      the last ~1 ms of every tick, which reads ~99% here.
 #
 # Expects a built tree; pass it as $1 or via ECOV_BUILD_DIR
 # (default: build-ci, matching build_and_test.sh).
@@ -298,6 +303,21 @@ split_digest="$(sed -n 's/^ecovisord: state digest \([0-9a-f]*\)$/\1/p' "${LOG}"
 [[ "${split_digest}" == "${ref_digest}" ]] \
     || fail "digest mismatch: split ${split_digest} != reference ${ref_digest}"
 echo "server_smoke: split-run digest matches reference (${split_digest})"
+
+# 8. Idle CPU: bash's time keyword reports wall, user and system
+#    seconds for the daemon's whole life, with the '.' decimal point
+#    awk reads under LC_NUMERIC=C.
+LC_NUMERIC=C
+TIMEFORMAT='%R %U %S'
+idle_times="$( { time "${DAEMON}" --port=0 --tick-ms=1 --max-ticks=2000 \
+    --quiet >"${LOG}" 2>&1; } 2>&1 )" \
+    || fail "idle run exited nonzero"
+read -r idle_wall idle_user idle_sys <<<"${idle_times}"
+awk -v w="${idle_wall}" -v u="${idle_user}" -v s="${idle_sys}" 'BEGIN {
+    printf "server_smoke: idle daemon used %.3f s of CPU in %.3f s " \
+           "(%.1f%%)\n", u + s, w, 100 * (u + s) / w
+    exit !(w >= 1.9 && u + s < 0.25 * w)
+}' || fail "idle daemon off schedule or spinning: ${idle_times} (wall user sys)"
 
 echo "server_smoke: PASS"
 rm -f "${LOG}" "${CLOG}"

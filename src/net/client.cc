@@ -246,19 +246,25 @@ Client::take(std::uint32_t request_id, Reply *out)
             return conn_error_;
         int budget_ms = 0;
         if (limited) {
-            const auto left =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-            if (left <= 0)
+            const Clock::duration left = deadline - Clock::now();
+            if (left <= Clock::duration::zero())
                 return api::Status::error(
                     api::ErrorCode::DeadlineExceeded,
                     "call deadline elapsed awaiting the reply");
-            budget_ms = static_cast<int>(left);
+            // Rounded up, so the receive never gives up before the
+            // deadline; a fraction of a millisecond left still waits.
+            budget_ms = static_cast<int>(
+                std::chrono::ceil<std::chrono::milliseconds>(left)
+                    .count());
         }
         api::Status st = pump(budget_ms);
-        if (!st.ok())
+        if (!st.ok()) {
+            // A timed-out receive is not the call's deadline: go round
+            // and let the clock check above decide.
+            if (limited && st.code() == api::ErrorCode::DeadlineExceeded)
+                continue;
             return st;
+        }
     }
 }
 

@@ -144,7 +144,8 @@ class Client
      * Bound every subsequent blocking await: when no reply arrives
      * within `ms` milliseconds the await returns DeadlineExceeded
      * (transient — the connection is not latched and the reply can
-     * still be awaited again). 0 (default) blocks forever.
+     * still be awaited again), never before `ms` have passed. 0
+     * (default) blocks forever.
      */
     void setCallTimeout(int ms) { call_timeout_ms_ = ms; }
     int callTimeout() const { return call_timeout_ms_; }

@@ -5,7 +5,7 @@
  * Hosts a synthetic physical energy system plus a cluster, steps the
  * simulation clock in wall time, and serves remote tenants over the
  * framed TCP protocol (docs/ECOVISORD.md). Single-threaded: one
- * poll(2) loop interleaves socket I/O with tick stepping, and every
+ * ppoll(2) loop interleaves socket I/O with tick stepping, and every
  * mutating tenant request commits at the tick boundary in canonical
  * (connection id, request id) order.
  *
@@ -20,7 +20,7 @@
  *   --cores     cores per node (default 8)
  *   --tick      simulated seconds per tick (default 60)
  *   --tick-ms   wall milliseconds between ticks (default 100; 0 =
- *               step as fast as the loop spins)
+ *               step back to back)
  *   --max-ticks stop after N ticks; 0 (default) = run until SIGTERM
  *   --seed      trace seed for the synthetic carbon/solar day
  *   --lease-ticks  session lease length in ticks: a disconnected
@@ -218,21 +218,14 @@ main(int argc, char **argv)
 
     while (!g_stop.load() &&
            (max_ticks == 0 || ticks < max_ticks)) {
-        int timeout = 0;
-        if (tick_ms > 0) {
-            const auto now = Clock::now();
-            timeout = static_cast<int>(
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    next_tick - now)
-                    .count());
-            if (timeout < 0)
-                timeout = 0;
-        }
-        if (!tcp.value()->poll(timeout)) {
+        // Sleep until the tick is due or a socket wakes us. With
+        // --tick-ms=0 the deadline never moves off the start time, so
+        // the wait never blocks and ticks step back to back.
+        if (!tcp.value()->poll(next_tick)) {
             std::fprintf(stderr, "ecovisord: listener failed\n");
             return 1;
         }
-        if (tick_ms == 0 || Clock::now() >= next_tick) {
+        if (Clock::now() >= next_tick) {
             if (ckpt_mgr) {
                 auto st = ckpt_mgr->beginTick();
                 if (!st.ok()) {
@@ -255,8 +248,8 @@ main(int argc, char **argv)
             }
             next_tick += tick_period;
             // Deliver the tick's responses without waiting for the
-            // next natural poll timeout.
-            if (!tcp.value()->poll(0)) {
+            // next tick's deadline.
+            if (!tcp.value()->poll(Clock::now())) {
                 std::fprintf(stderr, "ecovisord: listener failed\n");
                 return 1;
             }
@@ -280,7 +273,7 @@ main(int argc, char **argv)
     // Drain: everything still queued answers Unavailable, outboxes
     // flush, connections close — then exit 0.
     server.beginDrain();
-    tcp.value()->poll(0);
+    tcp.value()->poll(Clock::now());
     tcp.value()->shutdownAll();
 
     if (!quiet) {

@@ -1,7 +1,9 @@
 #include "net/socket.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -16,6 +18,8 @@ namespace ecov::net {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 api::Status
 sysError(const char *what)
 {
@@ -29,6 +33,24 @@ setNonBlocking(int fd)
 {
     const int flags = ::fcntl(fd, F_GETFL, 0);
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+/**
+ * The socket layer's one wait: ppoll(2) on `fds` until `deadline`, at
+ * nanosecond precision. The time left is clamped at zero, so a passed
+ * deadline polls without blocking. Returns what ppoll returns.
+ */
+int
+pollUntil(pollfd *fds, std::size_t n, Clock::time_point deadline)
+{
+    const Clock::duration left =
+        std::max(deadline - Clock::now(), Clock::duration::zero());
+    const auto whole = std::chrono::floor<std::chrono::seconds>(left);
+    timespec ts{};
+    ts.tv_sec = static_cast<std::time_t>(whole.count());
+    ts.tv_nsec = static_cast<long>(
+        std::chrono::nanoseconds(left - whole).count());
+    return ::ppoll(fds, static_cast<nfds_t>(n), &ts, nullptr);
 }
 
 } // namespace
@@ -110,14 +132,15 @@ SocketTransport::receiveSome(std::vector<std::uint8_t> &buf,
 {
     if (timeout_ms <= 0)
         return receiveSome(buf);
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(timeout_ms);
     pollfd pfd{fd_, POLLIN, 0};
     for (;;) {
-        const int n = ::poll(&pfd, 1, timeout_ms);
+        const int n = pollUntil(&pfd, 1, deadline);
         if (n < 0) {
             if (errno == EINTR)
-                continue; // imprecise: the budget restarts, but a
-                          // signal storm is not a protocol concern
-            return sysError("poll");
+                continue; // waits only for the time left
+            return sysError("ppoll");
         }
         if (n == 0)
             return api::Status::error(
@@ -181,7 +204,7 @@ TcpServer::~TcpServer()
 }
 
 bool
-TcpServer::poll(int timeout_ms)
+TcpServer::poll(Clock::time_point deadline)
 {
     if (listen_fd_ < 0)
         return false;
@@ -196,8 +219,7 @@ TcpServer::poll(int timeout_ms)
         fds.push_back({fd, events, 0});
     }
 
-    const int n = ::poll(fds.data(),
-                         static_cast<nfds_t>(fds.size()), timeout_ms);
+    const int n = pollUntil(fds.data(), fds.size(), deadline);
     if (n < 0)
         return errno == EINTR; // interrupted by a signal: not fatal
     if (n == 0)

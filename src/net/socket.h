@@ -1,7 +1,7 @@
 /**
  * @file
  * TCP plumbing for ecovisord: a blocking client-side transport and a
- * single-threaded poll(2) server loop that drives a ServerCore.
+ * single-threaded ppoll(2) server loop that drives a ServerCore.
  *
  * The server never spawns a thread: accept, read, and write all
  * happen on the daemon's one thread, interleaved with tick stepping
@@ -11,12 +11,15 @@
  * that trivially race-free.
  *
  * POSIX only (Linux CI); the library's simulation layers have no
- * socket dependency — everything OS-facing lives in this pair.
+ * socket dependency — everything OS-facing lives in this pair. Both
+ * sides wait with ppoll(2) (Linux, the BSDs, POSIX.1-2024), which
+ * keeps a deadline to the nanosecond.
  */
 
 #ifndef ECOV_NET_SOCKET_H
 #define ECOV_NET_SOCKET_H
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -42,8 +45,9 @@ class SocketTransport : public Transport
 
     api::Status send(const std::uint8_t *data, std::size_t n) override;
     api::Status receiveSome(std::vector<std::uint8_t> &buf) override;
-    /** Timed receive: poll(2) up to timeout_ms, DeadlineExceeded when
-     *  nothing arrives (timeout_ms <= 0 blocks forever). */
+    /** Timed receive: wait until timeout_ms after entry,
+     *  DeadlineExceeded when nothing arrives (timeout_ms <= 0 blocks
+     *  forever). A signal does not restart the budget. */
     api::Status receiveSome(std::vector<std::uint8_t> &buf,
                             int timeout_ms) override;
 
@@ -79,11 +83,14 @@ class TcpServer
     std::uint16_t port() const { return port_; }
 
     /**
-     * Wait up to timeout_ms for socket activity, then accept new
-     * connections, read request bytes into the core, and flush
-     * outboxes. Returns false only on a fatal listener error.
+     * Wait until `deadline` or socket activity, whichever comes
+     * first, then accept new connections, read request bytes into
+     * the core, and flush outboxes. A deadline already passed does
+     * not block. A signal ends the wait early and returns true, so
+     * the caller can check its stop flag. Returns false only on a
+     * fatal listener error.
      */
-    bool poll(int timeout_ms);
+    bool poll(std::chrono::steady_clock::time_point deadline);
 
     /** Flush every outbox and close every connection + the listener. */
     void shutdownAll();
