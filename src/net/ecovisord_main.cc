@@ -149,7 +149,12 @@ main(int argc, char **argv)
     node_cfg.cores = static_cast<int>(cores);
     cop::Cluster cluster(static_cast<int>(nodes), node_cfg);
     energy::PhysicalEnergySystem phys(&grid, &solar, battery);
-    core::Ecovisor eco(&cluster, &phys);
+    // No telemetry history: no opcode, snapshot, WAL record or log
+    // line reads it, so recording would only grow the heap every tick
+    // (ECOVISORD.md "Telemetry").
+    core::EcovisorOptions eco_opts;
+    eco_opts.record_telemetry = false;
+    core::Ecovisor eco(&cluster, &phys, eco_opts);
 
     sim::Simulation simul(static_cast<TimeS>(tick_s));
     eco.attach(simul);

@@ -117,17 +117,21 @@ sealBlock(const Sample *samples, std::size_t count, TimeS start_cut_s,
     b.last_value = samples[count - 1].value;
     b.count = static_cast<std::uint32_t>(count);
 
+    // Sharded recording seals from worker threads, hence one buffer
+    // per thread; it keeps its capacity across seals.
+    thread_local std::vector<std::uint8_t> buf;
+    buf.clear();
     TimeS prev_delta = 0;
     std::uint64_t prev_bits = bitsOf(samples[0].value);
     for (std::size_t i = 1; i < count; ++i) {
         const TimeS delta = samples[i].time_s - samples[i - 1].time_s;
-        putVarint(&b.payload, zigzag(delta - prev_delta));
+        putVarint(&buf, zigzag(delta - prev_delta));
         prev_delta = delta;
         const std::uint64_t bits = bitsOf(samples[i].value);
-        putXor(&b.payload, bits ^ prev_bits);
+        putXor(&buf, bits ^ prev_bits);
         prev_bits = bits;
     }
-    b.payload.shrink_to_fit();
+    b.payload.assign(buf.begin(), buf.end());
     return b;
 }
 

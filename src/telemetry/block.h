@@ -45,20 +45,15 @@ struct SealedBlock
     double first_value = 0.0;
     double last_value = 0.0; ///< step value carried past the block
     std::uint32_t count = 0;
+    /** Exactly sized: capacity() == size(). */
     std::vector<std::uint8_t> payload;
-
-    /** Approximate live bytes held by the block. */
-    std::size_t
-    memoryBytes() const
-    {
-        return sizeof(SealedBlock) + payload.capacity();
-    }
 };
 
 /**
  * Seal `count` samples (count >= 1, non-decreasing timestamps, all
  * within [start_cut_s, end_cut_s)) into a block. Fatal on an empty
- * span — the caller owns batching.
+ * span — the caller owns batching. Encodes through a buffer reused
+ * per thread, so the only allocation is the exactly sized payload.
  */
 SealedBlock sealBlock(const Sample *samples, std::size_t count,
                       TimeS start_cut_s, TimeS end_cut_s);

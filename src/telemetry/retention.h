@@ -3,14 +3,15 @@
  * Retention policy and rollup tiers for bounded-memory telemetry.
  *
  * A TimeSeries with a RetentionConfig keeps three storage tiers (see
- * docs/PERF.md "Retention tiers"):
+ * docs/PERF.md "Retention tiers" and §10):
  *
  *   hot ring   raw samples inside the retention bound (exact)
  *   cold       delta-compressed sealed blocks of evicted raw spans
  *              (still exact, decoded transparently by queries)
- *   rollups    minute and hour buckets (sum/min/max/count plus the
- *              step integral), answering queries older than the cold
- *              span at bucket resolution
+ *   rollups    minute and hour buckets (sum/max/last plus the step
+ *              integral), answering queries older than the cold span
+ *              at bucket resolution; the minute tier is folded from
+ *              each sealed span, the hour tier on every append
  *
  * Everything here is a deterministic function of the appended samples
  * and the config — eviction decisions never depend on wall clock,
@@ -23,8 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <limits>
 
+#include "telemetry/ring.h"
 #include "util/units.h"
 
 namespace ecov::ts {
@@ -107,29 +109,27 @@ alignUp(TimeS t, TimeS width)
 /**
  * One downsampled bucket covering [start_s, start_s + width).
  * `integral_vs` is the exact step integral of the raw samples over
- * the bucket (value-seconds), accumulated incrementally on append;
- * `last` is the step value carried out of the bucket, which query
- * composition uses to integrate across sample-free gaps.
+ * the bucket (value-seconds), accumulated incrementally as samples
+ * fold in; `last` is the step value carried out of the bucket, which
+ * query composition uses to integrate across sample-free gaps.
  */
 struct RollupBucket
 {
     TimeS start_s = 0;
     double sum = 0.0;
-    double min = 0.0;
     double max = 0.0;
     double last = 0.0;
     double integral_vs = 0.0;
-    std::int64_t count = 0;
 };
 
 /**
- * One downsampling tier (minute or hour buckets), maintained
- * incrementally: record() folds each appended sample into the open
+ * One downsampling tier (minute or hour buckets) in a flat ring,
+ * maintained incrementally: record() folds each sample into the open
  * (newest) bucket, closing it — finalizing its step integral — when a
- * sample lands in a later bucket. Sample-free buckets are never
- * materialized; the query side integrates gaps from the previous
- * bucket's `last`. Query methods assume the queried range lies
- * entirely behind the open bucket (the TimeSeries query split
+ * sample lands at or past the open bucket's end. Sample-free buckets
+ * are never materialized; the query side integrates gaps from the
+ * previous bucket's `last`. Query methods assume the queried range
+ * lies entirely behind the open bucket (the TimeSeries query split
  * guarantees this: rollups only answer ranges older than the exact
  * cold+hot coverage).
  */
@@ -149,8 +149,17 @@ class RollupTier
         return buckets_.empty() ? 0 : buckets_.front().start_s;
     }
 
-    /** Fold one appended sample in (timestamps non-decreasing). */
+    /** Fold one sample in (timestamps non-decreasing). */
     void record(TimeS t, double v);
+
+    /**
+     * Close the open bucket now, exactly as the next record() past
+     * its end would: the step integral gains the tail from the last
+     * sample to the bucket's end. A no-op when no bucket is open.
+     * The caller promises that no later sample falls inside the
+     * closed bucket.
+     */
+    void close();
 
     /** Drop buckets starting before `cut`. */
     void dropBefore(TimeS cut);
@@ -182,16 +191,24 @@ class RollupTier
      */
     double valueAt(TimeS t, bool *known) const;
 
-    /** Approximate live bytes held by the tier. */
+    /** Bytes held by the tier: its ring's capacity. */
     std::size_t
     memoryBytes() const
     {
-        return buckets_.size() * sizeof(RollupBucket);
+        return buckets_.capacity() * sizeof(RollupBucket);
     }
 
   private:
+    /** open_end_ while no bucket is open: every t is at or past it. */
+    static constexpr TimeS kNoOpen = std::numeric_limits<TimeS>::min();
+
+    /** Index of the first bucket with start >= t. */
+    std::size_t lowerBound(TimeS t) const;
+
     TimeS width_s_;
-    std::deque<RollupBucket> buckets_;
+    Ring<RollupBucket> buckets_;
+    /** End of the open (newest) bucket; kNoOpen when none is open. */
+    TimeS open_end_ = kNoOpen;
     /** Timestamp of the last recorded sample. */
     TimeS frontier_ = 0;
     /** Value of the last recorded sample (step carry). */

@@ -50,7 +50,6 @@ TimeSeries::append(TimeS time_s, double value)
     ++total_appends_;
     if (!bounded_)
         return;
-    minute_.record(time_s, value);
     hour_.record(time_s, value);
     maybeSeal();
 }
@@ -99,6 +98,15 @@ TimeSeries::sealPrefix(std::size_t seal_n, TimeS cut)
     cold_.push_back(
         sealBlock(samples_.data(), seal_n, start_cut, cut));
     cold_samples_ += seal_n;
+    // The minute tier holds sealed history only. Folding the span in
+    // sample order runs the same record() arithmetic a per-append
+    // tier would have; the cut is minute-aligned and every kept
+    // sample lies at or past it, so the next record() would close the
+    // last folded bucket exactly as close() does now. Queries never
+    // read a minute bucket at or past the cut.
+    for (std::size_t i = 0; i < seal_n; ++i)
+        minute_.record(samples_[i].time_s, samples_[i].value);
+    minute_.close();
     samples_.erase(samples_.begin(),
                    samples_.begin() +
                        static_cast<std::ptrdiff_t>(seal_n));
@@ -530,15 +538,27 @@ TimeSeries::exactMaxRange(TimeS a, TimeS b, bool *seen,
     return best;
 }
 
+TimeS
+TimeSeries::minuteFront() const
+{
+    // The minute tier's oldest bucket; once drops have emptied it,
+    // the first hot sample's minute, which is where a tier fed on
+    // every append would begin (its sealed buckets all dropped, its
+    // hot ones never are: drop cuts lie at or behind the seal cut).
+    return minute_.empty()
+               ? alignDown(samples_.front().time_s, kCutAlignS)
+               : minute_.frontStart();
+}
+
 double
 TimeSeries::rollupIntegrateVs(TimeS a, TimeS b) const
 {
-    // Compose tiers: the minute tier answers from its oldest bucket
-    // on, the hour tier answers the span before that. The hand-off is
+    // Compose tiers: the minute tier answers from its front on, the
+    // hour tier answers the span before that. The hand-off is
     // hour-aligned (dropRollups guarantees clean seams); a seam slice
     // that neither tier retains reads as 0 — dropped history is
     // clamped, never extrapolated.
-    const TimeS mstart = minute_.empty() ? b : minute_.frontStart();
+    const TimeS mstart = minuteFront();
     if (a >= mstart)
         return minute_.integrateVs(a, b);
     const TimeS hb = std::min(b, alignDown(mstart, 3600));
@@ -551,7 +571,7 @@ TimeSeries::rollupIntegrateVs(TimeS a, TimeS b) const
 double
 TimeSeries::rollupSumRange(TimeS a, TimeS b) const
 {
-    const TimeS mstart = minute_.empty() ? b : minute_.frontStart();
+    const TimeS mstart = minuteFront();
     if (a >= mstart)
         return minute_.sumRange(a, b);
     double acc =
@@ -564,7 +584,7 @@ TimeSeries::rollupSumRange(TimeS a, TimeS b) const
 double
 TimeSeries::rollupMaxRange(TimeS a, TimeS b, bool *seen) const
 {
-    const TimeS mstart = minute_.empty() ? b : minute_.frontStart();
+    const TimeS mstart = minuteFront();
     if (a >= mstart)
         return minute_.maxRange(a, b, seen);
     double best =
@@ -583,10 +603,11 @@ TimeSeries::rollupMaxRange(TimeS a, TimeS b, bool *seen) const
 std::size_t
 TimeSeries::memoryBytes() const
 {
-    std::size_t bytes =
-        sizeof(TimeSeries) + samples_.capacity() * sizeof(Sample);
+    std::size_t bytes = sizeof(TimeSeries) +
+                        samples_.capacity() * sizeof(Sample) +
+                        cold_.capacity() * sizeof(SealedBlock);
     for (const SealedBlock &blk : cold_)
-        bytes += blk.memoryBytes();
+        bytes += blk.payload.capacity();
     bytes += minute_.memoryBytes() + hour_.memoryBytes();
     return bytes;
 }

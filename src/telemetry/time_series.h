@@ -23,7 +23,9 @@
  *  - **rollups**: minute/hour buckets (retention.h) answering queries
  *    older than the cold span at bucket resolution; older than the
  *    hour tier, evicted history reads as 0 (clamped, never
- *    extrapolated).
+ *    extrapolated). The minute tier is folded from each sealed span,
+ *    so an append touches only the ring and the open hour bucket
+ *    (docs/PERF.md §10).
  */
 
 #ifndef ECOV_TELEMETRY_TIME_SERIES_H
@@ -31,11 +33,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "telemetry/block.h"
 #include "telemetry/retention.h"
+#include "telemetry/ring.h"
 #include "telemetry/sample.h"
 #include "util/units.h"
 
@@ -172,7 +174,9 @@ class TimeSeries
     /** Raw samples held inside the cold blocks. */
     std::size_t coldSampleCount() const { return cold_samples_; }
 
-    /** Minute-rollup buckets currently retained. */
+    /** Minute-rollup buckets currently retained. They cover sealed
+     *  (folded) history only: the hot ring's minutes are not rolled
+     *  up until their span is sealed. */
     std::size_t minuteBucketCount() const
     {
         return minute_.bucketCount();
@@ -192,7 +196,8 @@ class TimeSeries
     /** True once at least one cold block has been retired. */
     bool hasRetired() const { return has_retired_; }
 
-    /** Approximate live bytes across all tiers. */
+    /** Approximate bytes held across all tiers, counting each tier's
+     *  allocated capacity (as for the hot ring's). */
     std::size_t memoryBytes() const;
 
   private:
@@ -214,6 +219,10 @@ class TimeSeries
     double exactMaxRange(TimeS a, TimeS b, bool *seen,
                          double best) const;
 
+    /** Where the rollup composition hands off from the hour tier to
+     *  the minute tier (see the definition). */
+    TimeS minuteFront() const;
+
     /** Rollup-tier composition over [a, b) (entirely before the
      *  exact coverage): hour tier up to the minute tier's coverage,
      *  minute tier from there. */
@@ -229,7 +238,7 @@ class TimeSeries
     std::uint64_t total_appends_ = 0;
 
     /** Sealed cold spans, oldest first; spans tile [start,end) cuts. */
-    std::deque<SealedBlock> cold_;
+    Ring<SealedBlock> cold_;
     std::size_t cold_samples_ = 0;
 
     /** Exact-coverage boundary state (set by cold retirement). */
@@ -237,7 +246,10 @@ class TimeSeries
     TimeS exact_since_s_ = 0;
     double value_before_exact_ = 0.0;
 
+    /** Folded from sealed spans only (sealPrefix). */
     RollupTier minute_{60};
+    /** Recorded on every append: its open bucket can straddle the
+     *  seal cut, and queries read it. */
     RollupTier hour_{3600};
 };
 
