@@ -16,7 +16,7 @@
  * tenant-permutation bug a plain sum would hide), live containers,
  * request/reply totals, and caps applied. All are pure functions of
  * (seed, horizon, tick) because the server commits mutations in
- * canonical (connection, request) order regardless of the shuffle.
+ * canonical (session, request) order regardless of the shuffle.
  *
  * Perf metrics (warn-only): requests/sec through the full
  * encode→frame→decode→commit→respond path, and p95 request RTT —
@@ -296,7 +296,7 @@ run(const ScenarioOptions &opt)
         t.print();
         std::printf("\nEvery domain metric is independent of the "
                     "seeded arrival shuffle: mutations commit in "
-                    "canonical (connection, request) order at the "
+                    "canonical (session, request) order at the "
                     "tick boundary.\n");
     }
     return out;

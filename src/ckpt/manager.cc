@@ -133,15 +133,18 @@ CheckpointManager::beginTick()
 {
     if (!recovered_)
         fatal("CheckpointManager::beginTick: recover() first");
-    TickRecord rec;
-    rec.tick = world_.sim->clock().tickCount();
-    rec.start_s = world_.sim->now();
-    if (world_.server) {
-        rec.events = world_.server->drainSessionEvents();
-        rec.ops = world_.server->canonicalBatch();
-    }
+    const std::int64_t tick = world_.sim->clock().tickCount();
     tick_buf_.clear();
-    encodeTickRecord(tick_buf_, rec);
+    if (world_.server) {
+        // The batch is encoded where it lies: the server's canonical
+        // order is the record's order, and nothing is copied.
+        const std::vector<net::SessionEvent> events =
+            world_.server->drainSessionEvents();
+        encodeTickRecord(tick_buf_, tick, world_.sim->now(), events,
+                         world_.server->canonicalBatch());
+    } else {
+        encodeTickRecord(tick_buf_, tick, world_.sim->now(), {}, {});
+    }
     return wal_.append(tick_buf_);
 }
 

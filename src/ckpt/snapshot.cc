@@ -388,6 +388,7 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
         return truncated;
     img->sessions.clear();
     img->sessions.reserve(n);
+    std::vector<std::uint64_t> tokens;
     for (std::uint32_t i = 0; i < n; ++i) {
         net::SessionImage s;
         std::uint8_t bound = 0;
@@ -396,6 +397,17 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
             !r.u32(&s.lease_left) || !r.u32(&s.committed_max) ||
             !getCount(r, 4, &m))
             return truncated;
+        // Capture walks sessions in ascending id order, every id
+        // nonzero and below the allocator; the server's id-ordered
+        // table and its allocator both rest on this.
+        const net::SessionId prev =
+            img->sessions.empty() ? 0 : img->sessions.back().id;
+        if (s.id <= prev || s.id >= img->next_session)
+            return corrupt("snapshot: session id " +
+                           std::to_string(s.id) +
+                           " out of order or outside [1, next_session)");
+        if (s.token != 0)
+            tokens.push_back(s.token);
         s.bound = bound != 0;
         s.apps.reserve(m);
         for (std::uint32_t k = 0; k < m; ++k) {
@@ -439,6 +451,10 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
                            "watermark");
         img->sessions.push_back(std::move(s));
     }
+    // A token names one session: Resume could not tell two apart.
+    std::sort(tokens.begin(), tokens.end());
+    if (std::adjacent_find(tokens.begin(), tokens.end()) != tokens.end())
+        return corrupt("snapshot: two sessions share a resume token");
     return api::Status::okStatus();
 }
 
@@ -595,21 +611,23 @@ applySnapshot(const World &w, const Snapshot &s)
 // ---------------------------------------------------------------------
 
 void
-encodeTickRecord(std::vector<std::uint8_t> &out, const TickRecord &rec)
+encodeTickRecord(std::vector<std::uint8_t> &out, std::int64_t tick,
+                 TimeS start_s, std::span<const net::SessionEvent> events,
+                 std::span<const net::ServerCore::PendingOp> ops)
 {
     WireWriter w(&out);
     w.u32(kWalMagic);
     w.u32(kWalVersion);
-    putI64(w, rec.tick);
-    putI64(w, rec.start_s);
-    w.u32(static_cast<std::uint32_t>(rec.events.size()));
-    for (const net::SessionEvent &ev : rec.events) {
+    putI64(w, tick);
+    putI64(w, start_s);
+    w.u32(static_cast<std::uint32_t>(events.size()));
+    for (const net::SessionEvent &ev : events) {
         w.u8(static_cast<std::uint8_t>(ev.kind));
         w.u32(ev.session);
         w.u64(ev.token);
     }
-    w.u32(static_cast<std::uint32_t>(rec.ops.size()));
-    for (const auto &op : rec.ops) {
+    w.u32(static_cast<std::uint32_t>(ops.size()));
+    for (const auto &op : ops) {
         w.u32(op.session);
         w.u32(op.req_id);
         w.u8(static_cast<std::uint8_t>(op.op));

@@ -32,6 +32,7 @@
 #define ECOV_CKPT_SNAPSHOT_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "api/status.h"
@@ -106,10 +107,12 @@ struct TickRecord
 Snapshot captureSnapshot(const World &w);
 
 /** Encode / decode the snapshot payload. Decode returns DataLoss on
- *  bad magic, unknown version, malformed structure, a dedup window
- *  out of order or above its watermark, or a watt-cap list that is
- *  out of order, names a container not live in the image, or holds a
- *  cap that is not finite and non-negative. */
+ *  bad magic, unknown version, malformed structure, session ids that
+ *  are zero, not strictly ascending or not below next_session, a
+ *  resume token two sessions share, a dedup window out of order or
+ *  above its watermark, or a watt-cap list that is out of order,
+ *  names a container not live in the image, or holds a cap that is
+ *  not finite and non-negative. */
 void encodeSnapshot(std::vector<std::uint8_t> &out, const Snapshot &s);
 api::Status decodeSnapshot(const std::vector<std::uint8_t> &payload,
                            Snapshot *out);
@@ -123,9 +126,16 @@ api::Status decodeSnapshot(const std::vector<std::uint8_t> &payload,
  */
 api::Status applySnapshot(const World &w, const Snapshot &s);
 
-/** Encode / decode one WAL record payload. */
-void encodeTickRecord(std::vector<std::uint8_t> &out,
-                      const TickRecord &r);
+/**
+ * Encode / decode one WAL record payload. The encoder takes the
+ * record's parts, so the tick loop encodes the server's canonical
+ * batch where it lies instead of copying it into a TickRecord; decode
+ * fills one.
+ */
+void encodeTickRecord(std::vector<std::uint8_t> &out, std::int64_t tick,
+                      TimeS start_s,
+                      std::span<const net::SessionEvent> events,
+                      std::span<const net::ServerCore::PendingOp> ops);
 api::Status decodeTickRecord(const std::vector<std::uint8_t> &payload,
                              TickRecord *out);
 

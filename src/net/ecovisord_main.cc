@@ -7,7 +7,7 @@
  * framed TCP protocol (docs/ECOVISORD.md). Single-threaded: one
  * ppoll(2) loop interleaves socket I/O with tick stepping, and every
  * mutating tenant request commits at the tick boundary in canonical
- * (connection id, request id) order.
+ * (session id, request id) order.
  *
  *   ecovisord [--port=N] [--nodes=N] [--cores=N] [--tick=SECONDS]
  *             [--tick-ms=MS] [--max-ticks=N] [--seed=N]

@@ -78,11 +78,16 @@ ServerCore::~ServerCore()
     eco_->setPreSettleHook(nullptr);
 }
 
-SessionId
+ServerCore::Session &
 ServerCore::newSession(ConnId bound_to)
 {
+    // Every live id is below next_session_, so the new session goes
+    // at the end of the id-ordered table.
     const SessionId sid = next_session_++;
-    Session &s = sessions_[sid];
+    if (!sessions_.empty() && sessions_.back()->id >= sid)
+        panic("ServerCore::newSession: id allocator behind the table");
+    Session &s = *sessions_.emplace_back(std::make_unique<Session>());
+    s.id = sid;
     s.bound = bound_to;
     if (options_.lease_ticks > 0) {
         std::uint64_t token =
@@ -97,64 +102,105 @@ ServerCore::newSession(ConnId bound_to)
     if (record_events_)
         session_events_.push_back(
             {SessionEvent::Kind::Open, sid, s.token});
-    return sid;
+    return s;
 }
 
 ConnId
 ServerCore::openConnection()
 {
     const ConnId conn = next_conn_++;
-    Conn &c = conns_[conn];
+    Conn &c = conns_.insert(conn);
     c.decoder = FrameDecoder(options_.max_payload_bytes);
-    c.session = newSession(conn);
+    c.session = &newSession(conn);
     return conn;
 }
 
-void
-ServerCore::destroySession(SessionId sid)
+ServerCore::SessionTable::iterator
+ServerCore::sessionAt(SessionId sid, SessionTable::iterator from)
 {
-    auto it = sessions_.find(sid);
-    if (it == sessions_.end())
-        return;
+    if (from != sessions_.end() && (*from)->id == sid)
+        return from; // consecutive ops of one session
+    return std::lower_bound(from, sessions_.end(), sid,
+                            [](const std::unique_ptr<Session> &s,
+                               SessionId id) { return s->id < id; });
+}
 
+ServerCore::Session *
+ServerCore::findSession(SessionId sid)
+{
+    const auto it = sessionAt(sid, sessions_.begin());
+    return it != sessions_.end() && (*it)->id == sid ? it->get()
+                                                     : nullptr;
+}
+
+void
+ServerCore::revoke(Session &s)
+{
     // Queued requests die with the session: no one is left to read
     // the responses, and committing them would let a revoked tenant
-    // keep mutating the sim.
-    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                  [sid](const PendingOp &op) {
-                                      return op.session == sid;
-                                  }),
-                   pending_.end());
+    // keep mutating the sim. Removal keeps the batch's order.
+    if (s.inflight != 0)
+        pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                      [&s](const PendingOp &op) {
+                                          return op.session == s.id;
+                                      }),
+                       pending_.end());
 
     // Revocation: destroy the tenant's live containers in local-id
     // order (deterministic). The destroy bumps each slot's
     // generation, so any handle that escaped this namespace is now
     // stale everywhere — the existing COP revocation semantics.
     cop::Cluster &cluster = eco_->cluster();
-    for (const api::ContainerHandle &h : it->second.containers)
+    for (const api::ContainerHandle &h : s.containers)
         if (const cop::Container *c = cluster.find(h.ref()))
             cluster.destroyContainer(c->id);
 
-    if (it->second.token != 0)
-        tokens_.erase(it->second.token);
+    if (s.token != 0)
+        tokens_.erase(s.token);
+}
+
+void
+ServerCore::destroySession(SessionId sid)
+{
+    const auto it = sessionAt(sid, sessions_.begin());
+    if (it == sessions_.end() || (*it)->id != sid)
+        return;
+    revoke(**it);
     sessions_.erase(it);
+}
+
+template <typename Pred>
+std::size_t
+ServerCore::revokeDetached(Pred expire)
+{
+    // Ascending id order, so revocation is deterministic across runs
+    // and thread counts; the table is compacted once afterwards.
+    std::size_t n = 0;
+    for (std::unique_ptr<Session> &s : sessions_) {
+        if (s->bound != 0 || !expire(*s))
+            continue;
+        revoke(*s);
+        s.reset();
+        ++n;
+    }
+    if (n != 0)
+        sessions_.erase(
+            std::remove(sessions_.begin(), sessions_.end(), nullptr),
+            sessions_.end());
+    return n;
 }
 
 void
 ServerCore::closeConnection(ConnId conn)
 {
-    auto it = conns_.find(conn);
-    if (it == conns_.end())
+    const Conn *c = conns_.find(conn);
+    if (!c)
         return;
-    const SessionId sid = it->second.session;
-    const bool poisoned = it->second.poisoned;
-    conns_.erase(it);
+    Session &s = *c->session;
+    const bool poisoned = c->poisoned;
+    conns_.erase(conn);
     kicked_.erase(std::remove(kicked_.begin(), kicked_.end(), conn),
                   kicked_.end());
-
-    auto sit = sessions_.find(sid);
-    if (sit == sessions_.end())
-        return;
 
     // Lease-ineligible closes revoke immediately: leases disabled,
     // server draining (nothing to resume into), or the peer broke
@@ -162,19 +208,18 @@ ServerCore::closeConnection(ConnId conn)
     if (options_.lease_ticks == 0 || draining_ || poisoned) {
         if (record_events_)
             session_events_.push_back(
-                {SessionEvent::Kind::Destroy, sid, 0});
-        destroySession(sid);
+                {SessionEvent::Kind::Destroy, s.id, 0});
+        destroySession(s.id);
         return;
     }
     if (record_events_)
         session_events_.push_back(
-            {SessionEvent::Kind::Detach, sid, 0});
+            {SessionEvent::Kind::Detach, s.id, 0});
 
     // Detach: the session survives `lease_ticks` settlements awaiting
     // Resume. Undelivered output is gone with the connection — the
     // client retransmits what it never saw acknowledged, and the
     // dedup window replays anything that already committed.
-    Session &s = sit->second;
     s.bound = 0;
     s.lease_left = options_.lease_ticks;
     s.outbox.clear();
@@ -185,7 +230,7 @@ ServerCore::closeConnection(ConnId conn)
 bool
 ServerCore::connectionOpen(ConnId conn) const
 {
-    return conns_.count(conn) != 0;
+    return conns_.find(conn) != nullptr;
 }
 
 std::vector<ConnId>
@@ -199,23 +244,20 @@ ServerCore::takeKicked()
 std::vector<std::uint8_t> &
 ServerCore::outbox(ConnId conn)
 {
-    auto it = conns_.find(conn);
-    if (it == conns_.end())
+    Conn *c = conns_.find(conn);
+    if (!c)
         fatal("ServerCore::outbox: unknown connection");
-    auto sit = sessions_.find(it->second.session);
-    if (sit == sessions_.end())
-        fatal("ServerCore::outbox: connection without session");
-    return sit->second.outbox;
+    return c->session->outbox;
 }
 
 bool
 ServerCore::onBytes(ConnId conn, const std::uint8_t *data,
                     std::size_t n)
 {
-    auto it = conns_.find(conn);
-    if (it == conns_.end())
+    Conn *cp = conns_.find(conn);
+    if (!cp)
         fatal("ServerCore::onBytes: unknown connection");
-    Conn &c = it->second;
+    Conn &c = *cp;
 
     // A kicked (or already-errored) connection is served nothing
     // more; its outbox tail is the notice explaining why.
@@ -231,7 +273,8 @@ ServerCore::onBytes(ConnId conn, const std::uint8_t *data,
           case DecodeStatus::Error:
             ++stats_.protocol_errors;
             c.poisoned = true;
-            encodeErrorResponse(outbox(conn), Opcode::ProtocolError, 0,
+            encodeErrorResponse(c.session->outbox, Opcode::ProtocolError,
+                                0,
                                 err(api::ErrorCode::InvalidArgument,
                                     c.decoder.error().c_str()));
             return false;
@@ -241,7 +284,7 @@ ServerCore::onBytes(ConnId conn, const std::uint8_t *data,
                 ++stats_.protocol_errors;
                 c.poisoned = true;
                 encodeErrorResponse(
-                    outbox(conn), Opcode::ProtocolError, 0,
+                    c.session->outbox, Opcode::ProtocolError, 0,
                     err(api::ErrorCode::InvalidArgument,
                         "unknown request opcode or resume misuse"));
                 return false;
@@ -263,11 +306,7 @@ ServerCore::handleFrame(ConnId conn, Conn &c, const Frame &f)
 
     const bool virgin = c.virgin;
     c.virgin = false;
-
-    auto sit = sessions_.find(c.session);
-    if (sit == sessions_.end())
-        fatal("ServerCore::handleFrame: connection without session");
-    Session *s = &sit->second;
+    Session *s = c.session;
 
     if (draining_) {
         encodeErrorResponse(s->outbox, op, f.request_id,
@@ -326,9 +365,11 @@ ServerCore::handleFrame(ConnId conn, Conn &c, const Frame &f)
                                     "token"));
             return true;
         }
-        Session &target = sessions_.at(tit->second);
-        const SessionId fresh = c.session;
-        const SessionId resumed = tit->second;
+        Session *found = findSession(tit->second);
+        if (!found)
+            fatal("ServerCore: resume token without session");
+        Session &target = *found;
+        Session &fresh = *c.session;
         if (target.bound != 0) {
             // Still bound — but the server only notices a dead peer
             // through read/write errors, so after a silent peer death
@@ -339,14 +380,13 @@ ServerCore::handleFrame(ConnId conn, Conn &c, const Frame &f)
             // session, queue a kick notice for it, and let the
             // transport close it (takeKicked()).
             const ConnId old_conn = target.bound;
-            auto oit = conns_.find(old_conn);
-            if (oit == conns_.end())
+            Conn *old = conns_.find(old_conn);
+            if (!old)
                 fatal("ServerCore: bound session without connection");
-            Session &stale = sessions_.at(fresh);
-            oit->second.session = fresh;
-            oit->second.poisoned = true; // close revokes, not leases
-            stale.bound = old_conn;
-            encodeErrorResponse(stale.outbox, Opcode::ProtocolError, 0,
+            old->session = &fresh;
+            old->poisoned = true; // close revokes, not leases
+            fresh.bound = old_conn;
+            encodeErrorResponse(fresh.outbox, Opcode::ProtocolError, 0,
                                 err(api::ErrorCode::Unavailable,
                                     "session resumed from another "
                                     "connection"));
@@ -367,19 +407,20 @@ ServerCore::handleFrame(ConnId conn, Conn &c, const Frame &f)
             // allocator — a resumed world stays field-identical to a
             // never-disconnected one (the checkpoint digest compares
             // next_session).
+            const SessionId virgin_id = fresh.id;
             if (record_events_)
                 session_events_.push_back(
-                    {SessionEvent::Kind::DiscardVirgin, fresh, 0});
-            destroySession(fresh);
-            if (next_session_ == fresh + 1)
-                next_session_ = fresh;
+                    {SessionEvent::Kind::DiscardVirgin, virgin_id, 0});
+            destroySession(virgin_id);
+            if (next_session_ == virgin_id + 1)
+                next_session_ = virgin_id;
             target.lease_left = 0;
             --detached_;
         }
         if (record_events_)
             session_events_.push_back(
-                {SessionEvent::Kind::Rebind, resumed, 0});
-        c.session = resumed;
+                {SessionEvent::Kind::Rebind, target.id, 0});
+        c.session = &target;
         target.bound = conn;
         ++stats_.leases_resumed;
         // The committed watermark rides on the grant: a client that
@@ -413,7 +454,7 @@ ServerCore::handleFrame(ConnId conn, Conn &c, const Frame &f)
         PendingOp p;
         if (!decodeRegisterApp(f.payload, f.payload_len, &p.reg))
             return bad_payload();
-        p.session = c.session;
+        p.session = s->id;
         p.req_id = f.request_id;
         p.op = op;
         admitDeduped(*s, std::move(p));
@@ -423,7 +464,7 @@ ServerCore::handleFrame(ConnId conn, Conn &c, const Frame &f)
         PendingOp p;
         if (!decodeCapBatch(f.payload, f.payload_len, &p.caps))
             return bad_payload();
-        p.session = c.session;
+        p.session = s->id;
         p.req_id = f.request_id;
         p.op = op;
         admitDeduped(*s, std::move(p));
@@ -433,7 +474,7 @@ ServerCore::handleFrame(ConnId conn, Conn &c, const Frame &f)
         PendingOp p;
         if (!decodeIdOnly(f.payload, f.payload_len, &p.id))
             return bad_payload();
-        p.session = c.session;
+        p.session = s->id;
         p.req_id = f.request_id;
         p.op = op;
         admitDeduped(*s, std::move(p));
@@ -448,7 +489,7 @@ ServerCore::handleFrame(ConnId conn, Conn &c, const Frame &f)
         if (!decodeIdValue(f.payload, f.payload_len, &req))
             return bad_payload();
         PendingOp p;
-        p.session = c.session;
+        p.session = s->id;
         p.req_id = f.request_id;
         p.op = op;
         p.id = req.id;
@@ -530,8 +571,61 @@ ServerCore::admit(Session &s, PendingOp &&op)
         return false;
     }
     ++s.inflight;
-    pending_.push_back(std::move(op));
+    queue(std::move(op));
     return true;
+}
+
+namespace {
+
+/** The canonical order's key: session id, then request id. */
+std::uint64_t
+canonicalKey(const ServerCore::PendingOp &op)
+{
+    return std::uint64_t{op.session} << 32 | op.req_id;
+}
+
+} // namespace
+
+void
+ServerCore::queue(PendingOp &&op)
+{
+    if (pending_.empty())
+        pending_sorted_ = true;
+    else if (canonicalKey(op) < canonicalKey(pending_.back()))
+        pending_sorted_ = false;
+    pending_.push_back(std::move(op));
+}
+
+void
+ServerCore::sortPending()
+{
+    if (pending_sorted_)
+        return;
+    // Canonical order: (session id, request id). Session ids are
+    // assigned in open order and survive reconnects, and request ids
+    // are client-chosen, so for any fixed logical schedule this order
+    // — and therefore every downstream settled value — is independent
+    // of how the requests' bytes interleaved in flight, or of how many
+    // times the connection dropped. A leaseless client may reuse a
+    // request id; the arrival index breaks such ties, so equal keys
+    // keep arrival order (what a stable sort gives) and the order is
+    // unique whatever algorithm std::sort uses. Sorting small keys and
+    // then moving each op once beats sorting the ops themselves.
+    sort_keys_.clear();
+    for (std::size_t i = 0; i < pending_.size(); ++i)
+        sort_keys_.push_back(
+            {canonicalKey(pending_[i]), static_cast<std::uint32_t>(i)});
+    std::sort(sort_keys_.begin(), sort_keys_.end(),
+              [](const SortKey &a, const SortKey &b) {
+                  return a.key != b.key ? a.key < b.key
+                                        : a.arrival < b.arrival;
+              });
+    sorted_.reserve(pending_.size());
+    for (const SortKey &k : sort_keys_)
+        sorted_.push_back(std::move(pending_[k.arrival]));
+    pending_.swap(sorted_);
+    sorted_.clear();
+    pending_sorted_ = true;
 }
 
 void
@@ -578,24 +672,15 @@ ServerCore::commitCoalesced(TimeS start_s, TimeS dt_s)
     (void)start_s;
     (void)dt_s;
     if (!pending_.empty()) {
-        // Canonical order: (session id, request id). Session ids are
-        // assigned in open order and survive reconnects, and request
-        // ids are client-chosen, so for any fixed logical schedule
-        // this order — and therefore every downstream settled value —
-        // is independent of how the requests' bytes interleaved in
-        // flight, or of how many times the connection dropped.
-        std::stable_sort(pending_.begin(), pending_.end(),
-                         [](const PendingOp &a, const PendingOp &b) {
-                             if (a.session != b.session)
-                                 return a.session < b.session;
-                             return a.req_id < b.req_id;
-                         });
-
+        sortPending();
+        // The batch and the table both ascend by session id, so the
+        // session lookup only ever moves forward.
+        auto sit = sessions_.begin();
         for (const PendingOp &op : pending_) {
-            auto it = sessions_.find(op.session);
-            if (it == sessions_.end())
+            sit = sessionAt(op.session, sit);
+            if (sit == sessions_.end() || (*sit)->id != op.session)
                 continue; // session revoked while queued
-            Session &s = it->second;
+            Session &s = **sit;
             const std::size_t before = s.outbox.size();
             apply(op, s);
             --s.inflight;
@@ -623,22 +708,13 @@ ServerCore::tickLeases()
 {
     if (detached_ == 0)
         return;
-    std::vector<SessionId> expired;
-    for (auto &[sid, s] : sessions_) {
-        if (s.bound != 0)
-            continue;
+    const std::size_t expired = revokeDetached([](Session &s) {
         if (s.lease_left > 0)
             --s.lease_left;
-        if (s.lease_left == 0)
-            expired.push_back(sid);
-    }
-    // std::map iteration is id-ordered, so expiry revocation is
-    // deterministic across runs and thread counts.
-    for (SessionId sid : expired) {
-        destroySession(sid);
-        --detached_;
-        ++stats_.leases_expired;
-    }
+        return s.lease_left == 0;
+    });
+    detached_ -= expired;
+    stats_.leases_expired += expired;
 }
 
 const api::ContainerHandle *
@@ -828,23 +904,18 @@ ServerCore::drainSessionEvents()
 const std::vector<ServerCore::PendingOp> &
 ServerCore::canonicalBatch()
 {
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [](const PendingOp &a, const PendingOp &b) {
-                         if (a.session != b.session)
-                             return a.session < b.session;
-                         return a.req_id < b.req_id;
-                     });
+    sortPending();
     return pending_;
 }
 
 void
 ServerCore::enqueueForReplay(PendingOp op)
 {
-    auto it = sessions_.find(op.session);
-    if (it == sessions_.end())
+    Session *sp = findSession(op.session);
+    if (!sp)
         fatal("ServerCore::enqueueForReplay: unknown session "
               "(corrupt WAL?)");
-    Session &s = it->second;
+    Session &s = *sp;
     if (options_.lease_ticks > 0) {
         // The log holds each tick's batch in canonical order, every id
         // above its session's watermark: the commit's window invariant.
@@ -857,7 +928,7 @@ ServerCore::enqueueForReplay(PendingOp op)
         s.queued.push_back(op.req_id);
     }
     ++s.inflight;
-    pending_.push_back(std::move(op));
+    queue(std::move(op));
 }
 
 void
@@ -867,7 +938,14 @@ ServerCore::applySessionEvent(const SessionEvent &ev)
       case SessionEvent::Kind::Open: {
         // Mirror newSession with the *logged* identity: the sid keeps
         // the canonical commit order, the token keeps resumability.
-        Session &s = sessions_[ev.session];
+        const auto at = sessionAt(ev.session, sessions_.begin());
+        if (ev.session == 0 ||
+            (at != sessions_.end() && (*at)->id == ev.session))
+            fatal("ServerCore::applySessionEvent: session " +
+                  std::to_string(ev.session) +
+                  " opened twice (corrupt WAL?)");
+        Session &s = **sessions_.insert(at, std::make_unique<Session>());
+        s.id = ev.session;
         s.bound = kRecoveryBound;
         if (ev.token != 0) {
             s.token = ev.token;
@@ -878,12 +956,12 @@ ServerCore::applySessionEvent(const SessionEvent &ev)
         return;
       }
       case SessionEvent::Kind::Detach: {
-        auto it = sessions_.find(ev.session);
-        if (it == sessions_.end())
+        Session *s = findSession(ev.session);
+        if (!s)
             return;
-        it->second.bound = 0;
-        it->second.lease_left = options_.lease_ticks;
-        it->second.outbox.clear();
+        s->bound = 0;
+        s->lease_left = options_.lease_ticks;
+        s->outbox.clear();
         ++detached_;
         return;
       }
@@ -895,15 +973,14 @@ ServerCore::applySessionEvent(const SessionEvent &ev)
         return;
       }
       case SessionEvent::Kind::Rebind: {
-        auto it = sessions_.find(ev.session);
-        if (it == sessions_.end())
+        Session *s = findSession(ev.session);
+        if (!s)
             return;
-        Session &s = it->second;
-        if (s.bound == 0)
+        if (s->bound == 0)
             --detached_; // live detached-resume decremented here
-        s.bound = kRecoveryBound;
-        s.lease_left = 0;
-        s.outbox.clear();
+        s->bound = kRecoveryBound;
+        s->lease_left = 0;
+        s->outbox.clear();
         return;
       }
       case SessionEvent::Kind::DiscardVirgin: {
@@ -920,13 +997,12 @@ ServerCore::applySessionEvent(const SessionEvent &ev)
 void
 ServerCore::detachAllForRecovery()
 {
-    for (auto &[sid, s] : sessions_) {
-        (void)sid;
-        if (s.bound == 0)
+    for (const std::unique_ptr<Session> &s : sessions_) {
+        if (s->bound == 0)
             continue;
-        s.bound = 0;
-        s.lease_left = options_.lease_ticks;
-        s.outbox.clear();
+        s->bound = 0;
+        s->lease_left = options_.lease_ticks;
+        s->outbox.clear();
         ++detached_;
         ++stats_.leases_started;
     }
@@ -944,9 +1020,10 @@ ServerCore::captureSessions() const
     ServerCoreImage image;
     image.next_session = next_session_;
     image.sessions.reserve(sessions_.size());
-    for (const auto &[sid, s] : sessions_) {
+    for (const std::unique_ptr<Session> &sp : sessions_) {
+        const Session &s = *sp;
         SessionImage img;
-        img.id = sid;
+        img.id = s.id;
         img.token = s.token;
         img.bound = s.bound != 0;
         // lease_left is "unused when bound" (it is re-armed on every
@@ -978,18 +1055,29 @@ ServerCore::captureSessions() const
 void
 ServerCore::restoreSessions(const ServerCoreImage &image)
 {
+    if (conns_.size() != 0)
+        fatal("ServerCore::restoreSessions: connections are open "
+              "(restore before the transport accepts any)");
     sessions_.clear();
     tokens_.clear();
     pending_.clear();
+    pending_sorted_ = true;
     kicked_.clear();
     session_events_.clear();
     detached_ = 0;
     next_session_ = image.next_session;
+    sessions_.reserve(image.sessions.size());
     for (const SessionImage &img : image.sessions) {
-        Session &s = sessions_[img.id];
+        if (img.id == 0 ||
+            (!sessions_.empty() && img.id <= sessions_.back()->id))
+            fatal("ServerCore::restoreSessions: session ids not "
+                  "strictly ascending from 1");
+        Session &s = *sessions_.emplace_back(std::make_unique<Session>());
+        s.id = img.id;
         s.token = img.token;
-        if (img.token != 0)
-            tokens_[img.token] = img.id;
+        if (img.token != 0 && !tokens_.emplace(img.token, img.id).second)
+            fatal("ServerCore::restoreSessions: resume token shared by "
+                  "two sessions");
         s.bound = img.bound ? kRecoveryBound : 0;
         s.lease_left = img.lease_left;
         s.committed_max = img.committed_max;
@@ -1013,36 +1101,28 @@ ServerCore::beginDrain()
     if (draining_)
         return;
     draining_ = true;
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [](const PendingOp &a, const PendingOp &b) {
-                         if (a.session != b.session)
-                             return a.session < b.session;
-                         return a.req_id < b.req_id;
-                     });
+    sortPending();
+    auto sit = sessions_.begin();
     for (const PendingOp &op : pending_) {
-        auto it = sessions_.find(op.session);
-        if (it == sessions_.end())
+        sit = sessionAt(op.session, sit);
+        if (sit == sessions_.end() || (*sit)->id != op.session)
             continue;
-        encodeErrorResponse(it->second.outbox, op.op, op.req_id,
+        Session &s = **sit;
+        encodeErrorResponse(s.outbox, op.op, op.req_id,
                             err(api::ErrorCode::Unavailable,
                                 "server draining"));
-        --it->second.inflight;
-        it->second.queued.clear();
+        --s.inflight;
+        s.queued.clear();
     }
     pending_.clear();
 
     // No one can resume into a server that is going away: revoke
     // every detached session now, in id order.
     if (detached_ != 0) {
-        std::vector<SessionId> orphans;
-        for (const auto &[sid, s] : sessions_)
-            if (s.bound == 0)
-                orphans.push_back(sid);
-        for (SessionId sid : orphans) {
-            destroySession(sid);
-            --detached_;
-            ++stats_.leases_expired;
-        }
+        const std::size_t orphans =
+            revokeDetached([](const Session &) { return true; });
+        detached_ -= orphans;
+        stats_.leases_expired += orphans;
     }
 }
 

@@ -37,11 +37,20 @@
  * Coalescing: mutating requests are not applied at arrival. They are
  * queued and committed in one batch at the next tick settlement via
  * Ecovisor::setPreSettleHook, sorted canonically by (session id,
- * request id). The settled simulation is therefore bit-identical
+ * request id), equal keys in arrival order. The batch is sorted once
+ * per tick and the WAL record, the commit and a drain all use that
+ * one order. The settled simulation is therefore bit-identical
  * regardless of how request arrivals interleaved on the network — the
  * docs/ARCHITECTURE.md determinism contract extended across the wire.
  * Read-only requests (Ping, GetSnapshot, SessionInfo) answer
  * immediately: they observe state, never change it.
+ *
+ * Tables: open connections sit in a flat hash table keyed by ConnId
+ * (net/id_table.h), and each connection points straight at its bound
+ * session, so no frame, receive or commit searches for a session.
+ * Sessions sit in one vector in ascending id order, which is the
+ * order capture, recovery detach, lease expiry and drain revocation
+ * walk them in. Both tables hold live entries only.
  *
  * Exactly-once mutations under retry: when leases are enabled each
  * session keeps a bounded request-id dedup window. A retransmitted
@@ -67,12 +76,14 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/handle.h"
 #include "core/ecovisor.h"
 #include "net/frame.h"
+#include "net/id_table.h"
 #include "net/protocol.h"
 #include "util/units.h"
 
@@ -81,7 +92,11 @@ namespace ecov::net {
 /** Connection identifier: monotonically assigned, never reused. */
 using ConnId = std::uint32_t;
 
-/** Session identifier: monotonically assigned, never reused. */
+/**
+ * Session identifier, assigned in open order. The one id ever handed
+ * back is a Resume's discarded virgin session's (SessionEvent::
+ * DiscardVirgin), which the next open reuses.
+ */
 using SessionId = std::uint32_t;
 
 /** Admission-control, framing, and lease bounds. */
@@ -304,6 +319,11 @@ class ServerCore
     /** Open-connection count. */
     std::size_t connectionCount() const { return conns_.size(); }
 
+    /** Slots the connection table holds, live and empty
+     *  (diagnostics): at least eight and twice connectionCount(), and
+     *  halved whenever fewer than one in eight is live. */
+    std::size_t connectionSlots() const { return conns_.slots(); }
+
     /** Live sessions (bound + detached). */
     std::size_t sessionCount() const { return sessions_.size(); }
 
@@ -355,10 +375,11 @@ class ServerCore
 
     /**
      * Sort the pending batch into canonical (session id, request id)
-     * order in place and return it — the exact batch commitCoalesced
-     * will apply this tick (its own stable sort is idempotent on the
-     * result). The WAL writer serialises this immediately before the
-     * tick settles.
+     * order in place, equal keys in arrival order, and return it: the
+     * exact batch, in the exact order, commitCoalesced applies this
+     * tick. The batch stays sorted until the next admission, so the
+     * commit does not sort it again. The WAL writer encodes it where
+     * it lies, immediately before the tick settles.
      */
     const std::vector<PendingOp> &canonicalBatch();
 
@@ -390,17 +411,26 @@ class ServerCore
      */
     ServerCoreImage captureSessions() const;
 
-    /** Restore the session plane from a snapshot image. Existing
-     *  sessions are discarded; every restored bound session sits on
-     *  the kRecoveryBound sentinel until detachAllForRecovery(). */
+    /**
+     * Restore the session plane from a snapshot image. Existing
+     * sessions are discarded; every restored bound session sits on
+     * the kRecoveryBound sentinel until detachAllForRecovery(). Fatal
+     * with a connection open, or for an image whose session ids do not
+     * strictly ascend or whose tokens repeat (decodeSnapshot rejects
+     * both as DataLoss).
+     */
     void restoreSessions(const ServerCoreImage &image);
 
   private:
+    struct Session;
+
     /** One transport byte stream. */
     struct Conn
     {
         FrameDecoder decoder;
-        SessionId session = 0;
+        /** The bound session; never null while the connection is
+         *  open. */
+        Session *session = nullptr;
         /** True until the first frame is processed; Resume is only
          *  legal on a virgin connection. */
         bool virgin = true;
@@ -412,12 +442,14 @@ class ServerCore
     /** One tenant's namespace, buffers, and lease/dedup state. */
     struct Session
     {
+        SessionId id = 0;
         /** Local app id -> handle; grows only. */
         std::vector<api::AppHandle> apps;
         /** Local container id -> handle; destroyed entries go stale
          *  in place (generation mismatch), ids are never reused. */
         std::vector<api::ContainerHandle> containers;
         std::vector<std::uint8_t> outbox;
+        /** Ops this session has in the pending batch. */
         std::uint32_t inflight = 0;
         /** Connection currently bound to this session; 0 = detached. */
         ConnId bound = 0;
@@ -442,6 +474,11 @@ class ServerCore
         std::uint32_t committed_max = 0;
     };
 
+    /** Live sessions in ascending id order. Each is heap-held, so a
+     *  connection's pointer survives other sessions' comings and
+     *  goings. */
+    using SessionTable = std::vector<std::unique_ptr<Session>>;
+
     /** Process one decoded frame; false latches a protocol error. */
     bool handleFrame(ConnId conn, Conn &c, const Frame &f);
 
@@ -453,6 +490,14 @@ class ServerCore
      *  when the op was queued. */
     bool admit(Session &s, PendingOp &&op);
 
+    /** Append to the pending batch, noting whether it is still in
+     *  canonical order. */
+    void queue(PendingOp &&op);
+
+    /** Put the pending batch in canonical order (no-op when it is):
+     *  one sort of (key, arrival) pairs, then each op moves once. */
+    void sortPending();
+
     /** Apply one queued request against the v2 surface. */
     void apply(const PendingOp &op, Session &s);
 
@@ -461,12 +506,29 @@ class ServerCore
     void recordDone(Session &s, std::uint32_t req_id,
                     const std::uint8_t *bytes, std::size_t n);
 
-    /** Destroy a session: drop queued ops, revoke containers in
-     *  local-id order, erase token and table entry. */
+    /** First position in sessions_ at or after `from` whose id is
+     *  not below `sid` (sessions_ ascends by id). */
+    SessionTable::iterator sessionAt(SessionId sid,
+                                     SessionTable::iterator from);
+
+    /** The live session `sid`, or nullptr. */
+    Session *findSession(SessionId sid);
+
+    /** Revoke a session without erasing its table entry: drop its
+     *  queued ops, destroy its containers in local-id order, erase
+     *  its token. */
+    void revoke(Session &s);
+
+    /** Revoke and erase session `sid` (no-op when not live). */
     void destroySession(SessionId sid);
 
     /** Create a fresh session (with token when leases are on). */
-    SessionId newSession(ConnId bound_to);
+    Session &newSession(ConnId bound_to);
+
+    /** Revoke every detached session `expire` selects, in ascending
+     *  id order, and erase them; returns how many. */
+    template <typename Pred>
+    std::size_t revokeDetached(Pred expire);
 
     /** Resolve a session-local container id (nullptr = bad id). */
     const api::ContainerHandle *localContainer(const Session &s,
@@ -474,11 +536,23 @@ class ServerCore
 
     core::Ecovisor *eco_;
     ServerCoreOptions options_;
-    std::map<ConnId, Conn> conns_;
-    std::map<SessionId, Session> sessions_;
+    IdTable<Conn> conns_;
+    SessionTable sessions_;
     /** Resume token -> session (leases enabled only). */
     std::map<std::uint64_t, SessionId> tokens_;
+    /** Mutations awaiting the next commit: arrival order until
+     *  sortPending() runs, then canonical order. */
     std::vector<PendingOp> pending_;
+    /** True while pending_ is in canonical order. */
+    bool pending_sorted_ = true;
+    /** sortPending() scratch, kept to reuse its capacity. */
+    struct SortKey
+    {
+        std::uint64_t key; ///< session id << 32 | request id
+        std::uint32_t arrival;
+    };
+    std::vector<SortKey> sort_keys_;
+    std::vector<PendingOp> sorted_;
     /** Connections unbound by Resume takeover, awaiting transport
      *  close (drained by takeKicked()). */
     std::vector<ConnId> kicked_;

@@ -6,9 +6,9 @@
  * The server never spawns a thread: accept, read, and write all
  * happen on the daemon's one thread, interleaved with tick stepping
  * by the main loop (ecovisord_main.cc). With commit order fixed by
- * (connection id, request id), the kernel's arrival interleaving has
- * no say in simulation state — the threadless design is what makes
- * that trivially race-free.
+ * (session id, request id), the kernel's arrival interleaving has no
+ * say in simulation state — the threadless design is what makes that
+ * trivially race-free.
  *
  * POSIX only (Linux CI); the library's simulation layers have no
  * socket dependency — everything OS-facing lives in this pair. Both

@@ -18,6 +18,8 @@
 #ifndef ECOV_NET_WIRE_H
 #define ECOV_NET_WIRE_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -133,6 +135,9 @@ class WireReader
 /**
  * Little-endian appender onto a caller-owned vector. The vector is
  * reused across frames (amortised-zero allocation on the hot path).
+ * Each fixed-width field is appended in one step, its bytes laid out
+ * in a local word first: a per-byte push_back re-reads the vector's
+ * end pointer after every byte, because a byte store may alias it.
  */
 class WireWriter
 {
@@ -140,36 +145,16 @@ class WireWriter
     explicit WireWriter(std::vector<std::uint8_t> *out) : out_(out) {}
 
     void u8(std::uint8_t v) { out_->push_back(v); }
-
-    void
-    u16(std::uint16_t v)
-    {
-        out_->push_back(static_cast<std::uint8_t>(v));
-        out_->push_back(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        out_->push_back(static_cast<std::uint8_t>(v));
-        out_->push_back(static_cast<std::uint8_t>(v >> 8));
-        out_->push_back(static_cast<std::uint8_t>(v >> 16));
-        out_->push_back(static_cast<std::uint8_t>(v >> 24));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        u32(static_cast<std::uint32_t>(v));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
+    void u16(std::uint16_t v) { put(v); }
+    void u32(std::uint32_t v) { put(v); }
+    void u64(std::uint64_t v) { put(v); }
 
     void
     f64(double v)
     {
         std::uint64_t bits = 0;
         std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
+        put(bits);
     }
 
     void
@@ -184,6 +169,18 @@ class WireWriter
     std::vector<std::uint8_t> *buffer() { return out_; }
 
   private:
+    /** Append an unsigned integer's bytes, least significant first. */
+    template <typename T>
+    void
+    put(T v)
+    {
+        std::uint8_t word[sizeof v];
+        std::memcpy(word, &v, sizeof v);
+        if constexpr (std::endian::native == std::endian::big)
+            std::reverse(word, word + sizeof v);
+        out_->insert(out_->end(), word, word + sizeof v);
+    }
+
     std::vector<std::uint8_t> *out_;
 };
 

@@ -7,8 +7,8 @@
  * by token without re-registering, and damaged state files recover
  * per the taxonomy (torn tail truncates, corruption — a flipped byte,
  * or a CRC-valid record with a forged element count, an out-of-order
- * dedup window or a forged watt-cap list — is DataLoss and mutates
- * nothing).
+ * dedup window, a forged session plane or a forged watt-cap list — is
+ * DataLoss and mutates nothing).
  *
  * Carries the `threads` label: settlement shards under ECOV_THREADS,
  * and the digest equality must hold at any thread count.
@@ -371,6 +371,81 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
         EXPECT_EQ(b.rig.eco.appCount(), 0u);
         EXPECT_EQ(b.rig.cluster.containerCount(), 0);
     }
+    // Snapshot: the session plane of a live two-tenant capture, forged
+    // six ways. Capture walks sessions in ascending id order, every id
+    // nonzero and below next_session, and newSession keeps tokens
+    // unique, so no valid writer emits any of these; restoring one
+    // would merge two sessions or double-count a lease.
+    enum class SessionForgery
+    {
+        OutOfOrder,
+        Repeated,
+        Zero,
+        AtNextSession,
+        AboveNextSession,
+        SharedToken,
+    };
+    for (const SessionForgery forgery :
+         {SessionForgery::OutOfOrder, SessionForgery::Repeated,
+          SessionForgery::Zero, SessionForgery::AtNextSession,
+          SessionForgery::AboveNextSession, SessionForgery::SharedToken}) {
+        SCOPED_TRACE("session forgery " +
+                     std::to_string(static_cast<int>(forgery)));
+        Snapshot snap;
+        {
+            WorldHarness a(makeStateDir());
+            ASSERT_TRUE(a.mgr.recover().ok());
+            net::LoopbackTransport l1(&a.server), l2(&a.server);
+            l1.setIdleHandler([&] { a.tick(); });
+            l2.setIdleHandler([&] { a.tick(); });
+            net::Client c1(&l1), c2(&l2);
+            ASSERT_TRUE(c1.beginSession().ok());
+            ASSERT_TRUE(c2.beginSession().ok());
+            ASSERT_TRUE(
+                c1.registerApp("t1", testutil::appShare(0.3, 100.0)).ok());
+            ASSERT_TRUE(
+                c2.registerApp("t2", testutil::appShare(0.3, 100.0)).ok());
+            snap = captureSnapshot(a.world());
+        }
+        net::ServerCoreImage &plane = snap.server;
+        ASSERT_EQ(plane.sessions.size(), 2u);
+        ASSERT_EQ(plane.sessions[0].id, 1u);
+        ASSERT_EQ(plane.sessions[1].id, 2u);
+        ASSERT_EQ(plane.next_session, 3u);
+        switch (forgery) {
+          case SessionForgery::OutOfOrder:
+            std::swap(plane.sessions[0], plane.sessions[1]);
+            break;
+          case SessionForgery::Repeated:
+            plane.sessions[1].id = 1;
+            break;
+          case SessionForgery::Zero:
+            plane.sessions[0].id = 0;
+            break;
+          case SessionForgery::AtNextSession:
+            plane.sessions[1].id = 3;
+            break;
+          case SessionForgery::AboveNextSession:
+            plane.next_session = 2;
+            break;
+          case SessionForgery::SharedToken:
+            plane.sessions[1].token = plane.sessions[0].token;
+            break;
+        }
+        std::vector<std::uint8_t> payload;
+        encodeSnapshot(payload, snap);
+
+        WorldHarness b(makeStateDir());
+        ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
+                                      FsyncPolicy::Never)
+                        .ok());
+        api::Status st;
+        EXPECT_NO_THROW(st = b.mgr.recover());
+        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
+        EXPECT_EQ(b.tickCount(), 0);
+        EXPECT_EQ(b.server.sessionCount(), 0u);
+        EXPECT_EQ(b.rig.eco.appCount(), 0u);
+    }
     // WAL: same forgery as the first record of the log.
     {
         const std::string dir = makeStateDir();
@@ -421,7 +496,7 @@ TEST(CkptRecovery, WalRepeatingACommittedRequestIsFatal)
             duplicated = true;
         }
         std::vector<std::uint8_t> out;
-        encodeTickRecord(out, rec);
+        encodeTickRecord(out, rec.tick, rec.start_s, rec.events, rec.ops);
         ASSERT_TRUE(wal.append(out).ok());
     }
     wal.close();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/rig.h"
 #include "net/client.h"
@@ -532,6 +533,153 @@ TEST(SessionLease, TokenDerivation)
     EXPECT_NE(cc.sessionToken(), cd.sessionToken());
     // Nor the old fixed-seed sequence anyone could precompute.
     EXPECT_NE(cc.sessionToken(), ca.sessionToken());
+}
+
+TEST(SessionLease, HandedBackSessionIdIsReusedByTheNextOpen)
+{
+    // A Resume discards its connection's virgin session and hands the
+    // id back; the next connection is given that id again, and the
+    // two sessions' frames, outboxes and commits stay apart.
+    Rig rig;
+    ServerCore core(&rig.eco, leaseOptions(8));
+    Ticker ticker{&rig};
+
+    auto t1 = std::make_unique<LoopbackTransport>(&core);
+    t1->setIdleHandler([&ticker] { ticker.tick(); });
+    Client x(t1.get());
+    ASSERT_TRUE(x.beginSession().ok());
+    const auto app_x = x.registerApp("x", testutil::appShare(0.3, 360));
+    ASSERT_TRUE(app_x.ok());
+    const auto cont_x = x.spawnContainer(app_x.value(), 1.0);
+    ASSERT_TRUE(cont_x.ok());
+    t1.reset(); // session 1 detaches
+
+    LoopbackTransport t2(&core); // virgin session 2
+    t2.setIdleHandler([&ticker] { ticker.tick(); });
+    x.bindTransport(&t2);
+    ASSERT_TRUE(x.resume().ok());
+    EXPECT_EQ(core.captureSessions().next_session, 2u);
+
+    LoopbackTransport t3(&core); // session 2 again
+    t3.setIdleHandler([&ticker] { ticker.tick(); });
+    Client y(&t3);
+    ASSERT_TRUE(y.beginSession().ok());
+    ServerCoreImage img = core.captureSessions();
+    EXPECT_EQ(img.next_session, 3u);
+    ASSERT_EQ(img.sessions.size(), 2u);
+    EXPECT_EQ(img.sessions[0].id, 1u);
+    EXPECT_EQ(img.sessions[1].id, 2u);
+    EXPECT_NE(img.sessions[1].token, img.sessions[0].token);
+
+    // y's frame reaches the wire first; both commit in one tick, each
+    // into its own session.
+    const std::uint32_t ry =
+        y.sendRegisterApp("y", testutil::appShare(0.3, 360));
+    const std::uint32_t rx = x.sendSetDemand(cont_x.value(), 0.5);
+    const auto app_y = y.awaitApp(ry);
+    ASSERT_TRUE(app_y.ok());
+    EXPECT_EQ(app_y.value().id, 0u); // y's own namespace
+    EXPECT_TRUE(x.await(rx).ok());
+    const auto cont_y = y.spawnContainer(app_y.value(), 1.0);
+    ASSERT_TRUE(cont_y.ok());
+    EXPECT_EQ(cont_y.value().id, 0u);
+
+    img = core.captureSessions();
+    ASSERT_EQ(img.sessions.size(), 2u);
+    EXPECT_EQ(img.sessions[0].apps, (std::vector<std::int32_t>{0}));
+    EXPECT_EQ(img.sessions[1].apps, (std::vector<std::int32_t>{1}));
+    EXPECT_EQ(img.sessions[0].containers.size(), 1u);
+    EXPECT_EQ(img.sessions[1].containers.size(), 1u);
+    EXPECT_EQ(rig.eco.appName(api::AppHandle(1)).valueOr(""), "y");
+    EXPECT_TRUE(y.setDemand(cont_y.value(), 0.25).ok());
+    EXPECT_TRUE(x.getEnergySnapshot(app_x.value()).ok());
+    EXPECT_EQ(rig.cluster.containerCount(), 2);
+}
+
+void
+expectSameImage(const ServerCoreImage &got, const ServerCoreImage &want)
+{
+    EXPECT_EQ(got.next_session, want.next_session);
+    ASSERT_EQ(got.sessions.size(), want.sessions.size());
+    for (std::size_t k = 0; k < want.sessions.size(); ++k) {
+        const SessionImage &g = got.sessions[k];
+        const SessionImage &w = want.sessions[k];
+        EXPECT_EQ(g.id, w.id);
+        EXPECT_EQ(g.token, w.token);
+        EXPECT_EQ(g.bound, w.bound);
+        EXPECT_EQ(g.lease_left, w.lease_left);
+        EXPECT_EQ(g.committed_max, w.committed_max);
+        EXPECT_EQ(g.apps, w.apps);
+        ASSERT_EQ(g.containers.size(), w.containers.size());
+        for (std::size_t c = 0; c < w.containers.size(); ++c) {
+            EXPECT_EQ(g.containers[c].slot, w.containers[c].slot);
+            EXPECT_EQ(g.containers[c].generation,
+                      w.containers[c].generation);
+        }
+        EXPECT_EQ(g.done.ids, w.done.ids);
+        EXPECT_EQ(g.done.ends, w.done.ends);
+        EXPECT_EQ(g.done.bytes, w.done.bytes);
+    }
+}
+
+TEST(SessionLease, RestoredIdGapsKeepAscendingIdOrder)
+{
+    // An image whose session ids have gaps (2, 4, 5, 7, 8), each
+    // session owning one container created out of id order. Capture
+    // after restore gives the image back; expiry and drain revoke in
+    // ascending session id, which the cluster's LIFO free-slot list
+    // records as the order the containers died in.
+    Rig rig;
+    ServerCore core(&rig.eco, leaseOptions(8));
+    ASSERT_TRUE(rig.eco.tryAddApp("gap", testutil::appShare(0.3, 360)).ok());
+    std::vector<cop::ContainerRef> refs;
+    for (int i = 0; i < 5; ++i) {
+        const auto id = rig.cluster.createContainer("gap", 1.0);
+        ASSERT_TRUE(id);
+        refs.push_back(rig.cluster.refOf(*id));
+    }
+    const auto session = [&](SessionId id, bool bound,
+                             std::uint32_t lease, int container) {
+        SessionImage s;
+        s.id = id;
+        s.token = 0x1000u + id;
+        s.bound = bound;
+        s.lease_left = lease;
+        s.containers = {refs[static_cast<std::size_t>(container)]};
+        return s;
+    };
+    ServerCoreImage image;
+    image.next_session = 11;
+    image.sessions = {session(2, false, 1, 3), session(4, false, 3, 4),
+                      session(5, true, 0, 0), session(7, false, 1, 1),
+                      session(8, false, 3, 2)};
+    image.sessions[2].apps = {0};
+    image.sessions[2].committed_max = 4;
+    image.sessions[2].done.ids = {3, 4};
+    image.sessions[2].done.ends = {2, 5};
+    image.sessions[2].done.bytes = {1, 2, 3, 4, 5};
+
+    core.restoreSessions(image);
+    EXPECT_EQ(core.sessionCount(), 5u);
+    EXPECT_EQ(core.detachedSessionCount(), 4u);
+    expectSameImage(core.captureSessions(), image);
+
+    // Sessions 2 and 7 run out of lease on the same tick.
+    core.tickLeases();
+    EXPECT_EQ(core.sessionCount(), 3u);
+    EXPECT_EQ(rig.cluster.captureState().free_slots,
+              (std::vector<std::int32_t>{refs[3].slot, refs[1].slot}));
+
+    // Drain revokes the remaining detached sessions, 4 then 8.
+    core.beginDrain();
+    EXPECT_EQ(core.sessionCount(), 1u);
+    EXPECT_EQ(core.detachedSessionCount(), 0u);
+    EXPECT_EQ(rig.cluster.captureState().free_slots,
+              (std::vector<std::int32_t>{refs[3].slot, refs[1].slot,
+                                         refs[4].slot, refs[2].slot}));
+    const ServerCoreImage left = core.captureSessions();
+    ASSERT_EQ(left.sessions.size(), 1u);
+    EXPECT_EQ(left.sessions[0].id, 5u);
 }
 
 } // namespace

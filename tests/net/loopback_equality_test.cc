@@ -7,7 +7,7 @@
  * schedule issued directly through the v2 surface.
  *
  * Why this holds: ServerCore coalesces mutating requests and commits
- * them at the pre-settle hook in canonical (connection id, request id)
+ * them at the pre-settle hook in canonical (session id, request id)
  * order, so arrival order is irrelevant by construction. The suite
  * runs the remote side at settlement thread counts 1 and 4 (with
  * different shuffle seeds) and EXPECT_EQs raw doubles throughout —
@@ -549,7 +549,7 @@ TEST(LoopbackEquality, FaultedRemoteMatchesDirectBitIdentically)
 
 /** A second shuffle of the same tick's sends on the same server state
  *  (fresh worlds, same seed family) — quick independence check that
- *  the canonical commit order really is (conn, req), not arrival. */
+ *  the canonical commit order really is (session, req), not arrival. */
 TEST(LoopbackEquality, DifferentShufflesAgreeWithEachOther)
 {
     const auto schedule = makeSchedule();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "net/frame.h"
 #include "net/protocol.h"
@@ -420,6 +421,85 @@ TEST(Protocol, OpcodeClassification)
     EXPECT_FALSE(validOpcode(0x42));
     EXPECT_FALSE(validOpcode(
         static_cast<std::uint8_t>(Opcode::Ping) | kResponseBit));
+}
+
+// Known answers: the exact bytes each writer call appends, little-endian
+// whatever the host, after content already in the buffer. The frame
+// and record codecs are all built from these calls.
+TEST(Protocol, WireWriterKnownAnswers)
+{
+    using Bytes = std::vector<std::uint8_t>;
+    const auto appended = [](auto write) {
+        Bytes out = {0xEE, 0xDD};
+        WireWriter w(&out);
+        write(w);
+        EXPECT_EQ(out[0], 0xEE);
+        EXPECT_EQ(out[1], 0xDD);
+        return Bytes(out.begin() + 2, out.end());
+    };
+    EXPECT_EQ(appended([](WireWriter &w) { w.u8(0xA5); }), Bytes{0xA5});
+    EXPECT_EQ(appended([](WireWriter &w) { w.u16(0xBEEF); }),
+              (Bytes{0xEF, 0xBE}));
+    EXPECT_EQ(appended([](WireWriter &w) { w.u32(0x01020304u); }),
+              (Bytes{0x04, 0x03, 0x02, 0x01}));
+    EXPECT_EQ(
+        appended([](WireWriter &w) { w.u64(0x0123456789ABCDEFull); }),
+        (Bytes{0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01}));
+    EXPECT_EQ(appended([](WireWriter &w) { w.f64(-0.0); }),
+              (Bytes{0, 0, 0, 0, 0, 0, 0, 0x80}));
+    EXPECT_EQ(appended([](WireWriter &w) { w.f64(INFINITY); }),
+              (Bytes{0, 0, 0, 0, 0, 0, 0xF0, 0x7F}));
+    // A quiet NaN carrying payload bits: the pattern, not the value,
+    // is what travels.
+    const std::uint64_t nan_bits = 0x7FF80000DEADBEEFull;
+    double nan = 0.0;
+    std::memcpy(&nan, &nan_bits, sizeof nan);
+    EXPECT_EQ(appended([nan](WireWriter &w) { w.f64(nan); }),
+              (Bytes{0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0xF8, 0x7F}));
+    EXPECT_EQ(appended([](WireWriter &w) { w.bytes({}); }), Bytes{});
+    EXPECT_EQ(appended([](WireWriter &w) { w.bytes("abc"); }),
+              (Bytes{'a', 'b', 'c'}));
+    // Consecutive calls abut.
+    EXPECT_EQ(appended([](WireWriter &w) {
+                  w.u8(1);
+                  w.u16(2);
+                  w.u32(3);
+              }),
+              (Bytes{1, 2, 0, 3, 0, 0, 0}));
+}
+
+TEST(Protocol, SetDemandFrameKnownAnswer)
+{
+    std::vector<std::uint8_t> out = {0xEE};
+    encodeIdValue(out, Opcode::SetDemand, 0x01020304u,
+                  IdValueReq{7, 0.5});
+    const std::vector<std::uint8_t> expect = {
+        0xEE,                                           // prior content
+        0x45, 0x56, 0x01, 0x0A,                         // magic, v1, op
+        0x04, 0x03, 0x02, 0x01,                         // request id
+        0x0C, 0x00, 0x00, 0x00,                         // payload bytes
+        0x07, 0x00, 0x00, 0x00,                         // container 7
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F, // 0.5
+    };
+    EXPECT_EQ(out, expect);
+}
+
+TEST(Protocol, ApplyCapBatchFrameKnownAnswer)
+{
+    std::vector<std::uint8_t> out = {0xEE};
+    encodeCapBatch(out, 9, {CapEntry{1, 2.5}, CapEntry{3, -0.0}});
+    const std::vector<std::uint8_t> expect = {
+        0xEE,                                           // prior content
+        0x45, 0x56, 0x01, 0x06,                         // magic, v1, op
+        0x09, 0x00, 0x00, 0x00,                         // request id
+        0x1C, 0x00, 0x00, 0x00,                         // payload bytes
+        0x02, 0x00, 0x00, 0x00,                         // two entries
+        0x01, 0x00, 0x00, 0x00,                         // container 1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, // 2.5 W
+        0x03, 0x00, 0x00, 0x00,                         // container 3
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, // -0.0 W
+    };
+    EXPECT_EQ(out, expect);
 }
 
 } // namespace

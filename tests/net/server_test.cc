@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rig.h"
 #include "net/client.h"
@@ -80,8 +81,8 @@ TEST(ServerCore, MutationsCommitAtTickInCanonicalOrder)
     TickingClient b(&core, &ticker);
 
     // Pipeline registrations on both connections, b first on the
-    // wire: commit order must still be (conn, req) canonical, so a's
-    // app lands at registration index 0... but arrival order is
+    // wire: commit order must still be (session, req) canonical, so
+    // a's app lands at registration index 0... but arrival order is
     // b-then-a. The app indices expose which order tryAddApp ran in.
     const std::uint32_t rb =
         b.client.sendRegisterApp("tenant-b", testutil::appShare(0.25, 360));
@@ -98,8 +99,8 @@ TEST(ServerCore, MutationsCommitAtTickInCanonicalOrder)
     const auto app_b = b.client.awaitApp(rb);
     ASSERT_TRUE(app_a.ok());
     ASSERT_TRUE(app_b.ok());
-    // Connection a was opened first, so its registration committed
-    // first despite arriving second.
+    // Connection a was opened first, so its session has the lower id
+    // and its registration committed first despite arriving second.
     EXPECT_EQ(rig.eco.appName(api::AppHandle(0)).valueOr(""),
               "tenant-a");
     EXPECT_EQ(rig.eco.appName(api::AppHandle(1)).valueOr(""),
@@ -389,6 +390,120 @@ TEST(ServerCore, UnknownOpcodeClosesConnection)
     ASSERT_TRUE(transport.send(frame.data(), frame.size()).ok());
     EXPECT_EQ(client.ping().code(), ErrorCode::Unavailable);
     EXPECT_FALSE(core.connectionOpen(transport.connection()));
+}
+
+/** Local ids answered, in order, by the response frames in `bytes`. */
+std::vector<std::uint32_t>
+idReplies(const std::vector<std::uint8_t> &bytes, std::uint32_t req)
+{
+    FrameDecoder dec;
+    dec.feed(bytes.data(), bytes.size());
+    std::vector<std::uint32_t> ids;
+    Frame f;
+    while (dec.next(&f) == DecodeStatus::Frame) {
+        EXPECT_EQ(f.request_id, req);
+        ResponseHead head;
+        std::size_t consumed = 0;
+        std::uint32_t id = 0;
+        EXPECT_TRUE(decodeResponseHead(f.payload, f.payload_len, &head,
+                                       &consumed));
+        EXPECT_EQ(head.code, ErrorCode::Ok);
+        EXPECT_TRUE(decodeIdResult(f.payload, f.payload_len, consumed, &id));
+        ids.push_back(id);
+    }
+    return ids;
+}
+
+TEST(ServerCore, LeaselessRepeatedRequestIdsCommitInArrivalOrder)
+{
+    // Without a lease there is no dedup window, so nothing stops a
+    // client from reusing a request id within a tick. Both mutations
+    // commit, and equal (session id, request id) keys keep their
+    // arrival order even when the batch has to be sorted around them.
+    Rig rig;
+    ServerCore core(&rig.eco);
+    const ConnId a = core.openConnection();
+    const ConnId b = core.openConnection();
+    const auto send = [&](ConnId conn, std::uint32_t req,
+                          const char *name) {
+        RegisterAppReq r;
+        r.name = name;
+        r.share = testutil::appShare(0.1, 100);
+        std::vector<std::uint8_t> frame;
+        encodeRegisterApp(frame, req, r);
+        ASSERT_TRUE(core.onBytes(conn, frame.data(), frame.size()));
+    };
+    send(b, 1, "b-1");
+    send(a, 5, "a-first");
+    send(b, 2, "b-2");
+    send(a, 5, "a-second");
+    EXPECT_EQ(core.pendingCount(), 4u);
+    Ticker{&rig}.tick();
+    EXPECT_EQ(core.stats().coalesced_committed, 4u);
+
+    const char *order[] = {"a-first", "a-second", "b-1", "b-2"};
+    for (std::int32_t k = 0; k < 4; ++k)
+        EXPECT_EQ(rig.eco.appName(api::AppHandle(k)).valueOr(""),
+                  order[k]);
+    EXPECT_EQ(idReplies(core.outbox(a), 5),
+              (std::vector<std::uint32_t>{0, 1}));
+    core.outbox(b).clear();
+    core.closeConnection(a);
+    core.closeConnection(b);
+}
+
+TEST(ServerCore, ClosedConnectionIdNeverNamesANewOne)
+{
+    Rig rig;
+    ServerCore core(&rig.eco);
+    LoopbackTransport stale(&core);
+    const ConnId id = stale.connection();
+    core.closeConnection(id);
+
+    // Many later opens, half of them closed again: none is handed the
+    // closed id, and it never reads as open.
+    std::vector<ConnId> live;
+    for (int i = 0; i < 1000; ++i) {
+        const ConnId c = core.openConnection();
+        EXPECT_NE(c, id);
+        if (i % 2 == 0)
+            core.closeConnection(c);
+        else
+            live.push_back(c);
+    }
+    EXPECT_FALSE(core.connectionOpen(id));
+    EXPECT_EQ(core.connectionCount(), live.size());
+    for (ConnId c : live)
+        EXPECT_TRUE(core.connectionOpen(c));
+
+    // The transport still holding the id is told the stream is gone.
+    std::vector<std::uint8_t> frame;
+    encodePing(frame, 1);
+    EXPECT_EQ(stale.send(frame.data(), frame.size()).code(),
+              ErrorCode::Unavailable);
+    std::vector<std::uint8_t> buf;
+    EXPECT_EQ(stale.receiveSome(buf).code(), ErrorCode::Unavailable);
+    for (ConnId c : live)
+        core.closeConnection(c);
+}
+
+TEST(ServerCore, TablesFollowLiveEntriesThroughChurn)
+{
+    // Ten thousand short-lived connections beside one long-lived one:
+    // every table ends at the live count, not at the ids handed out.
+    Rig rig;
+    ServerCore core(&rig.eco);
+    LoopbackTransport keep(&core);
+    for (int i = 0; i < 10000; ++i) {
+        LoopbackTransport t(&core);
+        Client c(&t);
+        ASSERT_TRUE(c.ping().ok());
+    }
+    EXPECT_EQ(core.connectionCount(), 1u);
+    EXPECT_EQ(core.sessionCount(), 1u);
+    EXPECT_LE(core.connectionSlots(), 8u);
+    Client c(&keep);
+    EXPECT_TRUE(c.ping().ok());
 }
 
 } // namespace
