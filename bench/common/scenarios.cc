@@ -530,13 +530,13 @@ runSolarCapScenario(SolarPolicyKind kind, double solar_fraction_pct,
                 return;
             double sum = 0.0;
             cluster.forEachAppContainer(
-                par_cop, [&](const cop::Container &c) {
+                par_cop, [&](cop::ContainerId id, cop::ContainerRef ref) {
                     const double cap =
-                        eco.getContainerPowercap(api::handleOf(cluster, c.id))
+                        eco.getContainerPowercap(api::ContainerHandle(ref))
                             .value();
                     sum += std::isfinite(cap)
                                ? cap
-                               : cluster.maxContainerPowerW(c.id);
+                               : cluster.maxContainerPowerW(id);
                 });
             mean_caps.emplace_back(t,
                                    sum / static_cast<double>(count));

@@ -11,14 +11,12 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/registry.h"
 #include "cop/cluster.h"
-#include "cop/columns.h"
 #include "util/table.h"
 
 namespace ecov::bench {
@@ -96,12 +94,11 @@ run(const ScenarioOptions &opt)
                    return f.cluster.exists(id) ? 1.0 : 0.0;
                }));
         record("find_by_ref", nsPerOp(iters, [&](int) {
-                   const auto *c = f.cluster.find(f.cluster.refOf(id));
-                   return c ? c->cores : 0.0;
+                   return f.cluster.live(f.cluster.refOf(id)) ? 1.0 : 0.0;
                }));
         const cop::ContainerRef ref = f.cluster.refOf(id);
         record("validate_ref", nsPerOp(iters, [&](int) {
-                   return f.cluster.find(ref) ? 1.0 : 0.0;
+                   return f.cluster.live(ref) ? 1.0 : 0.0;
                }));
         record("container_power_by_id", nsPerOp(iters, [&](int) {
                    return f.cluster.containerPowerW(id);
@@ -141,12 +138,12 @@ run(const ScenarioOptions &opt)
                }));
         record(std::string("for_each_app_container_") + shape.key,
                nsPerOp(iters, [&](int) {
-                   double cores = 0.0;
+                   double ids = 0.0;
                    f.cluster.forEachAppContainer(
-                       app0, [&](const cop::Container &c) {
-                           cores += c.cores;
+                       app0, [&](cop::ContainerId id, cop::ContainerRef) {
+                           ids += static_cast<double>(id);
                        });
-                   return cores;
+                   return ids;
                }));
         record(std::string("app_containers_alloc_") + shape.key,
                nsPerOp(iters, [&](int) {
@@ -180,59 +177,6 @@ run(const ScenarioOptions &opt)
                                        0.1 * ((i % 9) + 1));
                    return f.cluster.appPowerW(app0);
                }));
-    }
-
-    // --- Layout: bytes touched per container by the settle walk ---
-    //
-    // The SNIPPETS.md Snippet 1 method: cache-line utilisation =
-    // useful bytes / bytes actually dragged through cache. The AoS
-    // figure is what the pre-column walk cost — every line the fat
-    // slot spans loaded for a handful of scalar reads; the SoA figure
-    // is the dense hot columns the walk streams today (powerAtSlot:
-    // demand, util_cap, idle_w, dyn_w, gpu_peak_w, gpu_util + the
-    // app_next link). Estimates assume 64 B lines and line-aligned
-    // rows (a lower bound for AoS: unaligned slots straddle one more
-    // line). Deterministic given the build, but sizeof(Slot) is
-    // ABI-dependent, so these report as perf metrics.
-    {
-        constexpr double kLine = 64.0;
-        const auto slot_bytes =
-            static_cast<double>(cop::Cluster::slotSizeBytes());
-        const double aos_lines = std::ceil(slot_bytes / kLine);
-        const double aos_loaded = aos_lines * kLine;
-        const double aos_useful = static_cast<double>(
-            cop::kSettleUsefulAosBytesPerContainer);
-        const double soa_loaded = static_cast<double>(
-            cop::kSettleColumnBytesPerContainer);
-
-        TextTable lt({"layout", "bytes_per_container", "useful_bytes",
-                      "cache_line_util_pct"});
-        lt.addRow({"aos_slot (pre-columns)",
-                   TextTable::fmt(aos_loaded, 0),
-                   TextTable::fmt(aos_useful, 0),
-                   TextTable::fmt(100.0 * aos_useful / aos_loaded, 1)});
-        lt.addRow({"soa_columns (settle walk)",
-                   TextTable::fmt(soa_loaded, 0),
-                   TextTable::fmt(soa_loaded, 0),
-                   TextTable::fmt(100.0, 1)});
-
-        out.perfMetric("slot_size_bytes", slot_bytes);
-        out.perfMetric("settle_bytes_per_container_aos", aos_loaded);
-        out.perfMetric("settle_bytes_per_container_soa", soa_loaded);
-        out.perfMetric("settle_cache_line_util_aos_pct",
-                       100.0 * aos_useful / aos_loaded);
-        out.perfMetric("settle_cache_line_util_soa_pct", 100.0);
-
-        if (opt.print_figures) {
-            std::printf("=== Settle-walk layout: bytes touched per "
-                        "container ===\n\n");
-            lt.print();
-            std::printf("\nsizeof(Slot) = %.0f B; the settle walk "
-                        "reads %.0f useful bytes per container. "
-                        "Columns stream exactly those bytes; the old "
-                        "AoS walk loaded the whole slot.\n\n",
-                        slot_bytes, soa_loaded);
-        }
     }
 
     if (opt.print_figures) {

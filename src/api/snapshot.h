@@ -16,12 +16,12 @@
  *    re-dividing a power budget across N workers can never expose a
  *    transient state where old and new caps mix within a tick.
  *
- * Both bottom out in the cluster's SoA hot columns (cop/columns.h):
- * a snapshot's power values are column-backed aggregate walks, and a
- * committed cap batch writes the utilization-cap column (plus the
- * coherent slot row view) per container. Semantics and every value
- * are unchanged from the pre-column layout — bit-identical by the
- * determinism contract (docs/ARCHITECTURE.md).
+ * Both bottom out in the cluster's SoA columns (cop/columns.h): a
+ * snapshot's power values are column-backed aggregate walks, and a
+ * committed cap batch writes the watt-cap and utilization-cap columns
+ * per container. Semantics and every value are unchanged from the
+ * pre-column layout — bit-identical by the determinism contract
+ * (docs/ARCHITECTURE.md).
  */
 
 #ifndef ECOV_API_SNAPSHOT_H

@@ -75,9 +75,32 @@ CheckpointManager::recover()
             return st;
         ticks.push_back(std::move(rec));
     }
+    // Replay must find each record at the tick it stands at, counting
+    // from where the snapshot leaves the world and skipping older
+    // leftovers exactly as phase 2 does, and session traffic needs a
+    // front-end to replay into.
+    std::int64_t at =
+        have_snapshot ? snap.tick : world_.sim->clock().tickCount();
+    for (const TickRecord &rec : ticks) {
+        if (rec.tick < at)
+            continue;
+        if (rec.tick != at)
+            return api::Status::error(
+                api::ErrorCode::DataLoss,
+                "ckpt: WAL gap: record for tick " +
+                    std::to_string(rec.tick) + " where replay reaches " +
+                    std::to_string(at));
+        if (!world_.server && (!rec.events.empty() || !rec.ops.empty()))
+            return api::Status::error(
+                api::ErrorCode::DataLoss,
+                "ckpt: WAL carries session traffic but this world has "
+                "no transport front-end");
+        ++at;
+    }
 
     // Phase 2: apply. From here on every failure is fatal rather than
-    // a status — a partially-restored world must not keep running.
+    // a status — a partially-restored world must not keep running;
+    // phase 1 has already refused every input that could fail here.
     if (world_.server)
         world_.server->enableEventRecording(false);
     if (have_snapshot) {
@@ -92,7 +115,7 @@ CheckpointManager::recover()
         if (rec.tick < at)
             continue; // pre-snapshot leftover (crash between snapshot
                       // publish and WAL reset)
-        if (rec.tick != at)
+        if (rec.tick != at) // phase 1 checked contiguity
             fatal("ckpt: WAL gap: record for tick " +
                   std::to_string(rec.tick) + " but world is at tick " +
                   std::to_string(at));

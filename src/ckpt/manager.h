@@ -57,11 +57,12 @@ class CheckpointManager
      * fresh start (Ok, zero ticks replayed).
      *
      * The algorithm validates **everything** — snapshot checksum and
-     * structure, every WAL record's checksum and structure — before
-     * mutating any world state, so a DataLoss return means the world
-     * is untouched: corruption is never half-applied. A torn WAL (or
-     * snapshot tmp) tail is truncated silently, per record_io.h's
-     * taxonomy.
+     * structure, every WAL record's checksum and structure, the WAL's
+     * tick contiguity from the snapshot on, and that session traffic
+     * has a ServerCore to replay into — before mutating any world
+     * state, so a DataLoss return means the world is untouched:
+     * corruption is never half-applied. A torn WAL (or snapshot tmp)
+     * tail is truncated silently, per record_io.h's taxonomy.
      *
      * Postcondition on Ok: world state equals the uninterrupted run
      * at tick `recoveredTick()`; every previously-bound session is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "energy/grid_connection.h"
 #include "energy/physical_energy_system.h"
@@ -458,6 +459,69 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
     return api::Status::okStatus();
 }
 
+/** Every live slot of an image as (container id, slot index), by id. */
+using LiveSlots = std::vector<std::pair<cop::ContainerId, std::size_t>>;
+
+/** The live slot holding `id`, or nullptr. */
+const cop::ClusterImage::SlotImage *
+findLive(const cop::ClusterImage &c, const LiveSlots &live,
+         cop::ContainerId id)
+{
+    const auto it = std::lower_bound(
+        live.begin(), live.end(), id,
+        [](const auto &e, cop::ContainerId v) { return e.first < v; });
+    return it != live.end() && it->first == id ? &c.slots[it->second]
+                                               : nullptr;
+}
+
+/**
+ * The slab invariants Cluster::restoreState rebuilds its id table, app
+ * lists and free list from. Create hands out ids from [1, next_id)
+ * once each and interns the app first; destroy pushes the slot onto
+ * the free list and create pops it, so the list holds every dead slot
+ * exactly once and no live one. Node indices depend on the world's
+ * cluster, so applySnapshot checks those.
+ */
+api::Status
+checkCluster(const cop::ClusterImage &c, LiveSlots *live)
+{
+    for (std::size_t i = 0; i < c.slots.size(); ++i) {
+        if (!c.slots[i].live)
+            continue;
+        const cop::Container &ct = c.slots[i].c;
+        if (ct.id < 1 || ct.id >= c.next_id)
+            return corrupt("snapshot: container id " +
+                           std::to_string(ct.id) +
+                           " outside [1, next_id)");
+        if (ct.app < 0 || static_cast<std::size_t>(ct.app) >= c.apps.size())
+            return corrupt("snapshot: container " + std::to_string(ct.id) +
+                           " names an app index past the interned names");
+        live->emplace_back(ct.id, i);
+    }
+    std::sort(live->begin(), live->end());
+    if (std::adjacent_find(live->begin(), live->end(),
+                           [](const auto &a, const auto &b) {
+                               return a.first == b.first;
+                           }) != live->end())
+        return corrupt("snapshot: two live slots hold one container id");
+    std::vector<bool> listed(c.slots.size(), false);
+    for (std::int32_t slot : c.free_slots) {
+        if (slot < 0 || static_cast<std::size_t>(slot) >= c.slots.size())
+            return corrupt("snapshot: free slot " + std::to_string(slot) +
+                           " out of range");
+        const auto i = static_cast<std::size_t>(slot);
+        if (c.slots[i].live || listed[i])
+            return corrupt("snapshot: free list names slot " +
+                           std::to_string(slot) +
+                           ", which is live or already listed");
+        listed[i] = true;
+    }
+    if (c.free_slots.size() != c.slots.size() - live->size())
+        return corrupt("snapshot: a dead slot is missing from the free "
+                       "list");
+    return api::Status::okStatus();
+}
+
 /**
  * The watt-cap list Ecovisor::restoreState writes into the cluster's
  * cap column: strictly ascending ids (capture walks the live list,
@@ -469,25 +533,56 @@ getSessions(WireReader &r, net::ServerCoreImage *img)
  * of these, and a list that does has no slot to restore into.
  */
 api::Status
-checkPowercaps(const Snapshot &s)
+checkPowercaps(const Snapshot &s, const LiveSlots &live)
 {
-    std::vector<cop::ContainerId> live;
-    for (const auto &slot : s.cluster.slots)
-        if (slot.live)
-            live.push_back(slot.c.id);
-    std::sort(live.begin(), live.end());
     const auto &caps = s.eco.powercaps;
     for (std::size_t k = 0; k < caps.size(); ++k) {
         const auto &[id, cap_w] = caps[k];
         if (k > 0 && id <= caps[k - 1].first)
             return corrupt("snapshot: powercaps not strictly ascending");
-        if (!std::binary_search(live.begin(), live.end(), id))
+        if (!findLive(s.cluster, live, id))
             return corrupt("snapshot: powercap for container " +
                            std::to_string(id) + ", which is not live");
         if (!(cap_w >= 0.0) || std::isinf(cap_w))
             return corrupt("snapshot: powercap for container " +
                            std::to_string(id) +
                            " is not finite and non-negative");
+    }
+    return api::Status::okStatus();
+}
+
+/**
+ * The emergency list Ecovisor::restoreState flags in the cluster's
+ * emergency column. Capture reads the flags of the registered apps'
+ * containers in settle order (app name, then id), and a flag dies with
+ * its slot, so every listed id is live in the same image and owned by
+ * a registered app, and the list ascends strictly by (app name, id).
+ */
+api::Status
+checkEmergencyCaps(const Snapshot &s, const LiveSlots &live)
+{
+    std::vector<std::string_view> registered;
+    for (const auto &a : s.eco.apps)
+        registered.push_back(a.name);
+    std::sort(registered.begin(), registered.end());
+    std::pair<std::string_view, cop::ContainerId> prev;
+    for (std::size_t k = 0; k < s.eco.emergency_capped.size(); ++k) {
+        const cop::ContainerId id = s.eco.emergency_capped[k];
+        const auto *slot = findLive(s.cluster, live, id);
+        if (!slot)
+            return corrupt("snapshot: emergency cap for container " +
+                           std::to_string(id) + ", which is not live");
+        const std::pair<std::string_view, cop::ContainerId> key{
+            s.cluster.apps[static_cast<std::size_t>(slot->c.app)], id};
+        if (!std::binary_search(registered.begin(), registered.end(),
+                                key.first))
+            return corrupt("snapshot: emergency cap for container " +
+                           std::to_string(id) +
+                           ", whose app is not registered");
+        if (k > 0 && !(prev < key))
+            return corrupt("snapshot: emergency caps not strictly "
+                           "ascending by (app name, id)");
+        prev = key;
     }
     return api::Status::okStatus();
 }
@@ -574,7 +669,13 @@ decodeSnapshot(const std::vector<std::uint8_t> &payload, Snapshot *out)
     }
     if (!r.done())
         return corrupt("snapshot: trailing bytes");
-    return checkPowercaps(*out);
+    LiveSlots live;
+    api::Status st = checkCluster(out->cluster, &live);
+    if (st.ok())
+        st = checkPowercaps(*out, live);
+    if (st.ok())
+        st = checkEmergencyCaps(*out, live);
+    return st;
 }
 
 api::Status
@@ -589,6 +690,15 @@ applySnapshot(const World &w, const Snapshot &s)
         return corrupt("snapshot: grid shape mismatch");
     if (s.has_server != (w.server != nullptr))
         return corrupt("snapshot: session-plane shape mismatch");
+    if (!w.injector && s.injector_armed_ticks != 0)
+        return corrupt("snapshot: armed fault ticks without an "
+                       "injector to restore them into");
+    for (const auto &slot : s.cluster.slots)
+        if (slot.live &&
+            (slot.c.node < 0 || slot.c.node >= w.cluster->nodeCount()))
+            return corrupt("snapshot: container " +
+                           std::to_string(slot.c.id) +
+                           " on a node this cluster does not have");
     w.cluster->restoreState(s.cluster);
     w.eco->restoreState(s.eco);
     if (world_batt)
@@ -597,9 +707,6 @@ applySnapshot(const World &w, const Snapshot &s)
         w.grid->restoreMeters(s.grid_energy_wh, s.grid_carbon_g);
     if (w.injector)
         w.injector->restoreArmedTicks(s.injector_armed_ticks);
-    else if (s.injector_armed_ticks != 0)
-        return corrupt("snapshot: armed fault ticks without an "
-                       "injector to restore them into");
     if (w.server)
         w.server->restoreSessions(s.server);
     w.sim->restoreClock(s.now_s, s.tick);

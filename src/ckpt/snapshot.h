@@ -107,12 +107,17 @@ struct TickRecord
 Snapshot captureSnapshot(const World &w);
 
 /** Encode / decode the snapshot payload. Decode returns DataLoss on
- *  bad magic, unknown version, malformed structure, session ids that
- *  are zero, not strictly ascending or not below next_session, a
- *  resume token two sessions share, a dedup window out of order or
- *  above its watermark, or a watt-cap list that is out of order,
- *  names a container not live in the image, or holds a cap that is
- *  not finite and non-negative. */
+ *  bad magic, unknown version, malformed structure, a live slot whose
+ *  id is outside [1, next_id) or repeated or whose app index is past
+ *  the interned names, a free list that is out of range, names a live
+ *  slot, repeats one or misses a dead one, session ids that are
+ *  zero, not strictly ascending or not below next_session, a resume
+ *  token two sessions share, a dedup window out of order or above
+ *  its watermark, a watt-cap list that is out of order, names a
+ *  container not live in the image, or holds a cap that is not finite
+ *  and non-negative, or an emergency list that names a container not
+ *  live in the image or not owned by a registered app, or is not
+ *  strictly ascending by (app name, id). */
 void encodeSnapshot(std::vector<std::uint8_t> &out, const Snapshot &s);
 api::Status decodeSnapshot(const std::vector<std::uint8_t> &payload,
                            Snapshot *out);
@@ -121,8 +126,10 @@ api::Status decodeSnapshot(const std::vector<std::uint8_t> &payload,
  * Apply a snapshot to a freshly constructed world (same configs, no
  * apps registered). Restores cluster first, then the ecovisor (which
  * re-interns against it), then energy/fault/session state, then the
- * clock. Returns DataLoss when the snapshot's shape does not match
- * the world (e.g. a grid-less world restoring a grid snapshot).
+ * clock. Returns DataLoss, before anything mutates, when the
+ * snapshot's shape does not match the world (e.g. a grid-less world
+ * restoring a grid snapshot, armed fault ticks without an injector,
+ * or a container on a node the world's cluster does not have).
  */
 api::Status applySnapshot(const World &w, const Snapshot &s);
 

@@ -189,14 +189,11 @@ Cluster::createContainer(std::string_view app, double cores)
     }
     Slot &slot = slots_[static_cast<std::size_t>(s)];
     slot.live = true;
-    slot.c = Container{};
-    slot.c.id = next_id_++;
-    slot.c.app = app_idx;
-    slot.c.node = node;
-    slot.c.cores = cores;
+    slot.id = next_id_++;
+    slot.app = app_idx;
 
-    // Columns mirror the fresh row view (Container's defaults) and
-    // cache the hosting node's power-model coefficients.
+    // A fresh container takes Container's defaults; the coefficient
+    // columns cache the hosting node's power-model constants.
     const auto si = static_cast<std::size_t>(s);
     cols_.demand[si] = 0.0;
     cols_.util_cap[si] = 1.0;
@@ -235,7 +232,7 @@ Cluster::createContainer(std::string_view app, double cores)
     n.cores_allocated += cores;
     n.instances += 1;
     updatePlacement(node);
-    return slot.c.id;
+    return slot.id;
 }
 
 void
@@ -245,19 +242,19 @@ Cluster::destroyContainer(ContainerId id)
     if (s < 0)
         fatal("Cluster::destroyContainer: unknown container");
     Slot &slot = slots_[static_cast<std::size_t>(s)];
+    const auto si = static_cast<std::size_t>(s);
 
-    auto &n = nodes_[static_cast<std::size_t>(slot.c.node)];
-    n.cores_allocated -= slot.c.cores;
+    auto &n = nodes_[static_cast<std::size_t>(cols_.node[si])];
+    n.cores_allocated -= cols_.cores[si];
     if (n.cores_allocated < 0.0)
         n.cores_allocated = 0.0;
     n.instances -= 1;
-    updatePlacement(slot.c.node);
+    updatePlacement(cols_.node[si]);
 
-    const auto si = static_cast<std::size_t>(s);
     const std::int32_t app_next = cols_.app_next[si];
     const std::int32_t all_next = cols_.all_next[si];
 
-    AppInfo &info = apps_[static_cast<std::size_t>(slot.c.app)];
+    AppInfo &info = apps_[static_cast<std::size_t>(slot.app)];
     if (slot.app_prev >= 0)
         cols_.app_next[static_cast<std::size_t>(slot.app_prev)] =
             app_next;
@@ -322,20 +319,18 @@ Cluster::refOf(ContainerId id) const
 ContainerId
 Cluster::idOf(ContainerRef ref) const
 {
-    const Container *c = find(ref);
-    return c ? c->id : kInvalidContainer;
+    return live(ref) ? slots_[static_cast<std::size_t>(ref.slot)].id
+                     : kInvalidContainer;
 }
 
-const Container *
-Cluster::find(ContainerRef ref) const
+bool
+Cluster::live(ContainerRef ref) const
 {
     if (ref.slot < 0 ||
         static_cast<std::size_t>(ref.slot) >= slots_.size())
-        return nullptr;
+        return false;
     const Slot &slot = slots_[static_cast<std::size_t>(ref.slot)];
-    if (!slot.live || slot.generation != ref.generation)
-        return nullptr;
-    return &slot.c;
+    return slot.live && slot.generation == ref.generation;
 }
 
 std::int32_t
@@ -347,33 +342,18 @@ Cluster::liveSlotIndex(ContainerId id, const char *who) const
     return s;
 }
 
-Cluster::Slot &
-Cluster::liveSlot(ContainerId id, const char *who)
-{
-    return slots_[static_cast<std::size_t>(liveSlotIndex(id, who))];
-}
-
-const Cluster::Slot &
-Cluster::liveSlot(ContainerId id, const char *who) const
-{
-    return slots_[static_cast<std::size_t>(liveSlotIndex(id, who))];
-}
-
-const Container &
+Container
 Cluster::container(ContainerId id) const
 {
-    return liveSlot(id, "Cluster::container").c;
-}
-
-api::Result<const Container *>
-Cluster::tryContainer(ContainerId id) const
-{
-    const std::int32_t s = slotOf(id);
-    if (s < 0)
-        return api::Status::error(api::ErrorCode::UnknownContainer,
-                                  "Cluster::tryContainer: unknown "
-                                  "container");
-    return &slots_[static_cast<std::size_t>(s)].c;
+    const auto s =
+        static_cast<std::size_t>(liveSlotIndex(id, "Cluster::container"));
+    return Container{.id = id,
+                     .app = slots_[s].app,
+                     .node = cols_.node[s],
+                     .cores = cols_.cores[s],
+                     .util_cap = cols_.util_cap[s],
+                     .demand = cols_.demand[s],
+                     .gpu_util = cols_.gpu_util[s]};
 }
 
 // ---------------------------------------------------------------------
@@ -409,27 +389,24 @@ Cluster::setCores(ContainerId id, double cores)
     if (cores <= 0.0)
         fatal("Cluster::setCores: cores must be positive");
     const std::int32_t s = liveSlotIndex(id, "Cluster::setCores");
-    Slot &slot = slots_[static_cast<std::size_t>(s)];
-    auto &n = nodes_[static_cast<std::size_t>(slot.c.node)];
-    double delta = cores - slot.c.cores;
+    const auto si = static_cast<std::size_t>(s);
+    auto &n = nodes_[static_cast<std::size_t>(cols_.node[si])];
+    double delta = cores - cols_.cores[si];
     if (delta > n.freeCores() + 1e-9)
         return false;
     n.cores_allocated += delta;
-    updatePlacement(slot.c.node);
-    slot.c.cores = cores;
-    cols_.cores[static_cast<std::size_t>(s)] = cores;
+    updatePlacement(cols_.node[si]);
+    cols_.cores[si] = cores;
     refreshModelCoefficients(s);
-    markAppPowerDirty(slot.c.app);
+    markAppPowerDirty(slots_[si].app);
     return true;
 }
 
 void
 Cluster::storeUtilCap(std::int32_t s, double cap)
 {
-    Slot &slot = slots_[static_cast<std::size_t>(s)];
-    slot.c.util_cap = clamp(cap, 0.0, 1.0);
-    cols_.util_cap[static_cast<std::size_t>(s)] = slot.c.util_cap;
-    markAppPowerDirty(slot.c.app);
+    cols_.util_cap[static_cast<std::size_t>(s)] = clamp(cap, 0.0, 1.0);
+    markAppPowerDirty(slots_[static_cast<std::size_t>(s)].app);
 }
 
 void
@@ -441,28 +418,19 @@ Cluster::setUtilizationCap(ContainerId id, double cap)
 void
 Cluster::setDemand(ContainerId id, double demand)
 {
-    const std::int32_t s = liveSlotIndex(id, "Cluster::setDemand");
-    Slot &slot = slots_[static_cast<std::size_t>(s)];
-    slot.c.demand = clamp(demand, 0.0, 1.0);
-    cols_.demand[static_cast<std::size_t>(s)] = slot.c.demand;
-    markAppPowerDirty(slot.c.app);
+    const auto s = static_cast<std::size_t>(
+        liveSlotIndex(id, "Cluster::setDemand"));
+    cols_.demand[s] = clamp(demand, 0.0, 1.0);
+    markAppPowerDirty(slots_[s].app);
 }
 
 void
 Cluster::setGpuUtil(ContainerId id, double gpu_util)
 {
-    const std::int32_t s = liveSlotIndex(id, "Cluster::setGpuUtil");
-    Slot &slot = slots_[static_cast<std::size_t>(s)];
-    slot.c.gpu_util = clamp(gpu_util, 0.0, 1.0);
-    cols_.gpu_util[static_cast<std::size_t>(s)] = slot.c.gpu_util;
-    markAppPowerDirty(slot.c.app);
-}
-
-double
-Cluster::powerOf(const Container &c) const
-{
-    const auto &model = nodes_[static_cast<std::size_t>(c.node)].model;
-    return model.containerPowerW(c.cores, c.effectiveUtil(), c.gpu_util);
+    const auto s = static_cast<std::size_t>(
+        liveSlotIndex(id, "Cluster::setGpuUtil"));
+    cols_.gpu_util[s] = clamp(gpu_util, 0.0, 1.0);
+    markAppPowerDirty(slots_[s].app);
 }
 
 double
@@ -474,7 +442,7 @@ Cluster::containerPowerW(ContainerId id) const
 double
 Cluster::containerPowerW(ContainerRef ref) const
 {
-    if (!find(ref))
+    if (!live(ref))
         fatal("Cluster::containerPowerW: stale container ref");
     return powerAtSlot(ref.slot);
 }
@@ -507,7 +475,7 @@ Cluster::utilizationCapForPower(ContainerId id, double cap_w) const
 void
 Cluster::setPowerCap(ContainerRef ref, double cap_w)
 {
-    if (!find(ref))
+    if (!live(ref))
         fatal("Cluster::setPowerCap: stale container ref");
     if (!(cap_w >= 0.0))
         fatal("Cluster::setPowerCap: negative or NaN cap");
@@ -519,7 +487,7 @@ Cluster::setPowerCap(ContainerRef ref, double cap_w)
 double
 Cluster::powerCap(ContainerRef ref) const
 {
-    if (!find(ref))
+    if (!live(ref))
         fatal("Cluster::powerCap: stale container ref");
     return cols_.power_cap_w[static_cast<std::size_t>(ref.slot)];
 }
@@ -530,9 +498,14 @@ Cluster::applyPowerCaps()
     for (std::int32_t s = all_head_; s >= 0;
          s = cols_.all_next[static_cast<std::size_t>(s)]) {
         const auto i = static_cast<std::size_t>(s);
-        if (std::isinf(cols_.power_cap_w[i]))
+        const bool uncapped = std::isinf(cols_.power_cap_w[i]);
+        // An uncapped container keeps any override, unless its cap is
+        // an emergency one: that lifts to 1.
+        if (uncapped && !cols_.emergency[i])
             continue;
-        const double cap = utilCapAtSlot(s, cols_.power_cap_w[i]);
+        cols_.emergency[i] = 0;
+        const double cap =
+            uncapped ? 1.0 : utilCapAtSlot(s, cols_.power_cap_w[i]);
         // Rewriting an identical value would change nothing but would
         // touch the cold slot and dirty the app's aggregate. The bit
         // compare keeps a -0.0 override from standing in for +0.0.
@@ -543,6 +516,31 @@ Cluster::applyPowerCaps()
     }
 }
 
+void
+Cluster::shedApp(AppIndex app, double scale)
+{
+    forEachAppContainer(app, [&](ContainerId, ContainerRef ref) {
+        storeUtilCap(ref.slot,
+                     utilCapAtSlot(ref.slot, powerAtSlot(ref.slot) * scale));
+        cols_.emergency[static_cast<std::size_t>(ref.slot)] = 1;
+    });
+}
+
+bool
+Cluster::emergencyCapped(ContainerRef ref) const
+{
+    if (!live(ref))
+        fatal("Cluster::emergencyCapped: stale container ref");
+    return cols_.emergency[static_cast<std::size_t>(ref.slot)] != 0;
+}
+
+void
+Cluster::restoreEmergencyCap(ContainerId id)
+{
+    cols_.emergency[static_cast<std::size_t>(
+        liveSlotIndex(id, "Cluster::restoreEmergencyCap"))] = 1;
+}
+
 std::vector<std::pair<ContainerId, double>>
 Cluster::powerCaps() const
 {
@@ -551,7 +549,7 @@ Cluster::powerCaps() const
          s = cols_.all_next[static_cast<std::size_t>(s)]) {
         const auto i = static_cast<std::size_t>(s);
         if (!std::isinf(cols_.power_cap_w[i]))
-            out.emplace_back(slots_[i].c.id, cols_.power_cap_w[i]);
+            out.emplace_back(slots_[i].id, cols_.power_cap_w[i]);
     }
     return out;
 }
@@ -622,8 +620,8 @@ Cluster::appContainers(AppIndex app) const
 {
     std::vector<ContainerId> out;
     out.reserve(static_cast<std::size_t>(appContainerCount(app)));
-    forEachAppContainer(app, [&](const Container &c) {
-        out.push_back(c.id);
+    forEachAppContainer(app, [&](ContainerId id, ContainerRef) {
+        out.push_back(id);
     });
     return out;
 }
@@ -659,12 +657,6 @@ Cluster::node(int idx) const
     return nodes_[static_cast<std::size_t>(idx)];
 }
 
-std::size_t
-Cluster::slotSizeBytes()
-{
-    return sizeof(Slot);
-}
-
 // ---------------------------------------------------------------------
 // Checkpoint/restore.
 // ---------------------------------------------------------------------
@@ -684,7 +676,7 @@ Cluster::captureState() const
         si.generation = slot.generation;
         si.live = slot.live;
         if (slot.live)
-            si.c = slot.c; // dead rows are residue, not state
+            si.c = container(slot.id);
         img.slots.push_back(si);
     }
     return img;
@@ -693,6 +685,15 @@ Cluster::captureState() const
 void
 Cluster::restoreState(const ClusterImage &image)
 {
+    // ckpt::decodeSnapshot and applySnapshot refuse such an image as
+    // DataLoss; anything else that gets here dies before it mutates.
+    for (const ClusterImage::SlotImage &si : image.slots)
+        if (si.live &&
+            (si.c.id < 1 || si.c.id >= image.next_id || si.c.app < 0 ||
+             static_cast<std::size_t>(si.c.app) >= image.apps.size() ||
+             si.c.node < 0 || si.c.node >= nodeCount()))
+            fatal("Cluster::restoreState: slot image breaks slab "
+                  "invariants");
     for (Node &n : nodes_) {
         n.cores_allocated = 0.0;
         n.instances = 0;
@@ -717,7 +718,7 @@ Cluster::restoreState(const ClusterImage &image)
     id_to_slot_.assign(
         next_id_ > 1 ? static_cast<std::size_t>(next_id_ - 1) : 0, -1);
 
-    // First pass: rows, columns, coefficients, node accounting.
+    // First pass: slots, columns, coefficients, node accounting.
     std::vector<std::int32_t> live;
     for (std::size_t i = 0; i < image.slots.size(); ++i) {
         const ClusterImage::SlotImage &si = image.slots[i];
@@ -726,12 +727,8 @@ Cluster::restoreState(const ClusterImage &image)
         slot.live = si.live;
         if (!si.live)
             continue;
-        if (si.c.id < 1 || si.c.id >= next_id_ || si.c.app < 0 ||
-            static_cast<std::size_t>(si.c.app) >= apps_.size() ||
-            si.c.node < 0 || si.c.node >= nodeCount())
-            fatal("Cluster::restoreState: slot image breaks slab "
-                  "invariants");
-        slot.c = si.c;
+        slot.id = si.c.id;
+        slot.app = si.c.app;
         cols_.demand[i] = si.c.demand;
         cols_.util_cap[i] = si.c.util_cap;
         cols_.cores[i] = si.c.cores;
@@ -752,13 +749,13 @@ Cluster::restoreState(const ClusterImage &image)
     // so every settle walk sums in the captured run's FP order.
     std::sort(live.begin(), live.end(),
               [this](std::int32_t a, std::int32_t b) {
-                  return slots_[static_cast<std::size_t>(a)].c.id <
-                         slots_[static_cast<std::size_t>(b)].c.id;
+                  return slots_[static_cast<std::size_t>(a)].id <
+                         slots_[static_cast<std::size_t>(b)].id;
               });
     for (std::int32_t s : live) {
         const auto si = static_cast<std::size_t>(s);
         Slot &slot = slots_[si];
-        AppInfo &info = apps_[static_cast<std::size_t>(slot.c.app)];
+        AppInfo &info = apps_[static_cast<std::size_t>(slot.app)];
         slot.app_prev = info.tail;
         cols_.app_next[si] = -1;
         if (info.tail >= 0)

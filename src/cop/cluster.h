@@ -34,15 +34,16 @@
  *    forEachAppContainer() walk only that app's list: no string
  *    compares, no allocation, O(app's containers) instead of
  *    O(all containers).
- *  - The fields those walks actually read — demand, util cap, cores,
- *    GPU share, cached power-model coefficients, and the forward list
- *    links — live in parallel slot-indexed **hot columns**
- *    (cop/columns.h, SoA), not in the slot struct; aggregate walks
- *    stream dense doubles and never touch the slot array. The slot
- *    keeps the cold state (id, generation, backward links, telemetry
- *    cache) plus a coherent `Container` row view that every mutator
- *    writes alongside the columns, so reference-returning accessors
- *    (`find`, `container`, the iteration callbacks) are unchanged.
+ *  - Every per-container runtime field — demand, util cap, cores, GPU
+ *    share, node, watt cap, emergency flag, cached power-model
+ *    coefficients, and the forward list links — lives once, in
+ *    parallel slot-indexed **columns** (cop/columns.h, SoA), not in
+ *    the slot struct; aggregate walks stream dense doubles and never
+ *    touch the slot array. The slot keeps only identity and lifecycle
+ *    state (id, app, generation, backward links, telemetry cache).
+ *    Readers get a `Container` value assembled from the columns
+ *    (`container`), a liveness test (`live`), or (id, ref) pairs from
+ *    forEachAppContainer().
  *  - Each app carries a cached power aggregate invalidated by any
  *    demand/cap/cores/gpu change, so repeated appPowerW() calls
  *    within a tick are O(1).
@@ -52,7 +53,9 @@
  *    node, and picks exactly the node the scan would.
  *  - Tenant watt caps live in a slot column (power_cap_w), so setting,
  *    reading and dropping one is O(1) and re-deriving them all is one
- *    dense walk of the live list.
+ *    dense walk of the live list. The same walk lifts grid-outage
+ *    emergency caps (the emergency column), so this module alone
+ *    decides every container's utilization cap.
  */
 
 #ifndef ECOV_COP_CLUSTER_H
@@ -68,7 +71,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/status.h"
 #include "cop/columns.h"
 #include "power/server_power_model.h"
 #include "util/units.h"
@@ -134,7 +136,9 @@ struct ContainerRef
 };
 
 /**
- * One container instance: allocation plus runtime utilization state.
+ * One container instance, as a value: allocation plus runtime
+ * utilization state (Cluster::container() assembles it from the
+ * columns; ClusterImage carries it per live slot).
  *
  * `demand` is what the workload asks for this tick; `util_cap` is the
  * cgroup-enforced ceiling; the effective utilization is their minimum.
@@ -278,20 +282,15 @@ class Cluster
     ContainerId idOf(ContainerRef ref) const;
 
     /**
-     * Resolve a ref: the container, or nullptr when the ref is
+     * True when the ref names a live container; false when it is
      * invalid or stale (its slot was destroyed, possibly recycled).
      * O(1): bounds check + generation compare, never fatal.
      */
-    const Container *find(ContainerRef ref) const;
+    bool live(ContainerRef ref) const;
 
-    /** Look up a container (fatal on unknown id; see tryContainer). */
-    const Container &container(ContainerId id) const;
-
-    /**
-     * Checked lookup consistent with the api error model: the
-     * container, or an UnknownContainer error — never fatal.
-     */
-    api::Result<const Container *> tryContainer(ContainerId id) const;
+    /** A live container's state, assembled from the columns (fatal on
+     *  an unknown id). */
+    Container container(ContainerId id) const;
 
     // ------------------------------------------------------------------
     // Runtime state.
@@ -304,7 +303,11 @@ class Cluster
      */
     bool setCores(ContainerId id, double cores);
 
-    /** Set the cgroup utilization cap, clamped to [0, 1]. */
+    /**
+     * Set the cgroup utilization cap, clamped to [0, 1]: the COP's own
+     * knob. The ecovisor never calls it; applyPowerCaps() undoes it on
+     * a watt-capped or emergency-capped container.
+     */
     void setUtilizationCap(ContainerId id, double cap);
 
     /** Set this tick's workload demand, clamped to [0, 1]. */
@@ -321,16 +324,6 @@ class Cluster
 
     /** Ref-addressed variant (fatal on a stale ref). */
     double containerPowerW(ContainerRef ref) const;
-
-    /**
-     * Direct variant for a Container obtained from an iteration
-     * callback: same value as the id overload with zero lookups.
-     */
-    double
-    containerPowerW(const Container &c) const
-    {
-        return powerOf(c);
-    }
 
     /**
      * Utilization cap keeping a container's power at or below cap_w,
@@ -358,11 +351,32 @@ class Cluster
 
     /**
      * Re-derive every capped container's utilization cap from its
-     * watt cap, in one walk of the live list. A setCores() since the
-     * cap was set, or a direct setUtilizationCap() override, is undone
-     * here.
+     * watt cap, and lift every emergency cap, in one walk of the live
+     * list: an emergency-capped container gets its derived cap back,
+     * or 1 when it has no watt cap. A setCores() since the cap was
+     * set, or a direct setUtilizationCap() override of a capped
+     * container, is undone here.
      */
     void applyPowerCaps();
+
+    /**
+     * Grid-outage shedding (docs/FAULTS.md): cap each of the app's
+     * containers at `scale` times its current attributed power, as
+     * utilizationCapForPower() maps it, and flag the cap an emergency
+     * one until the next applyPowerCaps() lifts it.
+     */
+    void shedApp(AppIndex app, double scale);
+
+    /** True while a live container holds an emergency cap. Fatal on a
+     *  stale ref. */
+    bool emergencyCapped(ContainerRef ref) const;
+
+    /**
+     * Flag a captured emergency cap again without deriving anything
+     * (the restored slab already holds the capped utilization). Fatal
+     * on an id that is not live.
+     */
+    void restoreEmergencyCap(ContainerId id);
 
     /**
      * Every finite watt cap as (id, cap), ascending by id: the live
@@ -393,7 +407,10 @@ class Cluster
 
     /**
      * Visit an app's live containers in creation (= increasing id)
-     * order, with no allocation: fn(const Container &) per container.
+     * order, with no allocation: fn(ContainerId, ContainerRef) per
+     * container. The ref addresses the ref-taking calls (an
+     * api::ContainerHandle wraps it) and its slot keys the per-slot
+     * SlotSeriesCache, so nothing in the walk resolves an id again.
      * fn must not create or destroy containers (it may freely mutate
      * demand/caps through the setters).
      */
@@ -404,26 +421,10 @@ class Cluster
         if (app < 0 || static_cast<std::size_t>(app) >= apps_.size())
             return;
         for (std::int32_t s = apps_[static_cast<std::size_t>(app)].head;
-             s >= 0; s = cols_.app_next[static_cast<std::size_t>(s)])
-            fn(slots_[static_cast<std::size_t>(s)].c);
-    }
-
-    /**
-     * Slot-aware variant: fn(const Container &, std::int32_t slot).
-     * The slot index keys the per-slot SlotSeriesCache — the
-     * ecovisor's telemetry path resolves ids through it without any
-     * id->slot lookup. Same iteration order and restrictions as
-     * forEachAppContainer.
-     */
-    template <typename Fn>
-    void
-    forEachAppContainerSlot(AppIndex app, Fn &&fn) const
-    {
-        if (app < 0 || static_cast<std::size_t>(app) >= apps_.size())
-            return;
-        for (std::int32_t s = apps_[static_cast<std::size_t>(app)].head;
-             s >= 0; s = cols_.app_next[static_cast<std::size_t>(s)])
-            fn(slots_[static_cast<std::size_t>(s)].c, s);
+             s >= 0; s = cols_.app_next[static_cast<std::size_t>(s)]) {
+            const Slot &slot = slots_[static_cast<std::size_t>(s)];
+            fn(slot.id, ContainerRef{s, slot.generation});
+        }
     }
 
     /**
@@ -481,23 +482,14 @@ class Cluster
     const Node &node(int idx) const;
 
     // ------------------------------------------------------------------
-    // Layout introspection (coherence tests, micro_cop_overhead).
+    // Layout introspection (column tests).
     // ------------------------------------------------------------------
 
     /**
-     * Read-only view of the hot columns. Slot-indexed in lockstep
-     * with the slab; authoritative for every aggregate walk and kept
-     * write-through-coherent with each slot's `Container` row view.
+     * Read-only view of the columns: slot-indexed in lockstep with the
+     * slab, and the only home of every per-container runtime field.
      */
     const HotColumns &hotColumns() const { return cols_; }
-
-    /**
-     * sizeof the (private) slab slot struct — the per-container AoS
-     * footprint aggregate walks dragged through cache before the hot
-     * fields moved to columns. micro_cop_overhead reports cache-line
-     * utilisation of both layouts from this.
-     */
-    static std::size_t slotSizeBytes();
 
     // ------------------------------------------------------------------
     // Checkpoint/restore (src/ckpt/, docs/CHECKPOINT.md).
@@ -510,30 +502,31 @@ class Cluster
      * Rebuild the full layout from an image: slab + columns + both
      * intrusive lists (relinked in increasing-id order, which equals
      * the captured link order), id table, node accounting, placement
-     * tree, free-list verbatim. Watt caps are not in the image and
-     * come back uncapped (Ecovisor::restoreState writes them).
+     * tree, free-list verbatim. Watt caps and emergency flags are not
+     * in the image and come back clear (Ecovisor::restoreState writes
+     * them).
      * Slot-side series caches reset to the never-filled
-     * sentinel — telemetry lazily re-interns. Fatal on a structurally
-     * impossible image (corruption is caught upstream by the record
-     * CRC; this guards internal invariants).
+     * sentinel — telemetry lazily re-interns. Fatal, before anything
+     * changes, on a live slot whose id, app or node is out of range
+     * (ckpt::decodeSnapshot and applySnapshot refuse those, and a
+     * broken free list, as DataLoss first).
      */
     void restoreState(const ClusterImage &image);
 
   private:
     /**
-     * One slab slot: cold per-container state. Hot fields walked per
-     * tick live in `cols_` (cop/columns.h); `c` is the coherent AoS
-     * row view every mutator updates alongside the columns so
-     * pointer/reference accessors keep their exact semantics.
+     * One slab slot: identity and lifecycle state only. Every runtime
+     * field lives in `cols_` (cop/columns.h).
      */
     struct Slot
     {
-        Container c;
+        ContainerId id = kInvalidContainer; ///< meaningful when live
+        AppIndex app = kInvalidApp;         ///< meaningful when live
         std::uint32_t generation = 0;
-        bool live = false;
         std::int32_t app_prev = -1; ///< per-app list, backward (cold)
         std::int32_t all_prev = -1; ///< global live list, backward
         SlotSeriesCache series_cache; ///< generation-checked ext. ids
+        bool live = false;
     };
 
     /** Out-of-line fatal for the inline slot accessors. */
@@ -595,19 +588,12 @@ class Cluster
     /** Slot index for a live id; fatal with `who` when unknown. */
     std::int32_t liveSlotIndex(ContainerId id, const char *who) const;
 
-    /** Slot for a live id; fatal with `who` context when unknown. */
-    Slot &liveSlot(ContainerId id, const char *who);
-    const Slot &liveSlot(ContainerId id, const char *who) const;
-
-    /** Attributed power of one live container (row-view path). */
-    double powerOf(const Container &c) const;
-
     /**
-     * Attributed power of one live slot from the hot columns — the
+     * Attributed power of one live slot from the columns — the
      * settle-walk kernel. Same floating-point expression tree as
      * ServerPowerModel::containerPowerW (the coefficient columns hold
      * the identical idlePerCoreW()*cores / dynamicPerCoreW()*cores
-     * products), so both paths round bit-identically.
+     * products), so it rounds bit-identically to a model call.
      */
     double
     powerAtSlot(std::int32_t s) const
@@ -627,7 +613,7 @@ class Cluster
      */
     double utilCapAtSlot(std::int32_t s, double cap_w) const;
 
-    /** Write a slot's utilization cap to its column and row view. */
+    /** Write a slot's utilization cap, clamped, and dirty its app. */
     void storeUtilCap(std::int32_t s, double cap);
 
     void markAppPowerDirty(AppIndex app);

@@ -1,33 +1,29 @@
 /**
  * @file
- * SoA hot columns for the container slab (docs/PERF.md §2.1,
+ * SoA columns for the container slab (docs/PERF.md §2.1,
  * docs/ARCHITECTURE.md).
  *
- * The per-container fields the per-tick aggregate walks actually read
- * — demand, utilization cap, cores, GPU share, and the precomputed
- * power-model coefficients — live here as parallel slot-indexed
- * arrays (structure-of-arrays), not inside the slab's slot struct.
- * A settle walk (`Cluster::appPowerW` recompute, `totalPowerW`)
- * therefore streams dense `double` columns at ~100 % cache-line
- * utilisation instead of dragging a whole multi-line slot into cache
- * for a few scalar reads; the forward list links ride along as their
- * own `int32` columns so the walk never touches the slot array at
- * all. Cold, identity and lifecycle state (ids, generation counters,
- * backward links, the telemetry series cache, and the `Container`
- * row view handed to reference-returning accessors) stays in the
- * slot.
+ * Every per-container runtime field — demand, utilization cap, cores,
+ * GPU share, hosting node, watt cap, emergency flag and the
+ * precomputed power-model coefficients — lives here as a parallel
+ * slot-indexed array (structure-of-arrays), and nowhere else: the
+ * columns are the only home of that state. A settle walk
+ * (`Cluster::appPowerW` recompute, `totalPowerW`) therefore streams
+ * dense `double` columns instead of dragging a multi-line slot into
+ * cache for a few scalar reads; the forward list links ride along as
+ * their own `int32` columns so the walk never touches the slot array
+ * at all. Identity and lifecycle state (id, app, generation counter,
+ * backward links, the telemetry series cache) stays in the slot, and
+ * readers that want a whole container get a `Container` value
+ * assembled from the columns (`Cluster::container`).
  *
- * Coherence contract: the columns are the authoritative layout for
- * every aggregate walk, and every `Cluster` mutator writes them and
- * the slot's `Container` row view in the same call — the two can
- * never diverge (asserted against a shadow AoS model by
- * tests/cop/columns_test.cc). The coefficient columns cache the
- * hosting node's power-model constants scaled by the slot's
- * allocation, refreshed whenever `cores` (or the slot's node, at
- * create) changes; they reproduce `ServerPowerModel::containerPowerW`
- * with the exact same floating-point expression tree, so column walks
- * are bit-identical to the model-call path (the determinism
- * contract, docs/ARCHITECTURE.md).
+ * The coefficient columns cache the hosting node's power-model
+ * constants scaled by the slot's allocation, refreshed whenever
+ * `cores` (or the slot's node, at create) changes; they reproduce
+ * `ServerPowerModel::containerPowerW` with the exact same
+ * floating-point expression tree, so a column walk is bit-identical
+ * to a model call (the determinism contract, docs/ARCHITECTURE.md;
+ * checked against a shadow model by tests/cop/columns_test.cc).
  */
 
 #ifndef ECOV_COP_COLUMNS_H
@@ -87,6 +83,16 @@ struct HotColumns
      */
     std::vector<double> power_cap_w;
 
+    /**
+     * 1 while util_cap holds a grid-outage emergency cap
+     * (Cluster::shedApp). Cluster::applyPowerCaps lifts it at the next
+     * settle; dead slots hold 0, so the flag dies with its slot too.
+     * Not a byte column: a store through a character type may alias
+     * every column's data pointer, and the settle walk that clears
+     * flags would then reload them all on each step.
+     */
+    std::vector<std::int32_t> emergency;
+
     // ------------------------------------------------------------------
     // Forward intrusive-list links (creation == increasing-id order;
     // the iteration-order part of the determinism contract). Backward
@@ -111,6 +117,7 @@ struct HotColumns
         gpu_peak_w.push_back(0.0);
         node.push_back(-1);
         power_cap_w.push_back(kNoPowerCap);
+        emergency.push_back(0);
         app_next.push_back(-1);
         all_next.push_back(-1);
     }
@@ -129,30 +136,11 @@ struct HotColumns
         gpu_peak_w[i] = 0.0;
         node[i] = -1;
         power_cap_w[i] = kNoPowerCap;
+        emergency[i] = 0;
         app_next[i] = -1;
         all_next[i] = -1;
     }
 };
-
-/**
- * Bytes the per-app settle walk reads per container from the columns:
- * demand, util_cap, idle_w, dyn_w, gpu_peak_w, gpu_util plus the
- * app_next link. Dense and fully useful — the numerator and (up to
- * column-boundary effects) the denominator of the walk's cache-line
- * utilisation. micro_cop_overhead reports this against the AoS slot
- * footprint (`Cluster::slotSizeBytes()`).
- */
-inline constexpr std::size_t kSettleColumnBytesPerContainer =
-    6 * sizeof(double) + sizeof(std::int32_t);
-
-/**
- * Bytes of a fat AoS slot the pre-column settle walk actually used
- * per container (demand, util_cap, cores, gpu_util, node, app_next)
- * — the cache-line-utilisation numerator of the old layout, whose
- * denominator was every line the slot straddled.
- */
-inline constexpr std::size_t kSettleUsefulAosBytesPerContainer =
-    4 * sizeof(double) + 2 * sizeof(std::int32_t);
 
 } // namespace ecov::cop
 

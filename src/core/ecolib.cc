@@ -112,9 +112,8 @@ EcoLib::clearCarbonRate()
     // Allocation-free walk; uncapping mutates caps only, never the
     // container list itself, so iterating while setting is safe.
     eco_->cluster().forEachAppContainer(
-        cop_app_, [&](const cop::Container &c) {
-            eco_->setContainerPowercap(api::handleOf(eco_->cluster(), c.id),
-                                       kUnlimitedW)
+        cop_app_, [&](cop::ContainerId, cop::ContainerRef ref) {
+            eco_->setContainerPowercap(api::ContainerHandle(ref), kUnlimitedW)
                 .orFatal();
         });
 }
@@ -124,9 +123,8 @@ EcoLib::setContainerCarbonRate(cop::ContainerId id, double g_per_s)
 {
     if (g_per_s < 0.0)
         fatal("EcoLib::setContainerCarbonRate: negative rate");
-    const cop::Container *c =
-        eco_->cluster().tryContainer(id).valueOr(nullptr);
-    if (!c || c->app != cop_app_)
+    if (!eco_->cluster().exists(id) ||
+        eco_->cluster().container(id).app != cop_app_)
         fatal("EcoLib::setContainerCarbonRate: container not owned by "
               "app '" + app_ + "'");
     container_rates_g_per_s_[id] = g_per_s;
@@ -255,8 +253,8 @@ EcoLib::enforceCarbonRate(TimeS start_s, TimeS dt_s)
     double budget_w = zero_carbon_w + allowed_grid_w;
     double per_container_w = budget_w / static_cast<double>(count);
     eco_->cluster().forEachAppContainer(
-        cop_app_, [&](const cop::Container &c) {
-            eco_->setContainerPowercap(api::handleOf(eco_->cluster(), c.id),
+        cop_app_, [&](cop::ContainerId, cop::ContainerRef ref) {
+            eco_->setContainerPowercap(api::ContainerHandle(ref),
                                        per_container_w)
                 .orFatal();
         });

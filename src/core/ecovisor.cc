@@ -304,7 +304,7 @@ Ecovisor::setContainerPowercap(ContainerHandle c, double cap_w)
 {
     // O(1) slab resolution: an invalid handle and a handle whose
     // container was destroyed (generation mismatch) fail identically.
-    if (!cluster_->find(c.ref()))
+    if (!cluster_->live(c.ref()))
         return Status::error(ErrorCode::UnknownContainer,
                              "Ecovisor::setContainerPowercap: unknown "
                              "container");
@@ -322,7 +322,7 @@ Ecovisor::applyCapBatch(const api::CapBatch &batch)
     // Validate the whole batch before staging anything: a rejected
     // batch must leave no trace (all-or-nothing semantics).
     for (const auto &req : batch.requests()) {
-        if (!cluster_->find(req.container.ref()))
+        if (!cluster_->live(req.container.ref()))
             return Status::error(ErrorCode::UnknownContainer,
                                  "Ecovisor::applyCapBatch: unknown "
                                  "container");
@@ -344,7 +344,7 @@ Ecovisor::commitStagedCaps()
         // skipped: its cap died with its slot. The generation check
         // also skips a recycled slot, so a cap staged for a dead
         // container can never leak onto its successor.
-        if (cluster_->find(req.container.ref()))
+        if (cluster_->live(req.container.ref()))
             cluster_->setPowerCap(req.container.ref(), req.cap_w);
     }
     staged_caps_.clear();
@@ -427,7 +427,7 @@ Ecovisor::getBatteryChargeLevel(AppHandle h) const
 Result<double>
 Ecovisor::getContainerPowercap(ContainerHandle c) const
 {
-    if (!cluster_->find(c.ref()))
+    if (!cluster_->live(c.ref()))
         return Status::error(ErrorCode::UnknownContainer,
                              "Ecovisor::getContainerPowercap: unknown "
                              "container");
@@ -437,7 +437,7 @@ Ecovisor::getContainerPowercap(ContainerHandle c) const
 Result<double>
 Ecovisor::getContainerPower(ContainerHandle c) const
 {
-    if (!cluster_->find(c.ref()))
+    if (!cluster_->live(c.ref()))
         return Status::error(ErrorCode::UnknownContainer,
                              "Ecovisor::getContainerPower: unknown "
                              "container");
@@ -523,12 +523,12 @@ Result<ts::SeriesId>
 Ecovisor::containerSeriesId(api::ContainerHandle c,
                             api::ContainerMetric m)
 {
-    const cop::Container *ct = cluster_->find(c.ref());
-    if (!ct)
+    const cop::ContainerId id = cluster_->idOf(c.ref());
+    if (id == cop::kInvalidContainer)
         return Status::error(ErrorCode::UnknownContainer,
                              "Ecovisor::containerSeriesId: unknown "
                              "container");
-    ensureContainerSeries(*ct, c.ref().slot);
+    ensureContainerSeries(id, c.ref().slot);
     const cop::SlotSeriesCache &cache =
         cluster_->seriesCache(c.ref().slot);
     switch (m) {
@@ -601,12 +601,10 @@ Ecovisor::settleApp(AppState &st, double solar_w, double intensity,
 bool
 Ecovisor::applyEmergencyCaps(double site_solar_w, TimeS dt_s)
 {
-    // Recompute from scratch each outage tick: last tick's emergency
-    // caps would otherwise compound (a capped container reports less
-    // power, shrinking next tick's budget). Tenant powercaps were
-    // re-applied by Cluster::applyPowerCaps() just above, so clearing
-    // only touches containers with no tenant cap of their own.
-    clearEmergencyCaps();
+    // Recomputed from scratch each outage tick: Cluster::applyPowerCaps()
+    // just above lifted last tick's emergency caps, which would
+    // otherwise compound (a capped container reports less power,
+    // shrinking next tick's budget).
     bool any_capped = false;
     for (std::int32_t idx : settle_order_) {
         AppState &st = apps_[static_cast<std::size_t>(idx)];
@@ -623,36 +621,10 @@ Ecovisor::applyEmergencyCaps(double site_solar_w, TimeS dt_s)
         const double demand_w = cluster_->appPowerW(st.cop_app);
         if (demand_w <= 0.0 || demand_w <= avail_w)
             continue;
-        const double scale = avail_w / demand_w;
+        cluster_->shedApp(st.cop_app, avail_w / demand_w);
         any_capped = true;
-        cluster_->forEachAppContainer(
-            st.cop_app, [&](const cop::Container &c) {
-                const double target_w =
-                    cluster_->containerPowerW(c) * scale;
-                cluster_->setUtilizationCap(
-                    c.id,
-                    cluster_->utilizationCapForPower(c.id, target_w));
-                emergency_capped_.push_back(c.id);
-            });
     }
     return any_capped;
-}
-
-void
-Ecovisor::clearEmergencyCaps()
-{
-    for (cop::ContainerId id : emergency_capped_) {
-        const cop::ContainerRef ref = cluster_->refOf(id);
-        if (!ref.valid())
-            continue;
-        // Containers with a tenant powercap got it re-applied this
-        // tick by Cluster::applyPowerCaps(); only the rest revert to
-        // uncapped.
-        if (!std::isinf(cluster_->powerCap(ref)))
-            continue;
-        cluster_->setUtilizationCap(id, 1.0);
-    }
-    emergency_capped_.clear();
 }
 
 void
@@ -679,8 +651,8 @@ Ecovisor::settleTick(TimeS start_s, TimeS dt_s)
     if (pre_settle_hook_)
         pre_settle_hook_(start_s, dt_s);
 
-    // Commit any staged CapBatch, then re-apply watt caps:
-    // allocations may have changed this tick.
+    // Commit any staged CapBatch, then re-apply watt caps (allocations
+    // may have changed this tick) and lift last tick's emergency caps.
     commitStagedCaps();
     cluster_->applyPowerCaps();
 
@@ -702,13 +674,10 @@ Ecovisor::settleTick(TimeS start_s, TimeS dt_s)
     }
 
     // Grid outage: clamp demand to each app's grid-safe budget before
-    // settlement reads container power; lift the clamps on the first
-    // healthy tick after the outage.
-    bool emergency = false;
-    if (degraded && faults_.grid_out)
-        emergency = applyEmergencyCaps(solar_w, dt_s);
-    else if (!emergency_capped_.empty())
-        clearEmergencyCaps();
+    // settlement reads container power. applyPowerCaps() above lifted
+    // last tick's clamps, so the first healthy tick settles without.
+    const bool emergency =
+        degraded && faults_.grid_out && applyEmergencyCaps(solar_w, dt_s);
 
     // Per-app settlement is independent (disjoint VES + COP state),
     // so shard it across the pool. Every cross-app reduction below
@@ -804,7 +773,13 @@ Ecovisor::captureState() const
         img.apps.push_back(std::move(ai));
     }
     img.powercaps = cluster_->powerCaps();
-    img.emergency_capped = emergency_capped_;
+    for (std::int32_t idx : settle_order_)
+        cluster_->forEachAppContainer(
+            apps_[static_cast<std::size_t>(idx)].cop_app,
+            [&](cop::ContainerId id, cop::ContainerRef ref) {
+                if (cluster_->emergencyCapped(ref))
+                    img.emergency_capped.push_back(id);
+            });
     img.degraded_ticks = degraded_ticks_;
     img.slo_violation_ticks = slo_violation_ticks_;
     img.unserved_wh = unserved_wh_;
@@ -838,7 +813,8 @@ Ecovisor::restoreState(const EcovisorImage &image)
     // The cluster was restored first, so every captured id is live.
     for (const auto &[id, cap_w] : image.powercaps)
         cluster_->restorePowerCap(id, cap_w);
-    emergency_capped_ = image.emergency_capped;
+    for (cop::ContainerId id : image.emergency_capped)
+        cluster_->restoreEmergencyCap(id);
     degraded_ticks_ = image.degraded_ticks;
     slo_violation_ticks_ = image.slo_violation_ticks;
     unserved_wh_ = image.unserved_wh;
@@ -863,8 +839,7 @@ Ecovisor::aggregateBatteryWh() const
 }
 
 void
-Ecovisor::ensureContainerSeries(const cop::Container &c,
-                                std::int32_t slot)
+Ecovisor::ensureContainerSeries(cop::ContainerId id, std::int32_t slot)
 {
     cop::SlotSeriesCache &cache = cluster_->seriesCache(slot);
     const std::uint32_t generation = cluster_->slotGeneration(slot);
@@ -873,7 +848,7 @@ Ecovisor::ensureContainerSeries(const cop::Container &c,
     // First sight of this container (or of this slot incarnation):
     // the one place the per-container string key is ever built —
     // once per container lifetime, not per tick.
-    const std::string tag = std::to_string(c.id);
+    const std::string tag = std::to_string(id);
     cache.power = db_.intern("container_power_w", tag);
     cache.carbon = db_.intern("container_carbon_g", tag);
     cache.generation = generation;
@@ -904,11 +879,11 @@ Ecovisor::recordApp(const AppState &st, TimeS start_s)
     // get_container_energy/get_container_carbon). Series ids come
     // from the slot cache the resolve pass filled; everything here is
     // app-local, which is what makes this function shardable.
-    cluster_->forEachAppContainerSlot(
-        st.cop_app, [&](const cop::Container &c, std::int32_t slot) {
+    cluster_->forEachAppContainer(
+        st.cop_app, [&](cop::ContainerId, cop::ContainerRef ref) {
             const cop::SlotSeriesCache &cache =
-                cluster_->seriesCache(slot);
-            double p_w = cluster_->containerPowerW(c);
+                cluster_->seriesCache(ref.slot);
+            double p_w = cluster_->containerPowerW(ref);
             db_.append(cache.power, start_s, p_w);
             double share = s.demand_w > 1e-12 ? p_w / s.demand_w : 0.0;
             db_.append(cache.carbon, start_s, s.carbon_g * share);
@@ -930,10 +905,10 @@ Ecovisor::recordTelemetry(TimeS start_s)
     // before the shards run; in steady state this pass is a
     // generation compare per live container and nothing else.
     for (std::int32_t idx : settle_order_)
-        cluster_->forEachAppContainerSlot(
+        cluster_->forEachAppContainer(
             apps_[static_cast<std::size_t>(idx)].cop_app,
-            [&](const cop::Container &c, std::int32_t slot) {
-                ensureContainerSeries(c, slot);
+            [&](cop::ContainerId id, cop::ContainerRef ref) {
+                ensureContainerSeries(id, ref.slot);
             });
 
     // Per-app appends, sharded exactly like settlement: each app's

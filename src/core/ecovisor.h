@@ -133,6 +133,8 @@ struct EcovisorImage
     std::vector<AppImage> apps; ///< registration (handle-index) order
     /** Finite watt caps of live containers, container id ascending. */
     std::vector<std::pair<cop::ContainerId, double>> powercaps;
+    /** Live emergency-capped containers, ascending by (app name, id):
+     *  the settle order the outage capped them in. */
     std::vector<cop::ContainerId> emergency_capped;
     std::int64_t degraded_ticks = 0;
     std::int64_t slo_violation_ticks = 0;
@@ -427,8 +429,8 @@ class Ecovisor
      * out exactly as the captured run assigned them; the VES internals
      * are then overwritten with the captured runtime state. Restore
      * the cluster first — tryAddApp re-interns against it, and the
-     * watt caps go back into its cap column (fatal on a cap for a
-     * container the restored cluster does not hold live).
+     * watt caps and emergency flags go back into its columns (fatal on
+     * an id the restored cluster does not hold live).
      */
     void restoreState(const EcovisorImage &image);
 
@@ -497,8 +499,7 @@ class Ecovisor
      * under its current generation. Mutates the store on a miss, so
      * only callable from sequential phases.
      */
-    void ensureContainerSeries(const cop::Container &c,
-                               std::int32_t slot);
+    void ensureContainerSeries(cop::ContainerId id, std::int32_t slot);
 
     /**
      * Pre-size a series for the ticks still ahead of the horizon
@@ -543,16 +544,14 @@ class Ecovisor
                    const SettleLimits &limits);
 
     /**
-     * Grid outage: clamp every app whose demand exceeds its
-     * grid-safe budget (owned solar + permitted battery discharge)
-     * by scaling its containers' utilization caps. Exact clamp to
-     * what the islanded system can serve — never an extrapolated
-     * brown-out curve. Returns true when any container was capped.
+     * Grid outage: shed every app whose demand exceeds its grid-safe
+     * budget (owned solar + permitted battery discharge) through
+     * cop::Cluster::shedApp, which scales its containers' utilization
+     * caps. Exact clamp to what the islanded system can serve — never
+     * an extrapolated brown-out curve. Returns true when any app was
+     * shed.
      */
     bool applyEmergencyCaps(double site_solar_w, TimeS dt_s);
-
-    /** Lift emergency caps (outage over), restoring tenant caps. */
-    void clearEmergencyCaps();
 
     /**
      * Current site solar reading for getters: live (and derated)
@@ -598,8 +597,6 @@ class Ecovisor
     /** Last settled site solar/intensity (blackout staleness source). */
     double last_site_solar_w_ = 0.0;
     double last_intensity_ = 0.0;
-    /** Containers emergency-capped by the current outage. */
-    std::vector<cop::ContainerId> emergency_capped_;
     std::int64_t degraded_ticks_ = 0;
     std::int64_t slo_violation_ticks_ = 0;
     double unserved_wh_ = 0.0;

@@ -152,8 +152,9 @@ ServerCore::revoke(Session &s)
     // stale everywhere — the existing COP revocation semantics.
     cop::Cluster &cluster = eco_->cluster();
     for (const api::ContainerHandle &h : s.containers)
-        if (const cop::Container *c = cluster.find(h.ref()))
-            cluster.destroyContainer(c->id);
+        if (const cop::ContainerId id = cluster.idOf(h.ref());
+            id != cop::kInvalidContainer)
+            cluster.destroyContainer(id);
 
     if (s.token != 0)
         tokens_.erase(s.token);
@@ -786,14 +787,14 @@ ServerCore::apply(const PendingOp &op, Session &s)
                                     "unknown local container id"));
             return;
         }
-        const cop::Container *c = eco_->cluster().find(h->ref());
-        if (!c) {
+        const cop::ContainerId id = eco_->cluster().idOf(h->ref());
+        if (id == cop::kInvalidContainer) {
             encodeErrorResponse(s.outbox, op.op, op.req_id,
                                 err(api::ErrorCode::UnknownContainer,
                                     "container already destroyed"));
             return;
         }
-        eco_->cluster().destroyContainer(c->id);
+        eco_->cluster().destroyContainer(id);
         encodeOkResponse(s.outbox, op.op, op.req_id);
         return;
       }
@@ -868,14 +869,14 @@ ServerCore::apply(const PendingOp &op, Session &s)
                                     "demand must not be NaN"));
             return;
         }
-        const cop::Container *c = eco_->cluster().find(h->ref());
-        if (!c) {
+        const cop::ContainerId id = eco_->cluster().idOf(h->ref());
+        if (id == cop::kInvalidContainer) {
             encodeErrorResponse(s.outbox, op.op, op.req_id,
                                 err(api::ErrorCode::UnknownContainer,
                                     "container destroyed"));
             return;
         }
-        eco_->cluster().setDemand(c->id, op.value);
+        eco_->cluster().setDemand(id, op.value);
         encodeOkResponse(s.outbox, op.op, op.req_id);
         return;
       }

@@ -136,10 +136,10 @@ TEST(ContainerHandle, WrapsSlabRefs)
     // Destroying the container makes the handle stale, not fatal:
     // the recycled slot's new incarnation never aliases it.
     rig.cluster.destroyContainer(*id);
-    EXPECT_EQ(rig.cluster.find(c.ref()), nullptr);
+    EXPECT_FALSE(rig.cluster.live(c.ref()));
     auto id2 = rig.cluster.createContainer("a", 1.0);
     ASSERT_TRUE(id2);
-    EXPECT_EQ(rig.cluster.find(c.ref()), nullptr);
+    EXPECT_FALSE(rig.cluster.live(c.ref()));
     EXPECT_NE(api::handleOf(rig.cluster, *id2), c);
 }
 

@@ -7,8 +7,9 @@
  * by token without re-registering, and damaged state files recover
  * per the taxonomy (torn tail truncates, corruption — a flipped byte,
  * or a CRC-valid record with a forged element count, an out-of-order
- * dedup window, a forged session plane or a forged watt-cap list — is
- * DataLoss and mutates nothing).
+ * dedup window, a forged session plane, slab, watt-cap list or
+ * emergency list, or a WAL that cannot replay — is DataLoss and
+ * mutates nothing).
  *
  * Carries the `threads` label: settlement shards under ECOV_THREADS,
  * and the digest equality must hold at any thread count.
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <string>
@@ -23,6 +25,7 @@
 
 #include <unistd.h>
 
+#include "ckpt/manager.h"
 #include "ckpt/record_io.h"
 #include "ckpt/snapshot.h"
 #include "net/client.h"
@@ -228,6 +231,29 @@ forgedCountPayload(std::uint32_t magic, std::uint32_t version)
     return out;
 }
 
+/**
+ * Publish a forged snapshot into a fresh harness and recover: it must
+ * be DataLoss, with no throw, at tick 0 and with no app, session or
+ * container restored.
+ */
+void
+expectForgedSnapshotRefused(const Snapshot &snap)
+{
+    std::vector<std::uint8_t> payload;
+    encodeSnapshot(payload, snap);
+    WorldHarness b(makeStateDir());
+    ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
+                                  FsyncPolicy::Never)
+                    .ok());
+    api::Status st;
+    EXPECT_NO_THROW(st = b.mgr.recover());
+    EXPECT_EQ(st.code(), api::ErrorCode::DataLoss) << st.message();
+    EXPECT_EQ(b.tickCount(), 0);
+    EXPECT_EQ(b.server.sessionCount(), 0u);
+    EXPECT_EQ(b.rig.eco.appCount(), 0u);
+    EXPECT_EQ(b.rig.cluster.containerCount(), 0);
+}
+
 TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
 {
     // Snapshot: the forged record is published atomically, so the
@@ -285,19 +311,7 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
         } else {
             img.committed_max = d.ids[0];
         }
-        std::vector<std::uint8_t> payload;
-        encodeSnapshot(payload, snap);
-
-        WorldHarness b(makeStateDir());
-        ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
-                                      FsyncPolicy::Never)
-                        .ok());
-        api::Status st;
-        EXPECT_NO_THROW(st = b.mgr.recover());
-        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
-        EXPECT_EQ(b.tickCount(), 0);
-        EXPECT_EQ(b.server.sessionCount(), 0u);
-        EXPECT_EQ(b.rig.eco.appCount(), 0u);
+        expectForgedSnapshotRefused(snap);
     }
     // Snapshot: the watt-cap list the ecovisor restores into its slot
     // column, captured live with caps on the first and last of three
@@ -357,19 +371,7 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
             caps[1].second = core::kUnlimitedW;
             break;
         }
-        std::vector<std::uint8_t> payload;
-        encodeSnapshot(payload, snap);
-
-        WorldHarness b(makeStateDir());
-        ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
-                                      FsyncPolicy::Never)
-                        .ok());
-        api::Status st;
-        EXPECT_NO_THROW(st = b.mgr.recover());
-        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
-        EXPECT_EQ(b.tickCount(), 0);
-        EXPECT_EQ(b.rig.eco.appCount(), 0u);
-        EXPECT_EQ(b.rig.cluster.containerCount(), 0);
+        expectForgedSnapshotRefused(snap);
     }
     // Snapshot: the session plane of a live two-tenant capture, forged
     // six ways. Capture walks sessions in ascending id order, every id
@@ -432,19 +434,156 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
             plane.sessions[1].token = plane.sessions[0].token;
             break;
         }
-        std::vector<std::uint8_t> payload;
-        encodeSnapshot(payload, snap);
-
-        WorldHarness b(makeStateDir());
-        ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
-                                      FsyncPolicy::Never)
-                        .ok());
-        api::Status st;
-        EXPECT_NO_THROW(st = b.mgr.recover());
-        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
-        EXPECT_EQ(b.tickCount(), 0);
-        EXPECT_EQ(b.server.sessionCount(), 0u);
-        EXPECT_EQ(b.rig.eco.appCount(), 0u);
+        expectForgedSnapshotRefused(snap);
+    }
+    // Snapshot: the slab itself, captured live with three containers
+    // and the middle one destroyed (one dead slot, listed once in the
+    // free list), then forged nine ways. Create hands out each id in
+    // [1, next_id) once, interns the app first and places on a node
+    // of this cluster, and the free list holds exactly the dead slots,
+    // so no valid writer emits any of these. Restoring one either
+    // failed fatally after the slab was cleared or handed a slot out
+    // twice.
+    enum class SlabForgery
+    {
+        IdZero,
+        IdAtNextId,
+        RepeatedId,
+        AppPastNames,
+        NodePastCluster,
+        FreeOutOfRange,
+        FreeNamesLive,
+        FreeRepeated,
+        FreeMissingDead,
+    };
+    for (const SlabForgery forgery :
+         {SlabForgery::IdZero, SlabForgery::IdAtNextId,
+          SlabForgery::RepeatedId, SlabForgery::AppPastNames,
+          SlabForgery::NodePastCluster, SlabForgery::FreeOutOfRange,
+          SlabForgery::FreeNamesLive, SlabForgery::FreeRepeated,
+          SlabForgery::FreeMissingDead}) {
+        SCOPED_TRACE("slab forgery " +
+                     std::to_string(static_cast<int>(forgery)));
+        Snapshot snap;
+        {
+            WorldHarness a(makeStateDir());
+            ASSERT_TRUE(a.mgr.recover().ok());
+            ASSERT_TRUE(
+                a.rig.eco.tryAddApp("t", testutil::appShare(0.3, 100.0))
+                    .ok());
+            std::vector<cop::ContainerId> ids;
+            for (int i = 0; i < 3; ++i)
+                ids.push_back(a.rig.cluster.createContainer("t", 1.0).value());
+            a.rig.cluster.destroyContainer(ids[1]);
+            a.runTo(1);
+            snap = captureSnapshot(a.world());
+        }
+        cop::ClusterImage &img = snap.cluster;
+        ASSERT_EQ(img.slots.size(), 3u);
+        ASSERT_TRUE(img.slots[0].live && !img.slots[1].live &&
+                    img.slots[2].live);
+        ASSERT_EQ(img.free_slots, std::vector<std::int32_t>{1});
+        switch (forgery) {
+          case SlabForgery::IdZero:
+            img.slots[0].c.id = 0;
+            break;
+          case SlabForgery::IdAtNextId:
+            img.slots[2].c.id = img.next_id;
+            break;
+          case SlabForgery::RepeatedId:
+            img.slots[2].c.id = img.slots[0].c.id;
+            break;
+          case SlabForgery::AppPastNames:
+            img.slots[0].c.app = static_cast<cop::AppIndex>(img.apps.size());
+            break;
+          case SlabForgery::NodePastCluster:
+            img.slots[2].c.node = testutil::RigOptions{}.nodes;
+            break;
+          case SlabForgery::FreeOutOfRange:
+            img.free_slots.push_back(3);
+            break;
+          case SlabForgery::FreeNamesLive:
+            img.free_slots.push_back(0);
+            break;
+          case SlabForgery::FreeRepeated:
+            img.free_slots.push_back(1);
+            break;
+          case SlabForgery::FreeMissingDead:
+            img.free_slots.clear();
+            break;
+        }
+        expectForgedSnapshotRefused(snap);
+    }
+    // Snapshot: armed fault ticks in a world with no injector to
+    // restore them into, found only after the cluster and the
+    // ecovisor had been restored.
+    {
+        SCOPED_TRACE("armed fault ticks without an injector");
+        Snapshot snap;
+        {
+            WorldHarness a(makeStateDir());
+            ASSERT_TRUE(a.mgr.recover().ok());
+            ASSERT_TRUE(
+                a.rig.eco.tryAddApp("t", testutil::appShare(0.3, 100.0))
+                    .ok());
+            ASSERT_TRUE(a.rig.cluster.createContainer("t", 1.0));
+            a.runTo(1);
+            snap = captureSnapshot(a.world());
+        }
+        snap.injector_armed_ticks = 3;
+        expectForgedSnapshotRefused(snap);
+    }
+    // Snapshot: the emergency list, captured mid-outage with every
+    // container of two registered apps shed (the app registered second
+    // sorts first, so the list is not in id order), then forged four
+    // ways. Capture reads the flags of registered apps' live
+    // containers in settle order, so no valid writer emits any of
+    // these; restoring one would flag a container no outage capped.
+    enum class EmergencyForgery { DeadId, Repeated, Unregistered, IdOrder };
+    for (const EmergencyForgery forgery :
+         {EmergencyForgery::DeadId, EmergencyForgery::Repeated,
+          EmergencyForgery::Unregistered, EmergencyForgery::IdOrder}) {
+        SCOPED_TRACE("emergency forgery " +
+                     std::to_string(static_cast<int>(forgery)));
+        Snapshot snap;
+        cop::ContainerId dead = cop::kInvalidContainer;
+        cop::ContainerId ghost = cop::kInvalidContainer;
+        {
+            WorldHarness a(makeStateDir());
+            ASSERT_TRUE(a.mgr.recover().ok());
+            // No solar and no battery: an outage sheds everything.
+            ASSERT_TRUE(a.rig.eco.tryAddApp("b", core::AppShareConfig{}).ok());
+            ASSERT_TRUE(a.rig.eco.tryAddApp("a", core::AppShareConfig{}).ok());
+            for (const char *app : {"b", "b", "a", "a"})
+                a.rig.cluster.setDemand(
+                    a.rig.cluster.createContainer(app, 1.0).value(), 1.0);
+            dead = a.rig.cluster.createContainer("a", 1.0).value();
+            a.rig.cluster.destroyContainer(dead);
+            // Interned by the cluster, never registered as an app.
+            ghost = a.rig.cluster.createContainer("z", 1.0).value();
+            core::EnergyFaults outage;
+            outage.grid_out = true;
+            a.rig.eco.setEnergyFaults(outage);
+            a.runTo(1);
+            snap = captureSnapshot(a.world());
+        }
+        auto &list = snap.eco.emergency_capped;
+        ASSERT_EQ(list, (std::vector<cop::ContainerId>{3, 4, 1, 2}));
+        switch (forgery) {
+          case EmergencyForgery::DeadId:
+            list[1] = dead;
+            break;
+          case EmergencyForgery::Repeated:
+            list.insert(list.begin() + 1, list[0]);
+            break;
+          case EmergencyForgery::Unregistered:
+            list.push_back(ghost); // "z" sorts last: still in order
+            break;
+          case EmergencyForgery::IdOrder:
+            std::sort(list.begin(), list.end());
+            break;
+        }
+        expectForgedSnapshotRefused(snap);
     }
     // WAL: same forgery as the first record of the log.
     {
@@ -460,6 +599,92 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
         EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
         EXPECT_EQ(b.tickCount(), 0);
         EXPECT_EQ(b.server.sessionCount(), 0u);
+    }
+}
+
+TEST(CkptRecovery, WalThatCannotReplayIsDataLossAndMutatesNothing)
+{
+    // A CRC-valid WAL missing a middle record after the snapshot:
+    // replay would reach the gap only after applying the snapshot and
+    // the records before it.
+    {
+        const std::string dir = makeStateDir();
+        {
+            WorldHarness a(dir); // snapshots every 4 ticks
+            ASSERT_TRUE(a.mgr.recover().ok());
+            ASSERT_TRUE(
+                a.rig.eco.tryAddApp("t", testutil::appShare(0.3, 100.0))
+                    .ok());
+            a.runTo(11); // snapshot at tick 8, WAL holds ticks 8..10
+        }
+        std::vector<std::vector<std::uint8_t>> recs;
+        ASSERT_TRUE(readRecords(dir + "/wal.eckw", &recs).ok());
+        ASSERT_EQ(recs.size(), 3u);
+        RecordWriter wal;
+        ASSERT_TRUE(wal.open(dir + "/wal.eckw", FsyncPolicy::Never).ok());
+        ASSERT_TRUE(wal.reset().ok());
+        ASSERT_TRUE(wal.append(recs[0]).ok());
+        ASSERT_TRUE(wal.append(recs[2]).ok());
+        wal.close();
+
+        WorldHarness b(dir);
+        api::Status st;
+        EXPECT_NO_THROW(st = b.mgr.recover());
+        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss) << st.message();
+        EXPECT_EQ(b.tickCount(), 0);
+        EXPECT_EQ(b.rig.eco.appCount(), 0u);
+    }
+    // A leased world's WAL beside a snapshot a world without a
+    // transport front-end can apply: the session traffic has nowhere
+    // to replay.
+    {
+        const std::string dir = makeStateDir();
+        {
+            WorldHarness a(dir, /*every=*/1000);
+            ASSERT_TRUE(a.mgr.recover().ok());
+            net::LoopbackTransport lt(&a.server);
+            lt.setIdleHandler([&] { a.tick(); });
+            net::Client c(&lt);
+            ASSERT_TRUE(c.beginSession().ok());
+            auto app = c.registerApp("t", testutil::appShare(0.3, 100.0));
+            ASSERT_TRUE(app.ok());
+            ASSERT_TRUE(c.spawnContainer(app.value(), 1.0).ok());
+            a.runTo(4);
+        }
+        testutil::Rig rig;
+        sim::Simulation simul(60);
+        rig.eco.attach(simul);
+        World w;
+        w.sim = &simul;
+        w.eco = &rig.eco;
+        w.cluster = &rig.cluster;
+        w.phys = &rig.phys;
+        w.grid = &rig.grid;
+        {
+            // Serverless and one app strong, at tick 0.
+            testutil::Rig donor;
+            sim::Simulation donor_sim(60);
+            ASSERT_TRUE(
+                donor.eco.tryAddApp("quiet", testutil::appShare(0.3, 100.0))
+                    .ok());
+            World dw = w;
+            dw.sim = &donor_sim;
+            dw.eco = &donor.eco;
+            dw.cluster = &donor.cluster;
+            dw.phys = &donor.phys;
+            dw.grid = &donor.grid;
+            std::vector<std::uint8_t> payload;
+            encodeSnapshot(payload, captureSnapshot(dw));
+            ASSERT_TRUE(publishRecordFile(dir + "/snapshot.eckp", payload,
+                                          FsyncPolicy::Never)
+                            .ok());
+        }
+        CheckpointManager mgr(w, WorldHarness::ckptOpts(dir, 1000));
+        api::Status st;
+        EXPECT_NO_THROW(st = mgr.recover());
+        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss) << st.message();
+        EXPECT_EQ(simul.clock().tickCount(), 0);
+        EXPECT_EQ(rig.eco.appCount(), 0u);
     }
 }
 

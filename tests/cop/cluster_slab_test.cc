@@ -31,12 +31,12 @@ TEST(ClusterSlab, RecyclesSlotsAndStalesOldRefs)
     ASSERT_TRUE(id1);
     ContainerRef ref1 = c.refOf(*id1);
     ASSERT_TRUE(ref1.valid());
-    EXPECT_EQ(c.find(ref1)->id, *id1);
+    EXPECT_TRUE(c.live(ref1));
     EXPECT_EQ(c.idOf(ref1), *id1);
 
     c.destroyContainer(*id1);
     // The ref goes stale, never fatal, never dangling.
-    EXPECT_EQ(c.find(ref1), nullptr);
+    EXPECT_FALSE(c.live(ref1));
     EXPECT_EQ(c.idOf(ref1), kInvalidContainer);
     EXPECT_FALSE(c.refOf(*id1).valid());
 
@@ -47,8 +47,8 @@ TEST(ClusterSlab, RecyclesSlotsAndStalesOldRefs)
     ContainerRef ref2 = c.refOf(*id2);
     EXPECT_EQ(ref2.slot, ref1.slot);
     EXPECT_NE(ref2.generation, ref1.generation);
-    EXPECT_EQ(c.find(ref1), nullptr);
-    EXPECT_EQ(c.find(ref2)->id, *id2);
+    EXPECT_FALSE(c.live(ref1));
+    EXPECT_EQ(c.idOf(ref2), *id2);
 
     // Ids are never reused even though slots are.
     EXPECT_NE(*id1, *id2);
@@ -104,7 +104,7 @@ TEST(ClusterSlab, ChurnAgreesWithShadowModel)
 
     EXPECT_EQ(c.containerCount(), static_cast<int>(shadow.size()));
     for (const auto &ref : dead_refs)
-        EXPECT_EQ(c.find(ref), nullptr);
+        EXPECT_FALSE(c.live(ref));
 
     for (const char *app : apps) {
         std::vector<ContainerId> expected;
@@ -124,8 +124,10 @@ TEST(ClusterSlab, ChurnAgreesWithShadowModel)
                   static_cast<int>(expected.size()));
         // forEach walks in creation == increasing-id order.
         std::vector<ContainerId> walked;
-        c.forEachAppContainer(idx, [&](const Container &ct) {
-            walked.push_back(ct.id);
+        c.forEachAppContainer(idx, [&](ContainerId id, ContainerRef ref) {
+            walked.push_back(id);
+            // The ref handed out is the id's own, live one.
+            EXPECT_EQ(ref, c.refOf(id));
         });
         EXPECT_EQ(walked, expected);
         // Cached aggregate equals the id-ordered sum bit-for-bit,
@@ -196,23 +198,20 @@ TEST(ClusterSlab, PowerAggregateInvalidation)
     EXPECT_DOUBLE_EQ(c.appPowerW(kInvalidApp), 0.0);
 }
 
-TEST(ClusterSlab, TryContainerFollowsErrorModel)
+TEST(ClusterSlab, ContainerLookupFollowsLiveness)
 {
     Cluster c(1, microserver());
-    auto bad = c.tryContainer(42);
-    EXPECT_FALSE(bad.ok());
-    EXPECT_EQ(bad.code(), api::ErrorCode::UnknownContainer);
+    EXPECT_FALSE(c.exists(42));
+    EXPECT_THROW(c.container(42), FatalError);
 
     auto id = c.createContainer("a", 1.0);
     ASSERT_TRUE(id);
-    auto good = c.tryContainer(*id);
-    ASSERT_TRUE(good.ok());
-    EXPECT_EQ(good.value()->id, *id);
+    ASSERT_TRUE(c.exists(*id));
+    EXPECT_EQ(c.container(*id).id, *id);
 
     c.destroyContainer(*id);
-    EXPECT_EQ(c.tryContainer(*id).code(),
-              api::ErrorCode::UnknownContainer);
-    // The fatal v1 accessor keeps its behaviour.
+    EXPECT_FALSE(c.exists(*id));
+    // The fatal accessor keeps its behaviour.
     EXPECT_THROW(c.container(*id), FatalError);
 }
 

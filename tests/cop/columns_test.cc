@@ -1,20 +1,20 @@
 /**
  * @file
- * SoA hot-column coherence suite (cop/columns.h, docs/PERF.md).
+ * SoA column suite (cop/columns.h, docs/PERF.md).
  *
- * The cluster keeps the settle-walk hot fields in slot-indexed
- * columns while every slot retains a coherent AoS `Container` row
- * view; these tests churn the slab through seeded create/destroy/
- * resize/set sequences and assert, after every single operation,
- * that columns == row views == an independent shadow model — plus
- * that the coefficient columns reproduce the power model's exact
- * products, that watt caps and the utilization caps derived from them
- * follow the model, that recycled slots never leak a previous
- * incarnation's column state (its watt cap included), and that
- * sharded settlement over the columns stays bit-identical to the
- * sequential path (the determinism contract, docs/ARCHITECTURE.md).
- * All floating-point comparisons are EXPECT_EQ: bit-exact, no
- * tolerance.
+ * The cluster keeps every per-container runtime field in slot-indexed
+ * columns and nowhere else; these tests churn the slab through seeded
+ * create/destroy/resize/set/shed sequences and assert, after every
+ * single operation, that the columns (and the Container values
+ * assembled from them) equal an independent shadow model — plus that
+ * the coefficient columns reproduce the power model's exact products,
+ * that watt caps and emergency caps and the utilization caps derived
+ * from them follow the model, that recycled slots never leak a
+ * previous incarnation's column state (its watt cap and emergency
+ * flag included), and that sharded settlement over the columns stays
+ * bit-identical to the sequential path (the determinism contract,
+ * docs/ARCHITECTURE.md). All floating-point comparisons are
+ * EXPECT_EQ: bit-exact, no tolerance.
  */
 
 #include <gtest/gtest.h>
@@ -54,20 +54,38 @@ struct Shadow
 {
     std::string app;
     double cores = 1.0;
+    int node = -1; ///< where the scheduler put it (never moves)
     double util_cap = 1.0;
     double demand = 0.0;
     double gpu_util = 0.0;
     double power_cap_w = kNoPowerCap;
+    bool emergency = false;
+
+    /** The model's attributed power at the shadow's state. */
+    double
+    powerW(const Cluster &c) const
+    {
+        return c.node(node).model.containerPowerW(
+            cores, std::min(demand, util_cap), gpu_util);
+    }
+
+    /** The model's utilization cap for a watt budget. */
+    double
+    capFor(const Cluster &c, double watts) const
+    {
+        return c.node(node).model.utilizationForCap(cores, watts);
+    }
 };
 
 using ShadowMap = std::map<ContainerId, Shadow>; // id-sorted
 
 /**
- * Full coherence sweep: every live container's columns must equal
- * its row view and the shadow; every dead slot's columns must be
- * zeroed and unlinked; per-app iteration must visit exactly the
- * shadow's ids in increasing-id order; the cached app aggregate must
- * equal the model-computed sum in that same order, bit for bit.
+ * Full sweep: every live container's columns, and the Container value
+ * assembled from them, must equal the shadow; every dead slot's
+ * columns must be zeroed and unlinked; per-app iteration must visit
+ * exactly the shadow's ids in increasing-id order; the cached app
+ * aggregate must equal the model-computed sum in that same order, bit
+ * for bit.
  */
 void
 expectCoherent(const Cluster &c, const ShadowMap &shadow)
@@ -78,30 +96,36 @@ expectCoherent(const Cluster &c, const ShadowMap &shadow)
     for (const auto &[id, sh] : shadow) {
         const ContainerRef ref = c.refOf(id);
         ASSERT_TRUE(ref.valid()) << "id " << id;
+        ASSERT_TRUE(c.live(ref));
         const auto s = static_cast<std::size_t>(ref.slot);
         ASSERT_LT(s, cols.size());
         live[s] = true;
 
-        const Container *row = c.find(ref);
-        ASSERT_NE(row, nullptr);
-
-        // Columns == row view == shadow, bit for bit.
-        EXPECT_EQ(cols.demand[s], row->demand) << "id " << id;
-        EXPECT_EQ(cols.util_cap[s], row->util_cap) << "id " << id;
-        EXPECT_EQ(cols.cores[s], row->cores) << "id " << id;
-        EXPECT_EQ(cols.gpu_util[s], row->gpu_util) << "id " << id;
-        EXPECT_EQ(cols.node[s], row->node) << "id " << id;
-        EXPECT_EQ(row->cores, sh.cores) << "id " << id;
-        EXPECT_EQ(row->util_cap, sh.util_cap) << "id " << id;
-        EXPECT_EQ(row->demand, sh.demand) << "id " << id;
-        EXPECT_EQ(row->gpu_util, sh.gpu_util) << "id " << id;
+        // Columns == shadow, bit for bit.
+        EXPECT_EQ(cols.demand[s], sh.demand) << "id " << id;
+        EXPECT_EQ(cols.util_cap[s], sh.util_cap) << "id " << id;
+        EXPECT_EQ(cols.cores[s], sh.cores) << "id " << id;
+        EXPECT_EQ(cols.gpu_util[s], sh.gpu_util) << "id " << id;
+        EXPECT_EQ(cols.node[s], sh.node) << "id " << id;
         EXPECT_EQ(cols.power_cap_w[s], sh.power_cap_w) << "id " << id;
         EXPECT_EQ(c.powerCap(ref), sh.power_cap_w) << "id " << id;
+        EXPECT_EQ(cols.emergency[s] != 0, sh.emergency) << "id " << id;
+        EXPECT_EQ(c.emergencyCapped(ref), sh.emergency) << "id " << id;
+
+        // The value readers get is assembled from those columns.
+        const Container v = c.container(id);
+        EXPECT_EQ(v.id, id);
+        EXPECT_EQ(v.app, c.findAppIndex(sh.app)) << "id " << id;
+        EXPECT_EQ(v.node, sh.node) << "id " << id;
+        EXPECT_EQ(v.cores, sh.cores) << "id " << id;
+        EXPECT_EQ(v.util_cap, sh.util_cap) << "id " << id;
+        EXPECT_EQ(v.demand, sh.demand) << "id " << id;
+        EXPECT_EQ(v.gpu_util, sh.gpu_util) << "id " << id;
 
         // Coefficient columns hold the model's exact products.
-        const auto &model = c.node(row->node).model;
+        const auto &model = c.node(sh.node).model;
         const double cl = std::clamp(
-            row->cores, 0.0, static_cast<double>(model.cores()));
+            sh.cores, 0.0, static_cast<double>(model.cores()));
         EXPECT_EQ(cols.idle_w[s], model.idlePerCoreW() * cl)
             << "id " << id;
         EXPECT_EQ(cols.dyn_w[s], model.dynamicPerCoreW() * cl)
@@ -124,6 +148,7 @@ expectCoherent(const Cluster &c, const ShadowMap &shadow)
         EXPECT_EQ(cols.idle_w[s], 0.0) << "slot " << s;
         EXPECT_EQ(cols.dyn_w[s], 0.0) << "slot " << s;
         EXPECT_EQ(cols.power_cap_w[s], kNoPowerCap) << "slot " << s;
+        EXPECT_EQ(cols.emergency[s], 0) << "slot " << s;
     }
 
     // The captured cap list: the shadow's finite caps in id order.
@@ -144,11 +169,8 @@ expectCoherent(const Cluster &c, const ShadowMap &shadow)
         ASSERT_NE(idx, kInvalidApp);
         EXPECT_EQ(c.appContainers(idx), ids) << app;
         double expected = 0.0;
-        for (ContainerId id : ids) {
-            const Container &row = c.container(id);
-            expected += c.node(row.node).model.containerPowerW(
-                row.cores, row.effectiveUtil(), row.gpu_util);
-        }
+        for (ContainerId id : ids)
+            expected += shadow.at(id).powerW(c);
         EXPECT_EQ(c.appPowerW(idx), expected) << app;
     }
 }
@@ -156,8 +178,8 @@ expectCoherent(const Cluster &c, const ShadowMap &shadow)
 TEST(CopColumns, ChurnKeepsColumnsCoherentWithShadow)
 {
     // Heterogeneous cluster (one Jetson node) so gpu_peak_w varies
-    // across slots; seeded create/destroy/resize/set churn with a
-    // full coherence sweep after every operation.
+    // across slots; seeded create/destroy/resize/set/shed churn with a
+    // full sweep after every operation.
     Cluster c({microserver(), microserver(), jetson(), microserver()});
     Rng rng(20260808);
     ShadowMap shadow;
@@ -169,7 +191,19 @@ TEST(CopColumns, ChurnKeepsColumnsCoherentWithShadow)
             const char *app = apps[rng.uniformInt(0, 3)];
             const double cores = 0.5 + rng.uniform(0.0, 1.0);
             if (auto id = c.createContainer(app, cores))
-                shadow.emplace(*id, Shadow{app, cores});
+                shadow.emplace(*id,
+                               Shadow{app, cores, c.container(*id).node});
+        } else if (roll < 0.42) {
+            // Grid-outage shedding: every container of one app is cut
+            // to a share of its power and flagged emergency-capped.
+            const char *app = apps[rng.uniformInt(0, 3)];
+            const double scale = rng.uniform(0.0, 1.0);
+            c.shedApp(c.findAppIndex(app), scale);
+            for (auto &[id, sh] : shadow)
+                if (sh.app == app) {
+                    sh.util_cap = sh.capFor(c, sh.powerW(c) * scale);
+                    sh.emergency = true;
+                }
         } else if (roll < 0.50) {
             auto it = shadow.begin();
             std::advance(it, rng.uniformInt(
@@ -205,12 +239,9 @@ TEST(CopColumns, ChurnKeepsColumnsCoherentWithShadow)
                 sh.power_cap_w =
                     rng.bernoulli(0.25) ? kNoPowerCap : rng.uniform(0.0, 4.0);
                 c.setPowerCap(c.refOf(it->first), sh.power_cap_w);
-                sh.util_cap =
-                    std::isinf(sh.power_cap_w)
-                        ? 1.0
-                        : c.node(c.container(it->first).node)
-                              .model.utilizationForCap(sh.cores,
-                                                       sh.power_cap_w);
+                sh.util_cap = std::isinf(sh.power_cap_w)
+                                  ? 1.0
+                                  : sh.capFor(c, sh.power_cap_w);
             } else {
                 const double g = rng.uniform(-0.2, 1.2);
                 c.setGpuUtil(it->first, g);
@@ -219,14 +250,17 @@ TEST(CopColumns, ChurnKeepsColumnsCoherentWithShadow)
         }
         // Settlement's re-derivation, now and then: every capped
         // container's utilization cap follows its watt cap again,
-        // undoing resizes and direct overrides since.
+        // undoing resizes and direct overrides since, and every
+        // emergency cap is lifted (to 1 where there is no watt cap).
         if (step % 25 == 24) {
             c.applyPowerCaps();
-            for (auto &[id, sh] : shadow)
+            for (auto &[id, sh] : shadow) {
                 if (!std::isinf(sh.power_cap_w))
-                    sh.util_cap = c.node(c.container(id).node)
-                                      .model.utilizationForCap(
-                                          sh.cores, sh.power_cap_w);
+                    sh.util_cap = sh.capFor(c, sh.power_cap_w);
+                else if (sh.emergency)
+                    sh.util_cap = 1.0;
+                sh.emergency = false;
+            }
         }
         expectCoherent(c, shadow);
         if (HasFatalFailure())
@@ -243,6 +277,8 @@ TEST(CopColumns, RecycledSlotNeverLeaksColumnState)
     c.setGpuUtil(*id1, 0.8);
     const ContainerRef ref1 = c.refOf(*id1);
     c.setPowerCap(ref1, 2.0);
+    c.shedApp(c.findAppIndex("a"), 0.5);
+    ASSERT_TRUE(c.emergencyCapped(ref1));
     const auto s = static_cast<std::size_t>(ref1.slot);
 
     c.destroyContainer(*id1);
@@ -252,6 +288,7 @@ TEST(CopColumns, RecycledSlotNeverLeaksColumnState)
     EXPECT_EQ(cols.idle_w[s], 0.0);
     EXPECT_EQ(cols.node[s], -1);
     EXPECT_EQ(cols.power_cap_w[s], kNoPowerCap);
+    EXPECT_EQ(cols.emergency[s], 0);
 
     // The recycle reuses the slot under a new generation; its columns
     // must reflect only the new incarnation, and the stale ref must
@@ -260,12 +297,19 @@ TEST(CopColumns, RecycledSlotNeverLeaksColumnState)
     ASSERT_TRUE(id2);
     const ContainerRef ref2 = c.refOf(*id2);
     ASSERT_EQ(ref2.slot, ref1.slot);
-    EXPECT_EQ(c.find(ref1), nullptr);
+    EXPECT_FALSE(c.live(ref1));
     EXPECT_EQ(cols.cores[s], 1.0);
     EXPECT_EQ(cols.demand[s], 0.0);
     EXPECT_EQ(cols.util_cap[s], 1.0);
     EXPECT_EQ(cols.gpu_util[s], 0.0);
     EXPECT_EQ(c.powerCap(ref2), kNoPowerCap);
+    EXPECT_FALSE(c.emergencyCapped(ref2));
+    // An override survives the settle walk: nothing marks the new
+    // incarnation emergency-capped, so nothing lifts it.
+    c.setUtilizationCap(*id2, 0.25);
+    c.applyPowerCaps();
+    EXPECT_EQ(cols.util_cap[s], 0.25);
+    c.setUtilizationCap(*id2, 1.0);
     c.applyPowerCaps();
     EXPECT_EQ(cols.util_cap[s], 1.0);
     EXPECT_TRUE(c.powerCaps().empty());
@@ -297,7 +341,7 @@ TEST(CopColumns, DerivedQueriesMatchModelBitExactly)
         ids.push_back(*id);
     }
     for (ContainerId id : ids) {
-        const Container &row = c.container(id);
+        const Container row = c.container(id);
         const auto &model = c.node(row.node).model;
         for (double cap_w : {0.0, 0.4, 1.1, 3.7, 50.0}) {
             EXPECT_EQ(c.utilizationCapForPower(id, cap_w),

@@ -1,9 +1,9 @@
 /**
  * @file
  * Ecovisor edge cases and failure injection: empty systems, container
- * churn under power caps, the watt-cap slot column's lifecycle,
- * grid-share shedding, heterogeneous (GPU) nodes, and zero-demand
- * accounting.
+ * churn under power caps, the watt-cap and emergency slot columns'
+ * lifecycle, grid-share shedding, heterogeneous (GPU) nodes, and
+ * zero-demand accounting.
  */
 
 #include <gtest/gtest.h>
@@ -166,6 +166,42 @@ TEST(EcovisorEdge, EmergencyCapGivesBackTheTenantCapWhenHealthy)
     EXPECT_EQ(rig.cluster.container(uncapped).util_cap, 1.0);
     EXPECT_DOUBLE_EQ(
         rig.eco.getContainerPowercap(rig.handle(capped)).value(), 0.9);
+    EXPECT_TRUE(rig.eco.captureState().emergency_capped.empty());
+}
+
+TEST(EcovisorEdge, EmergencyCapDiesWithItsSlot)
+{
+    Rig rig;
+    // No solar share and no battery: an outage caps to the idle floor.
+    ASSERT_TRUE(rig.eco.tryAddApp("a", AppShareConfig{}).ok());
+    const cop::ContainerId doomed =
+        rig.cluster.createContainer("a", 1.0).value();
+    rig.cluster.setDemand(doomed, 1.0);
+    EnergyFaults outage;
+    outage.grid_out = true;
+    rig.eco.setEnergyFaults(outage);
+    rig.eco.settleTick(0, 60);
+    const cop::ContainerRef old_ref = rig.cluster.refOf(doomed);
+    ASSERT_TRUE(rig.cluster.emergencyCapped(old_ref));
+    EXPECT_EQ(rig.eco.captureState().emergency_capped,
+              std::vector<cop::ContainerId>{doomed});
+
+    // Destroyed mid-outage: the emergency cap goes with the slot, and
+    // the slot's next occupant, uncapped, gets an override.
+    rig.cluster.destroyContainer(doomed);
+    EXPECT_TRUE(rig.eco.captureState().emergency_capped.empty());
+    const cop::ContainerId next =
+        rig.cluster.createContainer("a", 1.0).value();
+    const cop::ContainerRef next_ref = rig.cluster.refOf(next);
+    ASSERT_EQ(next_ref.slot, old_ref.slot);
+    EXPECT_FALSE(rig.cluster.emergencyCapped(next_ref));
+    rig.cluster.setUtilizationCap(next, 0.25);
+
+    // The healthy tick lifts emergency caps only: the override stays.
+    rig.eco.setEnergyFaults(EnergyFaults{});
+    rig.eco.settleTick(60, 60);
+    EXPECT_EQ(rig.cluster.container(next).util_cap, 0.25);
+    EXPECT_FALSE(rig.cluster.emergencyCapped(next_ref));
     EXPECT_TRUE(rig.eco.captureState().emergency_capped.empty());
 }
 

@@ -11,8 +11,10 @@
  * snapshot encoding), so a different placement decision, stored cap,
  * derived utilization cap, settle order or settlement result moves
  * them. They were recorded before placement moved to a tree and caps
- * to a slot column, and both layouts must reproduce them. Carries the
- * `threads` label: the digests hold at any settlement thread count.
+ * to a slot column, and both layouts must reproduce them. So must a
+ * world restored from a snapshot taken inside the outage, while its
+ * emergency caps are live. Carries the `threads` label: the digests
+ * hold at any settlement thread count.
  */
 
 #include <gtest/gtest.h>
@@ -61,11 +63,15 @@ struct GoldenWorld
     std::vector<std::string> names;
     std::vector<std::vector<cop::ContainerId>> pools;
 
-    explicit GoldenWorld(int threads)
+    /** `register_apps` false leaves the world for a snapshot to fill. */
+    explicit GoldenWorld(int threads, bool register_apps = true)
         : eco(&cluster, &phys,
               EcovisorOptions{ExcessSolarPolicy::Redistribute,
                               /*record_telemetry=*/true, threads})
     {
+        eco.attach(simul);
+        if (!register_apps)
+            return;
         // Registration order differs from name order, so the settle
         // order is not the handle order.
         addApp("delta", testutil::appShare(0.15, 200.0));
@@ -75,7 +81,6 @@ struct GoldenWorld
         AppShareConfig no_battery;
         no_battery.solar_fraction = 0.10;
         addApp("bravo", no_battery);
-        eco.attach(simul);
     }
 
     void
@@ -163,8 +168,8 @@ struct GoldenWorld
         simul.step();
     }
 
-    std::uint64_t
-    digest()
+    ckpt::World
+    world()
     {
         ckpt::World w;
         w.sim = &simul;
@@ -172,8 +177,10 @@ struct GoldenWorld
         w.cluster = &cluster;
         w.phys = &phys;
         w.grid = &grid;
-        return ckpt::snapshotDigest(w);
+        return w;
     }
+
+    std::uint64_t digest() { return ckpt::snapshotDigest(world()); }
 };
 
 /** Digest after every 50th tick, up to tick 400. */
@@ -205,6 +212,52 @@ TEST(GoldenDigest, PlacementAndCapsMatchPinnedDigests)
 TEST(GoldenDigest, ShardedSettlementMatchesPinnedDigests)
 {
     EXPECT_EQ(runGolden(4), kGolden);
+}
+
+/**
+ * Run to tick 150, inside the outage, snapshot through the codecs,
+ * restore into a fresh world and run that one on: digests after every
+ * 50th tick from 200 to 400.
+ */
+std::vector<std::uint64_t>
+runGoldenRestoredAt150(int threads)
+{
+    GoldenWorld a(threads);
+    while (a.simul.clock().tickCount() < 150) {
+        a.step();
+        if (::testing::Test::HasFatalFailure())
+            return {};
+    }
+    EXPECT_FALSE(a.eco.captureState().emergency_capped.empty());
+    std::vector<std::uint8_t> bytes;
+    ckpt::encodeSnapshot(bytes, ckpt::captureSnapshot(a.world()));
+    ckpt::Snapshot snap;
+    EXPECT_TRUE(ckpt::decodeSnapshot(bytes, &snap).ok());
+
+    GoldenWorld b(threads, /*register_apps=*/false);
+    EXPECT_TRUE(ckpt::applySnapshot(b.world(), snap).ok());
+    EXPECT_EQ(b.digest(), kGolden[2]);
+    // The tenants driving the world are not part of it: carry them.
+    b.rng = a.rng;
+    b.names = a.names;
+    b.pools = a.pools;
+    std::vector<std::uint64_t> out;
+    while (b.simul.clock().tickCount() < 400) {
+        b.step();
+        if (::testing::Test::HasFatalFailure())
+            return out;
+        if (b.simul.clock().tickCount() % 50 == 0)
+            out.push_back(b.digest());
+    }
+    return out;
+}
+
+TEST(GoldenDigest, RestoreInsideTheOutageMatchesPinnedDigests)
+{
+    const std::vector<std::uint64_t> tail(kGolden.begin() + 3,
+                                          kGolden.end());
+    EXPECT_EQ(runGoldenRestoredAt150(1), tail);
+    EXPECT_EQ(runGoldenRestoredAt150(4), tail);
 }
 
 } // namespace

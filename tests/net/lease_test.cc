@@ -135,7 +135,7 @@ TEST(SessionLease, ExpiryRunsRevocation)
     EXPECT_EQ(core.detachedSessionCount(), 0u);
     EXPECT_EQ(core.stats().leases_expired, 1u);
     EXPECT_EQ(rig.cluster.containerCount(), 0);
-    EXPECT_EQ(rig.cluster.find(leaked), nullptr);
+    EXPECT_FALSE(rig.cluster.live(leaked));
 
     // Resuming an expired lease is refused request-scoped: the caller
     // abandons the session and registers from scratch.

@@ -288,13 +288,13 @@ TEST(ServerCore, DisconnectRevokesContainers)
             rig.cluster.appContainers(rig.cluster.findAppIndex("rev"));
         ASSERT_FALSE(ids.empty());
         leaked = rig.cluster.refOf(ids.front());
-        ASSERT_NE(rig.cluster.find(leaked), nullptr);
+        ASSERT_TRUE(rig.cluster.live(leaked));
     } // transport dtor closes the connection
 
     // Disconnect destroyed the tenant's containers and bumped the
     // slot generations: the leaked ref no longer resolves.
     EXPECT_EQ(rig.cluster.containerCount(), 0);
-    EXPECT_EQ(rig.cluster.find(leaked), nullptr);
+    EXPECT_FALSE(rig.cluster.live(leaked));
     EXPECT_EQ(core.connectionCount(), 0u);
 }
 

@@ -96,9 +96,10 @@ class StringKeyedRecorder
             write("app_containers", app, t_s,
                   static_cast<double>(cluster.appContainerCount(idx)));
             // Carbon attributed by share of app demand.
-            cluster.forEachAppContainer(idx, [&](const cop::Container &c) {
-                const std::string tag = std::to_string(c.id);
-                const double p_w = cluster.containerPowerW(c.id);
+            cluster.forEachAppContainer(idx, [&](cop::ContainerId id,
+                                                 cop::ContainerRef) {
+                const std::string tag = std::to_string(id);
+                const double p_w = cluster.containerPowerW(id);
                 write("container_power_w", tag, t_s, p_w);
                 const double share =
                     s.demand_w > 1e-12 ? p_w / s.demand_w : 0.0;
