@@ -215,7 +215,7 @@ readRecords(const std::string &path,
     while (pos < bytes.size()) {
         net::WireReader r(bytes.data() + pos, bytes.size() - pos);
         std::uint32_t len = 0, crc = 0;
-        if (!r.u32(&len) || !r.u32(&crc) ||
+        if (!r.u32(len) || !r.u32(crc) ||
             bytes.size() - pos - 8 < len) {
             // Torn tail: the file ends inside this record. Every
             // complete record before it stands; the tear is dropped.

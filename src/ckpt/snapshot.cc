@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string_view>
+#include <utility>
 
 #include "energy/grid_connection.h"
 #include "energy/physical_energy_system.h"
@@ -16,6 +18,7 @@ namespace ecov::ckpt {
 namespace {
 
 using net::WireReader;
+using net::WireSizer;
 using net::WireWriter;
 
 api::Status
@@ -25,437 +28,199 @@ corrupt(const std::string &what)
                               "ckpt: " + what);
 }
 
-void
-putI64(WireWriter &w, std::int64_t v)
+// ---------------------------------------------------------------------
+// Field lists (net/wire.h): each record's layout, declared once for the
+// writer, the bounded reader and the sizer that bounds forged counts.
+// ---------------------------------------------------------------------
+
+constexpr auto i32Field = [](auto &io, auto &v) { return io.i32(v); };
+constexpr auto i64Field = [](auto &io, auto &v) { return io.i64(v); };
+constexpr auto strField = [](auto &io, auto &v) { return io.str(v); };
+
+constexpr auto settlementFields = [](auto &io, auto &s) {
+    return io.i64(s.start_s) && io.i64(s.dt_s) && io.f64(s.demand_w) &&
+           io.f64(s.solar_w) && io.f64(s.solar_used_w) &&
+           io.f64(s.batt_discharge_w) && io.f64(s.grid_w) &&
+           io.f64(s.grid_to_demand_w) && io.f64(s.batt_charge_solar_w) &&
+           io.f64(s.batt_charge_grid_w) && io.f64(s.curtailed_w) &&
+           io.f64(s.carbon_g) && io.f64(s.intensity_g_per_kwh) &&
+           io.f64(s.unserved_w);
+};
+
+constexpr auto vesFields = [](auto &io, auto &v) {
+    return io.f64(v.charge_rate_w) && io.f64(v.max_discharge_w) &&
+           io.flag(v.has_battery) && io.f64(v.battery_energy_wh) &&
+           settlementFields(io, v.last) && io.f64(v.total_energy_wh) &&
+           io.f64(v.total_grid_wh) && io.f64(v.total_solar_wh) &&
+           io.f64(v.total_curtailed_wh) && io.f64(v.total_carbon_g);
+};
+
+/** A slab slot; a dead one is its liveness and generation alone. */
+constexpr auto slotFields = [](auto &io, auto &s) {
+    return io.flag(s.live) && io.u32(s.generation) &&
+           (!s.live ||
+            (io.i64(s.c.id) && io.i32(s.c.app) && io.i32(s.c.node) &&
+             io.f64(s.c.cores) && io.f64(s.c.util_cap) &&
+             io.f64(s.c.demand) && io.f64(s.c.gpu_util)));
+};
+
+constexpr auto clusterFields = [](auto &io, auto &c) {
+    return io.list(c.slots, slotFields) &&
+           io.list(c.free_slots, i32Field) && io.list(c.apps, strField) &&
+           io.i64(c.next_id);
+};
+
+constexpr auto appFields = [](auto &io, auto &a) {
+    return io.str(a.name) && net::shareFields(io, a.share) &&
+           vesFields(io, a.ves);
+};
+
+constexpr auto powercapFields = [](auto &io, auto &p) {
+    return io.i64(p.first) && io.f64(p.second);
+};
+
+constexpr auto ecovisorFields = [](auto &io, auto &e) {
+    return io.list(e.apps, appFields) &&
+           io.list(e.powercaps, powercapFields) &&
+           io.list(e.emergency_capped, i64Field) &&
+           io.i64(e.degraded_ticks) && io.i64(e.slo_violation_ticks) &&
+           io.f64(e.unserved_wh) && io.f64(e.net_metered_wh) &&
+           io.f64(e.curtailed_wh) && io.i64(e.last_settled_s) &&
+           io.i64(e.last_dt_s) && io.f64(e.last_site_solar_w) &&
+           io.f64(e.last_intensity) && io.i64(e.settled_ticks);
+};
+
+/** One dedup-window entry: a request id and its response's bytes. */
+using WindowEntry = std::pair<std::uint32_t, std::string_view>;
+
+constexpr auto windowEntryFields = [](auto &io, auto &e) {
+    return io.u32(e.first) && io.str(e.second);
+};
+
+// A dedup window is flat in memory (ids, ends and one byte arena) but
+// a counted list of window entries on disk, so each Io walks it by hand.
+
+// Each field is a vector append whose fast path is a few instructions.
+// Once the field lists are inlined into an encoder, GCC stops inlining
+// most of those appends and calls an out-of-line insert per field,
+// which made the snapshot encode 2.5 times slower (docs/PERF.md §13).
+// So the two loops that write most durable bytes, the dedup windows
+// and the WAL's ops, are flattened.
+[[gnu::flatten]] bool
+dedupWindow(WireWriter &w, const net::DedupWindow &d)
 {
-    w.u64(static_cast<std::uint64_t>(v));
-}
-
-bool
-getI64(WireReader &r, std::int64_t *v)
-{
-    std::uint64_t u = 0;
-    if (!r.u64(&u))
-        return false;
-    *v = static_cast<std::int64_t>(u);
-    return true;
-}
-
-void
-putI32(WireWriter &w, std::int32_t v)
-{
-    w.u32(static_cast<std::uint32_t>(v));
-}
-
-bool
-getI32(WireReader &r, std::int32_t *v)
-{
-    std::uint32_t u = 0;
-    if (!r.u32(&u))
-        return false;
-    *v = static_cast<std::int32_t>(u);
-    return true;
-}
-
-void
-putString(WireWriter &w, const std::string &s)
-{
-    w.u32(static_cast<std::uint32_t>(s.size()));
-    w.bytes(s);
-}
-
-bool
-getString(WireReader &r, std::string *s)
-{
-    std::uint32_t len = 0;
-    std::string_view v;
-    if (!r.u32(&len) || !r.bytes(&v, len))
-        return false;
-    s->assign(v);
-    return true;
-}
-
-// Minimum encoded size of each counted element (fixed fields only;
-// strings and nested lists contribute their u32 length prefix). A
-// count the remaining bytes cannot hold is a forged or corrupt
-// record, rejected before anything is reserved.
-constexpr std::size_t kShareMinBytes = 8 + 8 + 1;
-constexpr std::size_t kVesBytes = 8 + 8 + 1 + 8 + (2 * 8 + 12 * 8) + 5 * 8;
-constexpr std::size_t kSlotMinBytes = 1 + 4;
-constexpr std::size_t kAppImageMinBytes = 4 + kShareMinBytes + kVesBytes;
-constexpr std::size_t kSessionMinBytes = 4 + 8 + 1 + 4 + 4 + 3 * 4;
-constexpr std::size_t kEventBytes = 1 + 4 + 8;
-constexpr std::size_t kOpMinBytes = 4 + 4 + 1 + 4 + 8 + 4 + kShareMinBytes + 4;
-constexpr std::size_t kCapEntryBytes = 4 + 8;
-
-/**
- * Read an element count, rejecting any the remaining bytes cannot
- * hold at `min_bytes` per element — the same cross-check
- * net::decodeCapBatch makes, so a forged count can never drive a huge
- * reserve() (std::bad_alloc would escape recovery instead of the
- * DataLoss the decoders promise).
- */
-bool
-getCount(WireReader &r, std::size_t min_bytes, std::uint32_t *n)
-{
-    return r.u32(n) && *n <= r.remaining() / min_bytes;
-}
-
-// --- shared sub-codecs ------------------------------------------------
-
-void
-putShare(WireWriter &w, const core::AppShareConfig &s)
-{
-    w.f64(s.solar_fraction);
-    w.f64(s.grid_max_w);
-    w.u8(s.battery ? 1 : 0);
-    if (s.battery) {
-        w.f64(s.battery->capacity_wh);
-        w.f64(s.battery->soc_floor);
-        w.f64(s.battery->soc_ceiling);
-        w.f64(s.battery->max_charge_w);
-        w.f64(s.battery->max_discharge_w);
-        w.f64(s.battery->efficiency);
-        w.f64(s.battery->initial_soc);
-    }
-}
-
-bool
-getShare(WireReader &r, core::AppShareConfig *s)
-{
-    std::uint8_t has_batt = 0;
-    if (!r.f64(&s->solar_fraction) || !r.f64(&s->grid_max_w) ||
-        !r.u8(&has_batt))
-        return false;
-    if (has_batt) {
-        energy::BatteryConfig b;
-        if (!r.f64(&b.capacity_wh) || !r.f64(&b.soc_floor) ||
-            !r.f64(&b.soc_ceiling) || !r.f64(&b.max_charge_w) ||
-            !r.f64(&b.max_discharge_w) || !r.f64(&b.efficiency) ||
-            !r.f64(&b.initial_soc))
-            return false;
-        s->battery = b;
-    } else {
-        s->battery.reset();
+    const auto *arena = reinterpret_cast<const char *>(d.bytes.data());
+    w.u32(static_cast<std::uint32_t>(d.ids.size()));
+    for (std::size_t k = 0; k < d.ids.size(); ++k) {
+        const WindowEntry e(
+            d.ids[k], std::string_view(arena + d.start(k),
+                                       d.ends[k] - d.start(k)));
+        windowEntryFields(w, e);
     }
     return true;
 }
 
-void
-putSettlement(WireWriter &w, const core::TickSettlement &s)
-{
-    putI64(w, s.start_s);
-    putI64(w, s.dt_s);
-    w.f64(s.demand_w);
-    w.f64(s.solar_w);
-    w.f64(s.solar_used_w);
-    w.f64(s.batt_discharge_w);
-    w.f64(s.grid_w);
-    w.f64(s.grid_to_demand_w);
-    w.f64(s.batt_charge_solar_w);
-    w.f64(s.batt_charge_grid_w);
-    w.f64(s.curtailed_w);
-    w.f64(s.carbon_g);
-    w.f64(s.intensity_g_per_kwh);
-    w.f64(s.unserved_w);
-}
-
 bool
-getSettlement(WireReader &r, core::TickSettlement *s)
-{
-    return getI64(r, &s->start_s) && getI64(r, &s->dt_s) &&
-           r.f64(&s->demand_w) && r.f64(&s->solar_w) &&
-           r.f64(&s->solar_used_w) && r.f64(&s->batt_discharge_w) &&
-           r.f64(&s->grid_w) && r.f64(&s->grid_to_demand_w) &&
-           r.f64(&s->batt_charge_solar_w) &&
-           r.f64(&s->batt_charge_grid_w) && r.f64(&s->curtailed_w) &&
-           r.f64(&s->carbon_g) && r.f64(&s->intensity_g_per_kwh) &&
-           r.f64(&s->unserved_w);
-}
-
-void
-putVes(WireWriter &w, const core::VesImage &v)
-{
-    w.f64(v.charge_rate_w);
-    w.f64(v.max_discharge_w);
-    w.u8(v.has_battery ? 1 : 0);
-    w.f64(v.battery_energy_wh);
-    putSettlement(w, v.last);
-    w.f64(v.total_energy_wh);
-    w.f64(v.total_grid_wh);
-    w.f64(v.total_solar_wh);
-    w.f64(v.total_curtailed_wh);
-    w.f64(v.total_carbon_g);
-}
-
-bool
-getVes(WireReader &r, core::VesImage *v)
-{
-    std::uint8_t has_batt = 0;
-    if (!r.f64(&v->charge_rate_w) || !r.f64(&v->max_discharge_w) ||
-        !r.u8(&has_batt) || !r.f64(&v->battery_energy_wh) ||
-        !getSettlement(r, &v->last) || !r.f64(&v->total_energy_wh) ||
-        !r.f64(&v->total_grid_wh) || !r.f64(&v->total_solar_wh) ||
-        !r.f64(&v->total_curtailed_wh) || !r.f64(&v->total_carbon_g))
-        return false;
-    v->has_battery = has_batt != 0;
-    return true;
-}
-
-void
-putCluster(WireWriter &w, const cop::ClusterImage &c)
-{
-    w.u32(static_cast<std::uint32_t>(c.slots.size()));
-    for (const auto &s : c.slots) {
-        w.u8(s.live ? 1 : 0);
-        w.u32(s.generation);
-        if (!s.live)
-            continue;
-        putI64(w, s.c.id);
-        putI32(w, s.c.app);
-        putI32(w, s.c.node);
-        w.f64(s.c.cores);
-        w.f64(s.c.util_cap);
-        w.f64(s.c.demand);
-        w.f64(s.c.gpu_util);
-    }
-    w.u32(static_cast<std::uint32_t>(c.free_slots.size()));
-    for (std::int32_t s : c.free_slots)
-        putI32(w, s);
-    w.u32(static_cast<std::uint32_t>(c.apps.size()));
-    for (const std::string &name : c.apps)
-        putString(w, name);
-    putI64(w, c.next_id);
-}
-
-bool
-getCluster(WireReader &r, cop::ClusterImage *c)
+dedupWindow(WireReader &r, net::DedupWindow &d)
 {
     std::uint32_t n = 0;
-    if (!getCount(r, kSlotMinBytes, &n))
+    if (!r.count(n, net::minBytes<WindowEntry>(windowEntryFields)))
         return false;
-    c->slots.clear();
-    c->slots.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        cop::ClusterImage::SlotImage s;
-        std::uint8_t live = 0;
-        if (!r.u8(&live) || !r.u32(&s.generation))
+    d.ids.reserve(n);
+    d.ends.reserve(n);
+    for (std::uint32_t k = 0; k < n; ++k) {
+        WindowEntry e;
+        if (!windowEntryFields(r, e))
             return false;
-        s.live = live != 0;
-        if (s.live &&
-            !(getI64(r, &s.c.id) && getI32(r, &s.c.app) &&
-              getI32(r, &s.c.node) && r.f64(&s.c.cores) &&
-              r.f64(&s.c.util_cap) && r.f64(&s.c.demand) &&
-              r.f64(&s.c.gpu_util)))
-            return false;
-        c->slots.push_back(s);
+        d.ids.push_back(e.first);
+        d.bytes.insert(d.bytes.end(), e.second.begin(), e.second.end());
+        d.ends.push_back(static_cast<std::uint32_t>(d.bytes.size()));
     }
-    if (!getCount(r, 4, &n))
-        return false;
-    c->free_slots.clear();
-    c->free_slots.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::int32_t s = 0;
-        if (!getI32(r, &s))
-            return false;
-        c->free_slots.push_back(s);
-    }
-    if (!getCount(r, 4, &n))
-        return false;
-    c->apps.clear();
-    c->apps.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::string name;
-        if (!getString(r, &name))
-            return false;
-        c->apps.push_back(std::move(name));
-    }
-    return getI64(r, &c->next_id);
+    return true;
 }
 
-void
-putEcovisor(WireWriter &w, const core::EcovisorImage &e)
+constexpr bool
+dedupWindow(WireSizer &s, const net::DedupWindow &)
 {
-    w.u32(static_cast<std::uint32_t>(e.apps.size()));
-    for (const auto &a : e.apps) {
-        putString(w, a.name);
-        putShare(w, a.share);
-        putVes(w, a.ves);
-    }
-    w.u32(static_cast<std::uint32_t>(e.powercaps.size()));
-    for (const auto &[id, cap_w] : e.powercaps) {
-        putI64(w, id);
-        w.f64(cap_w);
-    }
-    w.u32(static_cast<std::uint32_t>(e.emergency_capped.size()));
-    for (cop::ContainerId id : e.emergency_capped)
-        putI64(w, id);
-    putI64(w, e.degraded_ticks);
-    putI64(w, e.slo_violation_ticks);
-    w.f64(e.unserved_wh);
-    w.f64(e.net_metered_wh);
-    w.f64(e.curtailed_wh);
-    putI64(w, e.last_settled_s);
-    putI64(w, e.last_dt_s);
-    w.f64(e.last_site_solar_w);
-    w.f64(e.last_intensity);
-    putI64(w, e.settled_ticks);
+    return s.u32(0);
 }
 
-bool
-getEcovisor(WireReader &r, core::EcovisorImage *e)
-{
-    std::uint32_t n = 0;
-    if (!getCount(r, kAppImageMinBytes, &n))
-        return false;
-    e->apps.clear();
-    e->apps.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        core::EcovisorImage::AppImage a;
-        if (!getString(r, &a.name) || !getShare(r, &a.share) ||
-            !getVes(r, &a.ves))
-            return false;
-        e->apps.push_back(std::move(a));
-    }
-    if (!getCount(r, 8 + 8, &n))
-        return false;
-    e->powercaps.clear();
-    e->powercaps.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::int64_t id = 0;
-        double cap_w = 0.0;
-        if (!getI64(r, &id) || !r.f64(&cap_w))
-            return false;
-        e->powercaps.emplace_back(id, cap_w);
-    }
-    if (!getCount(r, 8, &n))
-        return false;
-    e->emergency_capped.clear();
-    e->emergency_capped.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::int64_t id = 0;
-        if (!getI64(r, &id))
-            return false;
-        e->emergency_capped.push_back(id);
-    }
-    return getI64(r, &e->degraded_ticks) &&
-           getI64(r, &e->slo_violation_ticks) &&
-           r.f64(&e->unserved_wh) && r.f64(&e->net_metered_wh) &&
-           r.f64(&e->curtailed_wh) && getI64(r, &e->last_settled_s) &&
-           getI64(r, &e->last_dt_s) && r.f64(&e->last_site_solar_w) &&
-           r.f64(&e->last_intensity) && getI64(r, &e->settled_ticks);
-}
+constexpr auto refFields = [](auto &io, auto &ref) {
+    return io.i32(ref.slot) && io.u32(ref.generation);
+};
 
-void
-putSessions(WireWriter &w, const net::ServerCoreImage &img)
-{
-    w.u32(img.next_session);
-    w.u32(static_cast<std::uint32_t>(img.sessions.size()));
-    for (const auto &s : img.sessions) {
-        w.u32(s.id);
-        w.u64(s.token);
-        w.u8(s.bound ? 1 : 0);
-        w.u32(s.lease_left);
-        w.u32(s.committed_max);
-        w.u32(static_cast<std::uint32_t>(s.apps.size()));
-        for (std::int32_t a : s.apps)
-            putI32(w, a);
-        w.u32(static_cast<std::uint32_t>(s.containers.size()));
-        for (const cop::ContainerRef &ref : s.containers) {
-            putI32(w, ref.slot);
-            w.u32(ref.generation);
-        }
-        // Flat in memory, but the layout stays one (id, length,
-        // bytes) triple per entry.
-        const net::DedupWindow &d = s.done;
-        const auto *arena = reinterpret_cast<const char *>(d.bytes.data());
-        w.u32(static_cast<std::uint32_t>(d.ids.size()));
-        for (std::size_t k = 0; k < d.ids.size(); ++k) {
-            const std::uint32_t len = d.ends[k] - d.start(k);
-            w.u32(d.ids[k]);
-            w.u32(len);
-            w.bytes(std::string_view(arena + d.start(k), len));
-        }
-    }
-}
+constexpr auto sessionFields = [](auto &io, auto &s) {
+    return io.u32(s.id) && io.u64(s.token) && io.flag(s.bound) &&
+           io.u32(s.lease_left) && io.u32(s.committed_max) &&
+           io.list(s.apps, i32Field) && io.list(s.containers, refFields) &&
+           dedupWindow(io, s.done);
+};
 
+/** Everything after the magic and version; the session plane only
+ *  when the world has one. */
+constexpr auto snapshotFields = [](auto &io, auto &s) {
+    return io.i64(s.tick) && io.i64(s.now_s) &&
+           clusterFields(io, s.cluster) && ecovisorFields(io, s.eco) &&
+           io.flag(s.has_phys_battery) && io.f64(s.phys_battery_wh) &&
+           io.flag(s.has_grid) && io.f64(s.grid_energy_wh) &&
+           io.f64(s.grid_carbon_g) && io.i64(s.injector_armed_ticks) &&
+           io.flag(s.has_server) &&
+           (!s.has_server ||
+            (io.u32(s.server.next_session) &&
+             io.list(s.server.sessions, sessionFields)));
+};
+
+constexpr auto eventFields = [](auto &io, auto &ev) {
+    return io.code(ev.kind,
+                   [](std::uint8_t kind) {
+                       return kind <= static_cast<std::uint8_t>(
+                                          net::SessionEvent::Kind::
+                                              DiscardVirgin);
+                   }) &&
+           io.u32(ev.session) && io.u64(ev.token);
+};
+
+/** A logged op. Only coalesced ops are ever logged, so the opcode
+ *  rule refuses every other one. */
+constexpr auto opFields = [](auto &io, auto &op) {
+    return io.u32(op.session) && io.u32(op.req_id) &&
+           io.code(op.op,
+                   [](std::uint8_t raw) {
+                       return net::validOpcode(raw) &&
+                              net::isCoalesced(static_cast<net::Opcode>(raw));
+                   }) &&
+           io.u32(op.id) && io.f64(op.value) && io.str(op.reg.name) &&
+           net::shareFields(io, op.reg.share) &&
+           io.list(op.caps, net::capEntryFields);
+};
+
+/** A WAL record after its magic and version, from its parts: the tick
+ *  loop encodes the server's canonical batch where it lies. */
+constexpr auto tickRecordFields = [](auto &io, auto &tick, auto &start_s,
+                                     auto &events, auto &ops) {
+    return io.i64(tick) && io.i64(start_s) && io.list(events, eventFields) &&
+           io.list(ops, opFields);
+};
+
+// The least each counted element takes, which bounds forged counts.
+static_assert(net::minBytes<core::VesImage>(vesFields) == 177);
+static_assert(net::minBytes<cop::ClusterImage::SlotImage>(slotFields) == 5);
+static_assert(net::minBytes<core::EcovisorImage::AppImage>(appFields) ==
+              198);
+static_assert(net::minBytes<net::SessionImage>(sessionFields) == 33);
+static_assert(net::minBytes<net::SessionEvent>(eventFields) == 13);
+static_assert(net::minBytes<net::ServerCore::PendingOp>(opFields) == 46);
+
+/** A payload's leading magic and version, as `what` names them. */
 api::Status
-getSessions(WireReader &r, net::ServerCoreImage *img)
+checkHeader(WireReader &r, std::uint32_t magic, std::uint32_t version,
+            const std::string &what)
 {
-    const api::Status truncated =
-        corrupt("snapshot: truncated session plane");
-    std::uint32_t n = 0;
-    if (!r.u32(&img->next_session) || !getCount(r, kSessionMinBytes, &n))
-        return truncated;
-    img->sessions.clear();
-    img->sessions.reserve(n);
-    std::vector<std::uint64_t> tokens;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        net::SessionImage s;
-        std::uint8_t bound = 0;
-        std::uint32_t m = 0;
-        if (!r.u32(&s.id) || !r.u64(&s.token) || !r.u8(&bound) ||
-            !r.u32(&s.lease_left) || !r.u32(&s.committed_max) ||
-            !getCount(r, 4, &m))
-            return truncated;
-        // Capture walks sessions in ascending id order, every id
-        // nonzero and below the allocator; the server's id-ordered
-        // table and its allocator both rest on this.
-        const net::SessionId prev =
-            img->sessions.empty() ? 0 : img->sessions.back().id;
-        if (s.id <= prev || s.id >= img->next_session)
-            return corrupt("snapshot: session id " +
-                           std::to_string(s.id) +
-                           " out of order or outside [1, next_session)");
-        if (s.token != 0)
-            tokens.push_back(s.token);
-        s.bound = bound != 0;
-        s.apps.reserve(m);
-        for (std::uint32_t k = 0; k < m; ++k) {
-            std::int32_t a = 0;
-            if (!getI32(r, &a))
-                return truncated;
-            s.apps.push_back(a);
-        }
-        if (!getCount(r, 4 + 4, &m))
-            return truncated;
-        s.containers.reserve(m);
-        for (std::uint32_t k = 0; k < m; ++k) {
-            cop::ContainerRef ref;
-            if (!getI32(r, &ref.slot) || !r.u32(&ref.generation))
-                return truncated;
-            s.containers.push_back(ref);
-        }
-        if (!getCount(r, 4 + 4, &m))
-            return truncated;
-        net::DedupWindow &d = s.done;
-        d.ids.reserve(m);
-        d.ends.reserve(m);
-        for (std::uint32_t k = 0; k < m; ++k) {
-            std::uint32_t req_id = 0, len = 0;
-            std::string_view v;
-            if (!r.u32(&req_id) || !r.u32(&len) || !r.bytes(&v, len))
-                return truncated;
-            // The server binary-searches the window and admits only
-            // ids above the watermark: both rest on this invariant.
-            if (!d.ids.empty() && req_id <= d.ids.back())
-                return corrupt("snapshot: session " +
-                               std::to_string(s.id) +
-                               " dedup window not strictly ascending");
-            d.ids.push_back(req_id);
-            d.bytes.insert(d.bytes.end(), v.begin(), v.end());
-            d.ends.push_back(static_cast<std::uint32_t>(d.bytes.size()));
-        }
-        if (!d.ids.empty() && d.ids.back() > s.committed_max)
-            return corrupt("snapshot: session " + std::to_string(s.id) +
-                           " dedup window above its committed "
-                           "watermark");
-        img->sessions.push_back(std::move(s));
-    }
-    // A token names one session: Resume could not tell two apart.
-    std::sort(tokens.begin(), tokens.end());
-    if (std::adjacent_find(tokens.begin(), tokens.end()) != tokens.end())
-        return corrupt("snapshot: two sessions share a resume token");
+    std::uint32_t m = 0, v = 0;
+    if (!r.u32(m) || m != magic)
+        return corrupt(what + ": bad magic");
+    if (!r.u32(v) || v != version)
+        return corrupt(what + ": unknown version " + std::to_string(v));
     return api::Status::okStatus();
 }
 
@@ -587,6 +352,71 @@ checkEmergencyCaps(const Snapshot &s, const LiveSlots &live)
     return api::Status::okStatus();
 }
 
+/**
+ * The session-plane invariants the server's tables rest on. Capture
+ * walks sessions in ascending id order, every id nonzero and below the
+ * allocator; newSession keeps resume tokens unique, since Resume could
+ * not tell two sessions apart; and each dedup window ascends strictly
+ * to at most its committed watermark, as the server's window search
+ * and its admission of ids above the watermark require.
+ */
+api::Status
+checkSessions(const net::ServerCoreImage &img)
+{
+    std::vector<std::uint64_t> tokens;
+    net::SessionId prev = 0;
+    for (const net::SessionImage &s : img.sessions) {
+        if (s.id <= prev || s.id >= img.next_session)
+            return corrupt("snapshot: session id " +
+                           std::to_string(s.id) +
+                           " out of order or outside [1, next_session)");
+        prev = s.id;
+        if (s.token != 0)
+            tokens.push_back(s.token);
+        const std::vector<std::uint32_t> &ids = s.done.ids;
+        if (std::adjacent_find(ids.begin(), ids.end(),
+                               std::greater_equal<>()) != ids.end())
+            return corrupt("snapshot: session " + std::to_string(s.id) +
+                           " dedup window not strictly ascending");
+        if (!ids.empty() && ids.back() > s.committed_max)
+            return corrupt("snapshot: session " + std::to_string(s.id) +
+                           " dedup window above its committed "
+                           "watermark");
+    }
+    std::sort(tokens.begin(), tokens.end());
+    if (std::adjacent_find(tokens.begin(), tokens.end()) != tokens.end())
+        return corrupt("snapshot: two sessions share a resume token");
+    return api::Status::okStatus();
+}
+
+/**
+ * The app images Ecovisor::restoreState re-registers and restores.
+ * Registration interned each name in the cluster, and each VES image
+ * came from a VES built from the app's share, holding a battery
+ * exactly when the share has one, whose rate setters refuse negative
+ * and NaN rates. The registration rules need the world's physical
+ * system, so applySnapshot checks those.
+ */
+api::Status
+checkApps(const Snapshot &s)
+{
+    for (const auto &a : s.eco.apps) {
+        if (std::find(s.cluster.apps.begin(), s.cluster.apps.end(),
+                      a.name) == s.cluster.apps.end())
+            return corrupt("snapshot: app '" + a.name +
+                           "' is not interned in the cluster");
+        if (a.ves.has_battery != a.share.battery.has_value())
+            return corrupt("snapshot: app '" + a.name +
+                           "' has a battery image its share disagrees "
+                           "with");
+        if (!(a.ves.charge_rate_w >= 0.0) ||
+            !(a.ves.max_discharge_w >= 0.0))
+            return corrupt("snapshot: app '" + a.name +
+                           "' has a negative or NaN battery rate");
+    }
+    return api::Status::okStatus();
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -626,55 +456,30 @@ encodeSnapshot(std::vector<std::uint8_t> &out, const Snapshot &s)
     WireWriter w(&out);
     w.u32(kSnapshotMagic);
     w.u32(kSnapshotVersion);
-    putI64(w, s.tick);
-    putI64(w, s.now_s);
-    putCluster(w, s.cluster);
-    putEcovisor(w, s.eco);
-    w.u8(s.has_phys_battery ? 1 : 0);
-    w.f64(s.phys_battery_wh);
-    w.u8(s.has_grid ? 1 : 0);
-    w.f64(s.grid_energy_wh);
-    w.f64(s.grid_carbon_g);
-    putI64(w, s.injector_armed_ticks);
-    w.u8(s.has_server ? 1 : 0);
-    if (s.has_server)
-        putSessions(w, s.server);
+    snapshotFields(w, s);
 }
 
 api::Status
 decodeSnapshot(const std::vector<std::uint8_t> &payload, Snapshot *out)
 {
     WireReader r(payload.data(), payload.size());
-    std::uint32_t magic = 0, version = 0;
-    if (!r.u32(&magic) || magic != kSnapshotMagic)
-        return corrupt("snapshot: bad magic");
-    if (!r.u32(&version) || version != kSnapshotVersion)
-        return corrupt("snapshot: unknown version " +
-                       std::to_string(version));
-    std::uint8_t has_batt = 0, has_grid = 0, has_server = 0;
-    if (!getI64(r, &out->tick) || !getI64(r, &out->now_s) ||
-        !getCluster(r, &out->cluster) || !getEcovisor(r, &out->eco) ||
-        !r.u8(&has_batt) || !r.f64(&out->phys_battery_wh) ||
-        !r.u8(&has_grid) || !r.f64(&out->grid_energy_wh) ||
-        !r.f64(&out->grid_carbon_g) ||
-        !getI64(r, &out->injector_armed_ticks) || !r.u8(&has_server))
-        return corrupt("snapshot: truncated structure");
-    out->has_phys_battery = has_batt != 0;
-    out->has_grid = has_grid != 0;
-    out->has_server = has_server != 0;
-    if (out->has_server) {
-        const api::Status st = getSessions(r, &out->server);
-        if (!st.ok())
-            return st;
-    }
-    if (!r.done())
-        return corrupt("snapshot: trailing bytes");
+    api::Status st =
+        checkHeader(r, kSnapshotMagic, kSnapshotVersion, "snapshot");
+    if (!st.ok())
+        return st;
+    if (!snapshotFields(r, *out) || !r.done())
+        return corrupt("snapshot: malformed structure at byte " +
+                       std::to_string(payload.size() - r.remaining()));
     LiveSlots live;
-    api::Status st = checkCluster(out->cluster, &live);
+    st = checkCluster(out->cluster, &live);
     if (st.ok())
         st = checkPowercaps(*out, live);
     if (st.ok())
         st = checkEmergencyCaps(*out, live);
+    if (st.ok())
+        st = checkApps(*out);
+    if (st.ok())
+        st = checkSessions(out->server);
     return st;
 }
 
@@ -699,6 +504,15 @@ applySnapshot(const World &w, const Snapshot &s)
             return corrupt("snapshot: container " +
                            std::to_string(slot.c.id) +
                            " on a node this cluster does not have");
+    // Restore re-registers each app after the ones before it, under
+    // the rules that registered it live.
+    const std::span<const core::EcovisorImage::AppImage> apps = s.eco.apps;
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+        const api::Status st =
+            w.eco->checkApp(apps[i].name, apps[i].share, apps.first(i));
+        if (!st.ok())
+            return corrupt("snapshot: " + st.message());
+    }
     w.cluster->restoreState(s.cluster);
     w.eco->restoreState(s.eco);
     if (world_batt)
@@ -717,7 +531,8 @@ applySnapshot(const World &w, const Snapshot &s)
 // WAL records.
 // ---------------------------------------------------------------------
 
-void
+// Flattened for the reason the dedup-window writer is.
+[[gnu::flatten]] void
 encodeTickRecord(std::vector<std::uint8_t> &out, std::int64_t tick,
                  TimeS start_s, std::span<const net::SessionEvent> events,
                  std::span<const net::ServerCore::PendingOp> ops)
@@ -725,29 +540,7 @@ encodeTickRecord(std::vector<std::uint8_t> &out, std::int64_t tick,
     WireWriter w(&out);
     w.u32(kWalMagic);
     w.u32(kWalVersion);
-    putI64(w, tick);
-    putI64(w, start_s);
-    w.u32(static_cast<std::uint32_t>(events.size()));
-    for (const net::SessionEvent &ev : events) {
-        w.u8(static_cast<std::uint8_t>(ev.kind));
-        w.u32(ev.session);
-        w.u64(ev.token);
-    }
-    w.u32(static_cast<std::uint32_t>(ops.size()));
-    for (const auto &op : ops) {
-        w.u32(op.session);
-        w.u32(op.req_id);
-        w.u8(static_cast<std::uint8_t>(op.op));
-        w.u32(op.id);
-        w.f64(op.value);
-        putString(w, op.reg.name);
-        putShare(w, op.reg.share);
-        w.u32(static_cast<std::uint32_t>(op.caps.size()));
-        for (const net::CapEntry &e : op.caps) {
-            w.u32(e.container);
-            w.f64(e.cap_w);
-        }
-    }
+    tickRecordFields(w, tick, start_s, events, ops);
 }
 
 api::Status
@@ -755,57 +548,14 @@ decodeTickRecord(const std::vector<std::uint8_t> &payload,
                  TickRecord *out)
 {
     WireReader r(payload.data(), payload.size());
-    std::uint32_t magic = 0, version = 0;
-    if (!r.u32(&magic) || magic != kWalMagic)
-        return corrupt("wal: bad record magic");
-    if (!r.u32(&version) || version != kWalVersion)
-        return corrupt("wal: unknown record version " +
-                       std::to_string(version));
-    if (!getI64(r, &out->tick) || !getI64(r, &out->start_s))
-        return corrupt("wal: truncated record header");
-    std::uint32_t n = 0;
-    if (!getCount(r, kEventBytes, &n))
-        return corrupt("wal: bad event count");
-    out->events.clear();
-    out->events.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        net::SessionEvent ev;
-        std::uint8_t kind = 0;
-        if (!r.u8(&kind) || !r.u32(&ev.session) || !r.u64(&ev.token))
-            return corrupt("wal: truncated session event");
-        if (kind > 4)
-            return corrupt("wal: unknown session-event kind");
-        ev.kind = static_cast<net::SessionEvent::Kind>(kind);
-        out->events.push_back(ev);
-    }
-    if (!getCount(r, kOpMinBytes, &n))
-        return corrupt("wal: bad op count");
-    out->ops.clear();
-    out->ops.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        net::ServerCore::PendingOp op;
-        std::uint8_t raw_op = 0;
-        if (!r.u32(&op.session) || !r.u32(&op.req_id) ||
-            !r.u8(&raw_op) || !r.u32(&op.id) || !r.f64(&op.value) ||
-            !getString(r, &op.reg.name) || !getShare(r, &op.reg.share))
-            return corrupt("wal: truncated op");
-        if (!net::validOpcode(raw_op))
-            return corrupt("wal: unknown opcode in op");
-        op.op = static_cast<net::Opcode>(raw_op);
-        std::uint32_t caps = 0;
-        if (!getCount(r, kCapEntryBytes, &caps))
-            return corrupt("wal: bad cap count");
-        op.caps.reserve(caps);
-        for (std::uint32_t k = 0; k < caps; ++k) {
-            net::CapEntry e;
-            if (!r.u32(&e.container) || !r.f64(&e.cap_w))
-                return corrupt("wal: truncated cap entry");
-            op.caps.push_back(e);
-        }
-        out->ops.push_back(std::move(op));
-    }
-    if (!r.done())
-        return corrupt("wal: trailing bytes in record");
+    const api::Status st = checkHeader(r, kWalMagic, kWalVersion, "wal");
+    if (!st.ok())
+        return st;
+    if (!tickRecordFields(r, out->tick, out->start_s, out->events,
+                          out->ops) ||
+        !r.done())
+        return corrupt("wal: malformed record at byte " +
+                       std::to_string(payload.size() - r.remaining()));
     return api::Status::okStatus();
 }
 

@@ -25,7 +25,8 @@
  *
  * All integers/doubles use the little-endian wire primitives
  * (net/wire.h); doubles travel as IEEE-754 bit patterns, preserving
- * bit-identity through the file.
+ * bit-identity through the file. Each record's layout is one field
+ * list in snapshot.cc, which writes, reads and sizes it.
  */
 
 #ifndef ECOV_CKPT_SNAPSHOT_H
@@ -107,17 +108,21 @@ struct TickRecord
 Snapshot captureSnapshot(const World &w);
 
 /** Encode / decode the snapshot payload. Decode returns DataLoss on
- *  bad magic, unknown version, malformed structure, a live slot whose
- *  id is outside [1, next_id) or repeated or whose app index is past
- *  the interned names, a free list that is out of range, names a live
- *  slot, repeats one or misses a dead one, session ids that are
+ *  bad magic, unknown version, malformed structure (a flag byte other
+ *  than 0 or 1 included), a live slot whose id is outside
+ *  [1, next_id) or repeated or whose app index is past the interned
+ *  names, a free list that is out of range, names a live slot,
+ *  repeats one or misses a dead one, session ids that are
  *  zero, not strictly ascending or not below next_session, a resume
  *  token two sessions share, a dedup window out of order or above
  *  its watermark, a watt-cap list that is out of order, names a
  *  container not live in the image, or holds a cap that is not finite
- *  and non-negative, or an emergency list that names a container not
+ *  and non-negative, an emergency list that names a container not
  *  live in the image or not owned by a registered app, or is not
- *  strictly ascending by (app name, id). */
+ *  strictly ascending by (app name, id), or an app whose name is not
+ *  interned in the cluster, whose VES holds a battery its share lacks
+ *  or the reverse, or whose charge or discharge rate is negative or
+ *  NaN. */
 void encodeSnapshot(std::vector<std::uint8_t> &out, const Snapshot &s);
 api::Status decodeSnapshot(const std::vector<std::uint8_t> &payload,
                            Snapshot *out);
@@ -129,7 +134,8 @@ api::Status decodeSnapshot(const std::vector<std::uint8_t> &payload,
  * clock. Returns DataLoss, before anything mutates, when the
  * snapshot's shape does not match the world (e.g. a grid-less world
  * restoring a grid snapshot, armed fault ticks without an injector,
- * or a container on a node the world's cluster does not have).
+ * or a container on a node the world's cluster does not have), or
+ * when an app would fail Ecovisor::checkApp against the apps before it.
  */
 api::Status applySnapshot(const World &w, const Snapshot &s);
 

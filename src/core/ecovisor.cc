@@ -99,13 +99,16 @@ Ecovisor::reserveExpected(ts::SeriesId id)
 // Registration and name resolution.
 // ---------------------------------------------------------------------
 
-Result<AppHandle>
-Ecovisor::tryAddApp(const std::string &app, const AppShareConfig &share)
+Status
+Ecovisor::checkApp(const std::string &app, const AppShareConfig &share,
+                   std::span<const EcovisorImage::AppImage> earlier) const
 {
     if (app.empty())
         return Status::error(ErrorCode::InvalidArgument,
                              "Ecovisor::tryAddApp: empty app name");
-    if (index_.count(app))
+    if (index_.count(app) ||
+        std::any_of(earlier.begin(), earlier.end(),
+                    [&](const auto &a) { return a.name == app; }))
         return Status::error(ErrorCode::DuplicateApp,
                              "Ecovisor::tryAddApp: duplicate app '" + app +
                                  "'");
@@ -133,15 +136,18 @@ Ecovisor::tryAddApp(const std::string &app, const AppShareConfig &share)
     double charge_total = share.battery ? share.battery->max_charge_w : 0.0;
     double discharge_total =
         share.battery ? share.battery->max_discharge_w : 0.0;
-    for (const auto &st : apps_) {
-        const auto &s = st.ves->share();
+    const auto add = [&](const AppShareConfig &s) {
         solar_total += s.solar_fraction;
         if (s.battery) {
             cap_total += s.battery->capacity_wh;
             charge_total += s.battery->max_charge_w;
             discharge_total += s.battery->max_discharge_w;
         }
-    }
+    };
+    for (const auto &st : apps_)
+        add(st.ves->share());
+    for (const auto &a : earlier)
+        add(a.share);
     if (solar_total > 1.0 + 1e-9)
         return Status::error(ErrorCode::ShareViolation,
                              "Ecovisor::tryAddApp: solar fractions exceed "
@@ -170,21 +176,32 @@ Ecovisor::tryAddApp(const std::string &app, const AppShareConfig &share)
                                  "oversubscribed");
     }
 
+    // The VES constructor validates per-app config (fraction range,
+    // grid limit, battery parameters) by throwing; convert to the
+    // structured error model here so tenant input can never throw
+    // through the v2 surface.
+    try {
+        VirtualEnergySystem probe(app, share);
+    } catch (const FatalError &e) {
+        return Status::error(ErrorCode::InvalidArgument, e.what());
+    }
+    return Status::okStatus();
+}
+
+Result<AppHandle>
+Ecovisor::tryAddApp(const std::string &app, const AppShareConfig &share)
+{
+    const Status valid = checkApp(app, share);
+    if (!valid.ok())
+        return valid;
+
     AppState st;
     st.name = app;
     // Intern the name in the COP now so every later container walk
     // (settlement, telemetry, EcoLib) is index-addressed.
     st.cop_app = cluster_->internApp(app);
     st.solar_fraction = share.solar_fraction;
-    // The VES constructor validates per-app config (fraction range,
-    // grid limit, battery parameters) by throwing; convert to the
-    // structured error model here so tenant input can never throw
-    // through the v2 surface.
-    try {
-        st.ves = std::make_unique<VirtualEnergySystem>(app, share);
-    } catch (const FatalError &e) {
-        return Status::error(ErrorCode::InvalidArgument, e.what());
-    }
+    st.ves = std::make_unique<VirtualEnergySystem>(app, share);
 
     // Intern every per-app telemetry series now (registration is the
     // one-time setup path) so per-tick recording never touches a

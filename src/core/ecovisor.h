@@ -40,6 +40,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -181,6 +182,19 @@ class Ecovisor
      */
     api::Result<api::AppHandle> tryAddApp(const std::string &app,
                                           const AppShareConfig &share);
+
+    /**
+     * The registration rules as one pure check: `app` and `share`
+     * against the registered apps followed by `earlier`, the apps a
+     * snapshot image registers before it. tryAddApp() applies it to
+     * live input, and snapshot recovery to every image app before
+     * anything is restored (docs/CHECKPOINT.md).
+     *
+     * @return Ok, or the error tryAddApp() returns for this input
+     */
+    api::Status
+    checkApp(const std::string &app, const AppShareConfig &share,
+             std::span<const EcovisorImage::AppImage> earlier = {}) const;
 
     /**
      * Resolve a registered name to its handle (the only string lookup

@@ -40,11 +40,11 @@ FrameDecoder::next(Frame *out)
     std::uint16_t magic = 0;
     std::uint8_t version = 0, opcode = 0;
     std::uint32_t request_id = 0, payload_len = 0;
-    r.u16(&magic);
-    r.u8(&version);
-    r.u8(&opcode);
-    r.u32(&request_id);
-    r.u32(&payload_len);
+    r.u16(magic);
+    r.u8(version);
+    r.u8(opcode);
+    r.u32(request_id);
+    r.u32(payload_len);
     if (!r.done())
         panic("FrameDecoder: header read out of sync"); // unreachable
 

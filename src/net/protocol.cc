@@ -1,43 +1,12 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "net/frame.h"
 #include "net/wire.h"
 
 namespace ecov::net {
-
-const char *
-opcodeName(Opcode op)
-{
-    switch (op) {
-      case Opcode::Ping:
-        return "ping";
-      case Opcode::RegisterApp:
-        return "register_app";
-      case Opcode::SpawnContainer:
-        return "spawn_container";
-      case Opcode::DestroyContainer:
-        return "destroy_container";
-      case Opcode::SetPowercap:
-        return "set_powercap";
-      case Opcode::ApplyCapBatch:
-        return "apply_cap_batch";
-      case Opcode::SetChargeRate:
-        return "set_charge_rate";
-      case Opcode::SetMaxDischarge:
-        return "set_max_discharge";
-      case Opcode::GetSnapshot:
-        return "get_snapshot";
-      case Opcode::SetDemand:
-        return "set_demand";
-      case Opcode::Resume:
-        return "resume";
-      case Opcode::SessionInfo:
-        return "session_info";
-      case Opcode::ProtocolError:
-        return "protocol_error";
-    }
-    return "?";
-}
 
 bool
 validOpcode(std::uint8_t raw)
@@ -85,87 +54,49 @@ isCoalesced(Opcode op)
     return false;
 }
 
+namespace {
+
+/** api::ErrorCode by its stable wire value: append only, never
+ *  renumber, so old clients keep decoding new servers' errors. */
+constexpr api::ErrorCode kWireErrorCodes[] = {
+    api::ErrorCode::Ok,
+    api::ErrorCode::InvalidArgument,
+    api::ErrorCode::InvalidHandle,
+    api::ErrorCode::UnknownApp,
+    api::ErrorCode::DuplicateApp,
+    api::ErrorCode::UnknownContainer,
+    api::ErrorCode::ShareViolation,
+    api::ErrorCode::NoBattery,
+    api::ErrorCode::NoSolar,
+    api::ErrorCode::ResourceExhausted,
+    api::ErrorCode::Unavailable,
+    api::ErrorCode::DeadlineExceeded,
+    api::ErrorCode::DataLoss,
+};
+
+// The least a share and a cap entry take, which bounds forged counts.
+static_assert(minBytes<core::AppShareConfig>(shareFields) == 17);
+static_assert(minBytes<CapEntry>(capEntryFields) == 12);
+
+} // namespace
+
 std::uint16_t
 wireErrorCode(api::ErrorCode code)
 {
-    // Stable protocol values — never renumber.
-    switch (code) {
-      case api::ErrorCode::Ok:
-        return 0;
-      case api::ErrorCode::InvalidArgument:
-        return 1;
-      case api::ErrorCode::InvalidHandle:
-        return 2;
-      case api::ErrorCode::UnknownApp:
-        return 3;
-      case api::ErrorCode::DuplicateApp:
-        return 4;
-      case api::ErrorCode::UnknownContainer:
-        return 5;
-      case api::ErrorCode::ShareViolation:
-        return 6;
-      case api::ErrorCode::NoBattery:
-        return 7;
-      case api::ErrorCode::NoSolar:
-        return 8;
-      case api::ErrorCode::ResourceExhausted:
-        return 9;
-      case api::ErrorCode::Unavailable:
-        return 10;
-      case api::ErrorCode::DeadlineExceeded:
-        return 11;
-      case api::ErrorCode::DataLoss:
-        return 12;
-    }
-    return 1; // unknown code degrades to invalid_argument
+    const auto *it = std::find(std::begin(kWireErrorCodes),
+                               std::end(kWireErrorCodes), code);
+    if (it == std::end(kWireErrorCodes))
+        return 1; // unknown code degrades to invalid_argument
+    return static_cast<std::uint16_t>(it - std::begin(kWireErrorCodes));
 }
 
 bool
 errorCodeFromWire(std::uint16_t wire, api::ErrorCode *out)
 {
-    switch (wire) {
-      case 0:
-        *out = api::ErrorCode::Ok;
-        return true;
-      case 1:
-        *out = api::ErrorCode::InvalidArgument;
-        return true;
-      case 2:
-        *out = api::ErrorCode::InvalidHandle;
-        return true;
-      case 3:
-        *out = api::ErrorCode::UnknownApp;
-        return true;
-      case 4:
-        *out = api::ErrorCode::DuplicateApp;
-        return true;
-      case 5:
-        *out = api::ErrorCode::UnknownContainer;
-        return true;
-      case 6:
-        *out = api::ErrorCode::ShareViolation;
-        return true;
-      case 7:
-        *out = api::ErrorCode::NoBattery;
-        return true;
-      case 8:
-        *out = api::ErrorCode::NoSolar;
-        return true;
-      case 9:
-        *out = api::ErrorCode::ResourceExhausted;
-        return true;
-      case 10:
-        *out = api::ErrorCode::Unavailable;
-        return true;
-      case 11:
-        *out = api::ErrorCode::DeadlineExceeded;
-        return true;
-      case 12:
-        *out = api::ErrorCode::DataLoss;
-        return true;
-      default:
+    if (wire >= std::size(kWireErrorCodes))
         return false;
-    }
+    *out = kWireErrorCodes[wire];
+    return true;
 }
 
 void
@@ -178,19 +109,7 @@ encodeRegisterApp(std::vector<std::uint8_t> &out,
     WireWriter w(&out);
     w.u16(static_cast<std::uint16_t>(req.name.size()));
     w.bytes(req.name);
-    w.f64(req.share.solar_fraction);
-    w.f64(req.share.grid_max_w);
-    w.u8(req.share.battery.has_value() ? 1 : 0);
-    if (req.share.battery) {
-        const energy::BatteryConfig &b = *req.share.battery;
-        w.f64(b.capacity_wh);
-        w.f64(b.soc_floor);
-        w.f64(b.soc_ceiling);
-        w.f64(b.max_charge_w);
-        w.f64(b.max_discharge_w);
-        w.f64(b.efficiency);
-        w.f64(b.initial_soc);
-    }
+    shareFields(w, req.share);
     endFrame(out, off);
 }
 
@@ -200,30 +119,12 @@ decodeRegisterApp(const std::uint8_t *payload, std::size_t len,
 {
     WireReader r(payload, len);
     std::uint16_t name_len = 0;
-    if (!r.u16(&name_len) || name_len > kMaxAppNameBytes)
-        return false;
     std::string_view name;
-    if (!r.bytes(&name, name_len))
+    if (!r.u16(name_len) || name_len > kMaxAppNameBytes ||
+        !r.bytes(name, name_len))
         return false;
     req->name.assign(name);
-    std::uint8_t has_battery = 0;
-    if (!r.f64(&req->share.solar_fraction) ||
-        !r.f64(&req->share.grid_max_w) || !r.u8(&has_battery))
-        return false;
-    if (has_battery > 1)
-        return false;
-    if (has_battery) {
-        energy::BatteryConfig b;
-        if (!r.f64(&b.capacity_wh) || !r.f64(&b.soc_floor) ||
-            !r.f64(&b.soc_ceiling) || !r.f64(&b.max_charge_w) ||
-            !r.f64(&b.max_discharge_w) || !r.f64(&b.efficiency) ||
-            !r.f64(&b.initial_soc))
-            return false;
-        req->share.battery = b;
-    } else {
-        req->share.battery.reset();
-    }
-    return r.done();
+    return shareFields(r, req->share) && r.done();
 }
 
 void
@@ -242,7 +143,7 @@ decodeIdOnly(const std::uint8_t *payload, std::size_t len,
              std::uint32_t *id)
 {
     WireReader r(payload, len);
-    return r.u32(id) && r.done();
+    return r.u32(*id) && r.done();
 }
 
 void
@@ -270,7 +171,7 @@ decodeIdValue(const std::uint8_t *payload, std::size_t len,
               IdValueReq *req)
 {
     WireReader r(payload, len);
-    return r.u32(&req->id) && r.f64(&req->value) && r.done();
+    return r.u32(req->id) && r.f64(req->value) && r.done();
 }
 
 void
@@ -282,11 +183,7 @@ encodeCapBatch(std::vector<std::uint8_t> &out,
         out, static_cast<std::uint8_t>(Opcode::ApplyCapBatch),
         request_id);
     WireWriter w(&out);
-    w.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const CapEntry &e : entries) {
-        w.u32(e.container);
-        w.f64(e.cap_w);
-    }
+    w.list(entries, capEntryFields);
     endFrame(out, off);
 }
 
@@ -295,23 +192,8 @@ decodeCapBatch(const std::uint8_t *payload, std::size_t len,
                std::vector<CapEntry> *entries)
 {
     WireReader r(payload, len);
-    std::uint32_t count = 0;
-    if (!r.u32(&count) || count > kMaxCapBatchEntries)
-        return false;
-    // The count is cross-checked against the actual payload length
-    // before reserving, so a forged huge count cannot drive a huge
-    // allocation: 12 bytes per entry must actually be present.
-    if (r.remaining() != static_cast<std::size_t>(count) * 12)
-        return false;
-    entries->clear();
-    entries->reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        CapEntry e;
-        if (!r.u32(&e.container) || !r.f64(&e.cap_w))
-            return false;
-        entries->push_back(e);
-    }
-    return r.done();
+    return r.list(*entries, capEntryFields) && r.done() &&
+           entries->size() <= kMaxCapBatchEntries;
 }
 
 void
@@ -330,7 +212,7 @@ decodeResume(const std::uint8_t *payload, std::size_t len,
              std::uint64_t *token)
 {
     WireReader r(payload, len);
-    return r.u64(token) && r.done();
+    return r.u64(*token) && r.done();
 }
 
 void
@@ -392,8 +274,9 @@ encodeSnapshotResponse(std::vector<std::uint8_t> &out,
     w.f64(snap.battery_charge_level_wh);
     // Flags byte (added with the fault plane): bit0 = stale, i.e. the
     // readings are last-settled values served through a sensor
-    // blackout. Remaining bits are reserved and must be zero.
-    w.u8(snap.stale ? 1 : 0);
+    // blackout. Remaining bits are reserved and must be zero, so the
+    // byte is a flag.
+    w.flag(snap.stale);
     endFrame(out, off);
 }
 
@@ -418,7 +301,7 @@ decodeResponseHead(const std::uint8_t *payload, std::size_t len,
 {
     WireReader r(payload, len);
     std::uint16_t wire = 0;
-    if (!r.u16(&wire))
+    if (!r.u16(wire))
         return false;
     if (!errorCodeFromWire(wire, &head->code))
         return false;
@@ -427,7 +310,7 @@ decodeResponseHead(const std::uint8_t *payload, std::size_t len,
     if (head->code != api::ErrorCode::Ok) {
         std::uint16_t msg_len = 0;
         std::string_view msg;
-        if (!r.u16(&msg_len) || !r.bytes(&msg, msg_len) || !r.done())
+        if (!r.u16(msg_len) || !r.bytes(msg, msg_len) || !r.done())
             return false;
         head->message.assign(msg);
         *consumed = len;
@@ -442,7 +325,7 @@ decodeIdResult(const std::uint8_t *payload, std::size_t len,
     if (offset > len)
         return false;
     WireReader r(payload + offset, len - offset);
-    return r.u32(id) && r.done();
+    return r.u32(*id) && r.done();
 }
 
 bool
@@ -452,10 +335,10 @@ decodeSnapshotResult(const std::uint8_t *payload, std::size_t len,
     if (offset > len)
         return false;
     WireReader r(payload + offset, len - offset);
-    if (!(r.f64(&snap->solar_w) && r.f64(&snap->grid_w) &&
-          r.f64(&snap->grid_carbon_g_per_kwh) &&
-          r.f64(&snap->battery_discharge_w) &&
-          r.f64(&snap->battery_charge_level_wh)))
+    if (!(r.f64(snap->solar_w) && r.f64(snap->grid_w) &&
+          r.f64(snap->grid_carbon_g_per_kwh) &&
+          r.f64(snap->battery_discharge_w) &&
+          r.f64(snap->battery_charge_level_wh)))
         return false;
     // Version skew tolerance: a v1 peer's payload ends here (no flags
     // byte); readings from a server that cannot mark staleness are
@@ -464,13 +347,7 @@ decodeSnapshotResult(const std::uint8_t *payload, std::size_t len,
         snap->stale = false;
         return true;
     }
-    std::uint8_t flags = 0;
-    if (!r.u8(&flags) || !r.done())
-        return false;
-    if (flags > 1)
-        return false; // reserved flag bits must be zero
-    snap->stale = (flags & 1) != 0;
-    return true;
+    return r.flag(snap->stale) && r.done();
 }
 
 bool
@@ -489,10 +366,10 @@ decodeSessionInfoResult(const std::uint8_t *payload, std::size_t len,
     if (r.remaining() == 12) {
         *version = 1;
         *dedup_window = 0; // unknown: the client cannot enforce it
-        return r.u64(token) && r.u32(lease_ticks) && r.done();
+        return r.u64(*token) && r.u32(*lease_ticks) && r.done();
     }
-    return r.u16(version) && r.u64(token) && r.u32(lease_ticks) &&
-           r.u32(dedup_window) && r.done();
+    return r.u16(*version) && r.u64(*token) && r.u32(*lease_ticks) &&
+           r.u32(*dedup_window) && r.done();
 }
 
 void
@@ -522,7 +399,7 @@ decodeResumeResult(const std::uint8_t *payload, std::size_t len,
         *committed_max = 0;
         return true;
     }
-    return r.u32(committed_max) && r.done();
+    return r.u32(*committed_max) && r.done();
 }
 
 void

@@ -68,9 +68,6 @@ inline constexpr std::uint8_t kResponseBit = 0x80;
  */
 inline constexpr std::uint16_t kPayloadVersion = 2;
 
-/** Human-readable opcode name for logs and tests. */
-const char *opcodeName(Opcode op);
-
 /** True for a known request opcode value. */
 bool validOpcode(std::uint8_t raw);
 
@@ -114,6 +111,27 @@ struct CapEntry
 {
     std::uint32_t container = 0; ///< connection-local container id
     double cap_w = 0.0;
+};
+
+// Field lists (net/wire.h) of the two records that RegisterApp,
+// ApplyCapBatch, the snapshot and the WAL all carry.
+
+inline constexpr auto batteryFields = [](auto &io, auto &b) {
+    return io.f64(b.capacity_wh) && io.f64(b.soc_floor) &&
+           io.f64(b.soc_ceiling) && io.f64(b.max_charge_w) &&
+           io.f64(b.max_discharge_w) && io.f64(b.efficiency) &&
+           io.f64(b.initial_soc);
+};
+
+/** An app's share: solar fraction, grid limit, then the battery share
+ *  behind its presence flag. */
+inline constexpr auto shareFields = [](auto &io, auto &s) {
+    return io.f64(s.solar_fraction) && io.f64(s.grid_max_w) &&
+           io.opt(s.battery, batteryFields);
+};
+
+inline constexpr auto capEntryFields = [](auto &io, auto &e) {
+    return io.u32(e.container) && io.f64(e.cap_w);
 };
 
 /** Operand layout shared by every handle+scalar request. */

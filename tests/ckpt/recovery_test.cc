@@ -7,9 +7,9 @@
  * by token without re-registering, and damaged state files recover
  * per the taxonomy (torn tail truncates, corruption — a flipped byte,
  * or a CRC-valid record with a forged element count, an out-of-order
- * dedup window, a forged session plane, slab, watt-cap list or
- * emergency list, or a WAL that cannot replay — is DataLoss and
- * mutates nothing).
+ * dedup window, a forged session plane, slab, watt-cap list,
+ * emergency list or app image, a flag byte other than 0 or 1, or a WAL
+ * that cannot replay — is DataLoss and mutates nothing).
  *
  * Carries the `threads` label: settlement shards under ECOV_THREADS,
  * and the digest equality must hold at any thread count.
@@ -231,20 +231,11 @@ forgedCountPayload(std::uint32_t magic, std::uint32_t version)
     return out;
 }
 
-/**
- * Publish a forged snapshot into a fresh harness and recover: it must
- * be DataLoss, with no throw, at tick 0 and with no app, session or
- * container restored.
- */
+/** Recover `b`: it must be DataLoss, with no throw, at tick 0 and
+ *  with no app, session or container restored. */
 void
-expectForgedSnapshotRefused(const Snapshot &snap)
+expectRecoveryRefused(WorldHarness &b)
 {
-    std::vector<std::uint8_t> payload;
-    encodeSnapshot(payload, snap);
-    WorldHarness b(makeStateDir());
-    ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
-                                  FsyncPolicy::Never)
-                    .ok());
     api::Status st;
     EXPECT_NO_THROW(st = b.mgr.recover());
     EXPECT_EQ(st.code(), api::ErrorCode::DataLoss) << st.message();
@@ -254,24 +245,69 @@ expectForgedSnapshotRefused(const Snapshot &snap)
     EXPECT_EQ(b.rig.cluster.containerCount(), 0);
 }
 
+/** Publish a forged snapshot payload into a fresh harness; recovery
+ *  must refuse it. */
+void
+expectForgedPayloadRefused(const std::vector<std::uint8_t> &payload)
+{
+    WorldHarness b(makeStateDir());
+    ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
+                                  FsyncPolicy::Never)
+                    .ok());
+    expectRecoveryRefused(b);
+}
+
+void
+expectForgedSnapshotRefused(const Snapshot &snap)
+{
+    std::vector<std::uint8_t> payload;
+    encodeSnapshot(payload, snap);
+    expectForgedPayloadRefused(payload);
+}
+
+/** Write forged WAL records into a fresh harness; recovery must refuse
+ *  them. */
+void
+expectForgedWalRefused(const std::vector<std::vector<std::uint8_t>> &recs)
+{
+    WorldHarness b(makeStateDir(), /*every=*/1000);
+    RecordWriter wal;
+    ASSERT_TRUE(wal.open(b.mgr.walPath(), FsyncPolicy::Never).ok());
+    for (const auto &payload : recs)
+        ASSERT_TRUE(wal.append(payload).ok());
+    wal.close();
+    expectRecoveryRefused(b);
+}
+
+/** The whole WAL of a leased world whose tenant registers an app with
+ *  a battery share and spawns a container. */
+void
+registeringWal(std::vector<std::vector<std::uint8_t>> *recs)
+{
+    const std::string dir = makeStateDir();
+    {
+        WorldHarness a(dir, /*every=*/1000);
+        ASSERT_TRUE(a.mgr.recover().ok());
+        net::LoopbackTransport lt(&a.server);
+        lt.setIdleHandler([&] { a.tick(); });
+        net::Client c(&lt);
+        ASSERT_TRUE(c.beginSession().ok());
+        auto app = c.registerApp("t", testutil::appShare(0.3, 100.0));
+        ASSERT_TRUE(app.ok());
+        ASSERT_TRUE(c.spawnContainer(app.value(), 1.0).ok());
+        a.runTo(4);
+    }
+    ASSERT_TRUE(readRecords(dir + "/wal.eckw", recs).ok());
+}
+
 TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
 {
     // Snapshot: the forged record is published atomically, so the
     // record layer's CRC accepts it and only the decoder can refuse.
     {
-        const std::string dir = makeStateDir();
-        WorldHarness b(dir);
-        ASSERT_TRUE(publishRecordFile(
-                        b.mgr.snapshotPath(),
-                        forgedCountPayload(kSnapshotMagic,
-                                           kSnapshotVersion),
-                        FsyncPolicy::Never)
-                        .ok());
-        api::Status st;
-        EXPECT_NO_THROW(st = b.mgr.recover());
-        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
-        EXPECT_EQ(b.tickCount(), 0);
-        EXPECT_EQ(b.server.sessionCount(), 0u);
+        SCOPED_TRACE("forged snapshot count");
+        expectForgedPayloadRefused(
+            forgedCountPayload(kSnapshotMagic, kSnapshotVersion));
     }
     // Snapshot: a live session's two dedup entries swapped into
     // descending order, and then in order but above the committed
@@ -514,6 +550,101 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
         }
         expectForgedSnapshotRefused(snap);
     }
+    // Snapshot: the app images of a live two-app capture, forged ten
+    // ways. Registration refuses an empty, repeated or oversubscribing
+    // app and a share the VES cannot be built from, and interns each
+    // name in the cluster; a VES holds a battery exactly when its share
+    // has one, and its setters refuse negative and NaN rates. So no
+    // valid writer emits any of these. Restoring one either failed
+    // fatally after the cluster and earlier apps were restored or
+    // recovered a world no run produced.
+    enum class AppForgery
+    {
+        Repeated,
+        Empty,
+        NotInterned,
+        BatteryFlipped,
+        SolarOversubscribed,
+        BatteryOversubscribed,
+        NaNShare,
+        NegativeGridLimit,
+        NegativeChargeRate,
+        NaNDischargeRate,
+    };
+    for (const AppForgery forgery :
+         {AppForgery::Repeated, AppForgery::Empty, AppForgery::NotInterned,
+          AppForgery::BatteryFlipped, AppForgery::SolarOversubscribed,
+          AppForgery::BatteryOversubscribed, AppForgery::NaNShare,
+          AppForgery::NegativeGridLimit, AppForgery::NegativeChargeRate,
+          AppForgery::NaNDischargeRate}) {
+        SCOPED_TRACE("app forgery " +
+                     std::to_string(static_cast<int>(forgery)));
+        Snapshot snap;
+        {
+            WorldHarness a(makeStateDir());
+            ASSERT_TRUE(a.mgr.recover().ok());
+            for (const char *app : {"t", "u"})
+                ASSERT_TRUE(
+                    a.rig.eco.tryAddApp(app, testutil::appShare(0.3, 100.0))
+                        .ok());
+            ASSERT_TRUE(a.rig.cluster.createContainer("t", 1.0));
+            a.runTo(1);
+            snap = captureSnapshot(a.world());
+        }
+        ASSERT_EQ(snap.eco.apps.size(), 2u);
+        core::EcovisorImage::AppImage &app = snap.eco.apps[1];
+        switch (forgery) {
+          case AppForgery::Repeated:
+            app.name = "t";
+            break;
+          case AppForgery::Empty:
+            app.name.clear();
+            break;
+          case AppForgery::NotInterned:
+            app.name = "v";
+            break;
+          case AppForgery::BatteryFlipped:
+            app.ves.has_battery = false;
+            break;
+          case AppForgery::SolarOversubscribed:
+            app.share.solar_fraction = 0.9;
+            break;
+          case AppForgery::BatteryOversubscribed:
+            app.share.battery->capacity_wh = 1400.0; // bank: 1440 Wh
+            break;
+          case AppForgery::NaNShare:
+            app.share.grid_max_w = std::nan("");
+            break;
+          case AppForgery::NegativeGridLimit:
+            app.share.grid_max_w = -1.0;
+            break;
+          case AppForgery::NegativeChargeRate:
+            app.ves.charge_rate_w = -5.0;
+            break;
+          case AppForgery::NaNDischargeRate:
+            app.ves.max_discharge_w = std::nan("");
+            break;
+        }
+        expectForgedSnapshotRefused(snap);
+    }
+    // Snapshot: slot 0's live flag, payload byte 28 after the magic,
+    // version, tick, time and slot count, set to 2. Flags are written
+    // as 0 or 1; a reader that took any nonzero byte as true restored
+    // this one.
+    {
+        SCOPED_TRACE("live flag of 2");
+        WorldHarness a(makeStateDir());
+        ASSERT_TRUE(a.mgr.recover().ok());
+        ASSERT_TRUE(
+            a.rig.eco.tryAddApp("t", testutil::appShare(0.3, 100.0)).ok());
+        ASSERT_TRUE(a.rig.cluster.createContainer("t", 1.0));
+        a.runTo(1);
+        std::vector<std::uint8_t> payload;
+        encodeSnapshot(payload, captureSnapshot(a.world()));
+        ASSERT_EQ(payload[28], 1);
+        payload[28] = 2;
+        expectForgedPayloadRefused(payload);
+    }
     // Snapshot: armed fault ticks in a world with no injector to
     // restore them into, found only after the cluster and the
     // ecovisor had been restored.
@@ -587,18 +718,54 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
     }
     // WAL: same forgery as the first record of the log.
     {
-        const std::string dir = makeStateDir();
-        WorldHarness b(dir, /*every=*/1000);
-        RecordWriter wal;
-        ASSERT_TRUE(wal.open(b.mgr.walPath(), FsyncPolicy::Never).ok());
-        ASSERT_TRUE(
-            wal.append(forgedCountPayload(kWalMagic, kWalVersion)).ok());
-        wal.close();
-        api::Status st;
-        EXPECT_NO_THROW(st = b.mgr.recover());
-        EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
-        EXPECT_EQ(b.tickCount(), 0);
-        EXPECT_EQ(b.server.sessionCount(), 0u);
+        SCOPED_TRACE("forged WAL count");
+        expectForgedWalRefused({forgedCountPayload(kWalMagic, kWalVersion)});
+    }
+    // WAL: a logged op re-encoded as a Ping. Only coalesced ops are
+    // ever logged; replaying this one aborted the process.
+    {
+        SCOPED_TRACE("Ping op in the WAL");
+        std::vector<std::vector<std::uint8_t>> recs;
+        registeringWal(&recs);
+        bool forged = false;
+        for (auto &payload : recs) {
+            TickRecord rec;
+            ASSERT_TRUE(decodeTickRecord(payload, &rec).ok());
+            if (forged || rec.ops.empty())
+                continue;
+            rec.ops[0].op = net::Opcode::Ping;
+            payload.clear();
+            encodeTickRecord(payload, rec.tick, rec.start_s, rec.events,
+                             rec.ops);
+            forged = true;
+        }
+        ASSERT_TRUE(forged);
+        expectForgedWalRefused(recs);
+    }
+    // WAL: the battery flag of a logged RegisterApp share set to 2.
+    {
+        SCOPED_TRACE("share flag of 2 in the WAL");
+        std::vector<std::vector<std::uint8_t>> recs;
+        registeringWal(&recs);
+        bool forged = false;
+        for (auto &payload : recs) {
+            TickRecord rec;
+            ASSERT_TRUE(decodeTickRecord(payload, &rec).ok());
+            if (rec.ops.empty() || rec.ops[0].op != net::Opcode::RegisterApp)
+                continue;
+            // Magic, version, tick, start, the counted events and the
+            // op count; then the op's session, request id, opcode, id,
+            // value and name, and the share's solar and grid fields.
+            const std::size_t flag = 4 + 4 + 8 + 8 + 4 +
+                                     13 * rec.events.size() + 4 + 4 + 4 +
+                                     1 + 4 + 8 + 4 +
+                                     rec.ops[0].reg.name.size() + 8 + 8;
+            ASSERT_EQ(payload[flag], 1);
+            payload[flag] = 2;
+            forged = true;
+        }
+        ASSERT_TRUE(forged);
+        expectForgedWalRefused(recs);
     }
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Payload codec round trips and the stable wire error-code mapping,
  * including malformed-payload rejection (short, trailing bytes,
- * forged counts) — the request-scoped robustness layer above framing.
+ * forged counts) — the request-scoped robustness layer above framing —
+ * and the known-answer bytes of every frame layout.
  */
 
 #include <gtest/gtest.h>
@@ -157,6 +158,15 @@ TEST(Protocol, MalformedRegisterAppRejected)
     longer.push_back(0);
     EXPECT_FALSE(
         decodeRegisterApp(longer.data(), longer.size(), &back));
+    // So is a battery flag other than 0 or 1 (after the name's length
+    // and bytes, and the solar and grid fields).
+    std::vector<std::uint8_t> flagged(f.payload,
+                                      f.payload + f.payload_len);
+    const std::size_t flag = 2 + 3 + 8 + 8;
+    ASSERT_EQ(flagged[flag], 0);
+    flagged[flag] = 2;
+    EXPECT_FALSE(
+        decodeRegisterApp(flagged.data(), flagged.size(), &back));
 }
 
 TEST(Protocol, IdValueRoundTripAndRejects)
@@ -196,6 +206,18 @@ TEST(Protocol, CapBatchRoundTripAndForgedCount)
     forged[0] = 0xFF;
     forged[1] = 0xFF;
     EXPECT_FALSE(decodeCapBatch(forged.data(), forged.size(), &back));
+
+    // The entry bound holds however many entries the bytes carry.
+    for (const std::uint32_t n :
+         {kMaxCapBatchEntries, kMaxCapBatchEntries + 1}) {
+        bytes.clear();
+        encodeCapBatch(bytes, 12,
+                       std::vector<CapEntry>(n, CapEntry{1, 2.0}));
+        const Frame big = frameOf(d, bytes);
+        EXPECT_EQ(decodeCapBatch(big.payload, big.payload_len, &back),
+                  n <= kMaxCapBatchEntries)
+            << n << " entries";
+    }
 }
 
 TEST(Protocol, ResponseHeadOkAndError)
@@ -500,6 +522,147 @@ TEST(Protocol, ApplyCapBatchFrameKnownAnswer)
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, // -0.0 W
     };
     EXPECT_EQ(out, expect);
+}
+
+using Bytes = std::vector<std::uint8_t>;
+
+/** A payload in its frame, the header laid out by hand as
+ *  SetDemandFrameKnownAnswer pins it (payloads here stay below
+ *  64 KiB). */
+Bytes
+framed(std::uint8_t opcode, std::uint8_t request_id, Bytes payload)
+{
+    const std::size_t n = payload.size();
+    payload.insert(payload.begin(),
+                   {0x45, 0x56, 0x01, opcode, request_id, 0x00, 0x00, 0x00,
+                    static_cast<std::uint8_t>(n),
+                    static_cast<std::uint8_t>(n >> 8), 0x00, 0x00});
+    return payload;
+}
+
+/** What an encoder appends to an empty buffer. */
+template <typename Encode>
+Bytes
+encoded(Encode encode)
+{
+    Bytes out;
+    encode(out);
+    return out;
+}
+
+// Known answers for every other request layout: a field swapped in
+// both an encoder and its decoder still round-trips, so only the bytes
+// can catch it.
+TEST(Protocol, RequestFramesKnownAnswers)
+{
+    RegisterAppReq with;
+    with.name = "ab";
+    with.share.solar_fraction = 0.5;
+    with.share.grid_max_w = 100.0;
+    with.share.battery = energy::BatteryConfig{8.0, 0.25, 1.0, 2.0,
+                                               4.0, 0.75, 0.5};
+    EXPECT_EQ(encoded([&](Bytes &o) { encodeRegisterApp(o, 3, with); }),
+              framed(0x02, 3,
+                     {
+                         0x02, 0x00, 'a',  'b',              // name
+                         0, 0, 0, 0, 0, 0, 0xE0, 0x3F,       // solar 0.5
+                         0, 0, 0, 0, 0, 0, 0x59, 0x40,       // grid 100
+                         0x01,                               // battery
+                         0, 0, 0, 0, 0, 0, 0x20, 0x40,       // 8 Wh
+                         0, 0, 0, 0, 0, 0, 0xD0, 0x3F,       // floor .25
+                         0, 0, 0, 0, 0, 0, 0xF0, 0x3F,       // ceiling 1
+                         0, 0, 0, 0, 0, 0, 0x00, 0x40,       // charge 2 W
+                         0, 0, 0, 0, 0, 0, 0x10, 0x40,       // disch. 4 W
+                         0, 0, 0, 0, 0, 0, 0xE8, 0x3F,       // eff. 0.75
+                         0, 0, 0, 0, 0, 0, 0xE0, 0x3F,       // SOC 0.5
+                     }));
+    RegisterAppReq without;
+    without.name = "c";
+    without.share.solar_fraction = 0.25;
+    EXPECT_EQ(
+        encoded([&](Bytes &o) { encodeRegisterApp(o, 4, without); }),
+        framed(0x02, 4,
+               {
+                   0x01, 0x00, 'c',                    // name
+                   0, 0, 0, 0, 0, 0, 0xD0, 0x3F,       // solar 0.25
+                   0, 0, 0, 0, 0, 0, 0, 0,             // grid 0
+                   0x00,                               // no battery
+               }));
+    EXPECT_EQ(encoded([](Bytes &o) {
+                  encodeIdOnly(o, Opcode::DestroyContainer, 5, 0x0A0B0C0Du);
+              }),
+              framed(0x04, 5, {0x0D, 0x0C, 0x0B, 0x0A}));
+    EXPECT_EQ(encoded([](Bytes &o) { encodePing(o, 1); }),
+              framed(0x01, 1, {}));
+    EXPECT_EQ(encoded([](Bytes &o) {
+                  encodeResume(o, 2, 0x0102030405060708ull);
+              }),
+              framed(0x0B, 2, {8, 7, 6, 5, 4, 3, 2, 1}));
+    EXPECT_EQ(encoded([](Bytes &o) { encodeSessionInfo(o, 6); }),
+              framed(0x0C, 6, {}));
+}
+
+TEST(Protocol, ResponseFramesKnownAnswers)
+{
+    EXPECT_EQ(encoded([](Bytes &o) {
+                  encodeOkResponse(o, Opcode::SetDemand, 5);
+              }),
+              framed(0x8A, 5, {0x00, 0x00}));
+    EXPECT_EQ(encoded([](Bytes &o) {
+                  encodeIdResponse(o, Opcode::SpawnContainer, 7,
+                                   0x11223344u);
+              }),
+              framed(0x83, 7, {0x00, 0x00, 0x44, 0x33, 0x22, 0x11}));
+    api::EnergySnapshot snap;
+    snap.solar_w = 1.0;
+    snap.grid_w = 2.0;
+    snap.grid_carbon_g_per_kwh = 100.0;
+    snap.battery_discharge_w = 0.5;
+    snap.battery_charge_level_wh = 8.0;
+    snap.stale = true;
+    EXPECT_EQ(
+        encoded([&](Bytes &o) { encodeSnapshotResponse(o, 8, snap); }),
+        framed(0x89, 8,
+               {
+                   0x00, 0x00,                         // ok
+                   0, 0, 0, 0, 0, 0, 0xF0, 0x3F,       // solar 1 W
+                   0, 0, 0, 0, 0, 0, 0x00, 0x40,       // grid 2 W
+                   0, 0, 0, 0, 0, 0, 0x59, 0x40,       // 100 g/kWh
+                   0, 0, 0, 0, 0, 0, 0xE0, 0x3F,       // disch. 0.5
+                   0, 0, 0, 0, 0, 0, 0x20, 0x40,       // level 8 Wh
+                   0x01,                               // stale
+               }));
+    EXPECT_EQ(encoded([](Bytes &o) {
+                  encodeErrorResponse(
+                      o, Opcode::RegisterApp, 9,
+                      api::Status::error(ErrorCode::DuplicateApp, "dup"));
+              }),
+              framed(0x82, 9, {0x04, 0x00, 0x03, 0x00, 'd', 'u', 'p'}));
+    // A message past 512 bytes travels cut to its first 512.
+    Bytes cut = {0x0C, 0x00, 0x00, 0x02};
+    cut.insert(cut.end(), 512, 'x');
+    EXPECT_EQ(encoded([](Bytes &o) {
+                  encodeErrorResponse(
+                      o, Opcode::GetSnapshot, 10,
+                      api::Status::error(ErrorCode::DataLoss,
+                                         std::string(600, 'x')));
+              }),
+              framed(0x89, 10, cut));
+    EXPECT_EQ(encoded([](Bytes &o) { encodeResumeResponse(o, 11, 0x0102u); }),
+              framed(0x8B, 11, {0x00, 0x00, 0x02, 0x01, 0x00, 0x00}));
+    EXPECT_EQ(encoded([](Bytes &o) {
+                  encodeSessionInfoResponse(o, 12, 0x1122334455667788ull,
+                                            3, 64);
+              }),
+              framed(0x8C, 12,
+                     {
+                         0x00, 0x00,                               // ok
+                         0x02, 0x00,                               // v2
+                         0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22,
+                         0x11,                                     // token
+                         0x03, 0x00, 0x00, 0x00,                   // lease
+                         0x40, 0x00, 0x00, 0x00,                   // window
+                     }));
 }
 
 } // namespace
