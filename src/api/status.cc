@@ -4,40 +4,6 @@
 
 namespace ecov::api {
 
-const char *
-errorCodeName(ErrorCode code)
-{
-    switch (code) {
-      case ErrorCode::Ok:
-        return "ok";
-      case ErrorCode::InvalidArgument:
-        return "invalid_argument";
-      case ErrorCode::InvalidHandle:
-        return "invalid_handle";
-      case ErrorCode::UnknownApp:
-        return "unknown_app";
-      case ErrorCode::DuplicateApp:
-        return "duplicate_app";
-      case ErrorCode::UnknownContainer:
-        return "unknown_container";
-      case ErrorCode::ShareViolation:
-        return "share_violation";
-      case ErrorCode::NoBattery:
-        return "no_battery";
-      case ErrorCode::NoSolar:
-        return "no_solar";
-      case ErrorCode::ResourceExhausted:
-        return "resource_exhausted";
-      case ErrorCode::Unavailable:
-        return "unavailable";
-      case ErrorCode::DeadlineExceeded:
-        return "deadline_exceeded";
-      case ErrorCode::DataLoss:
-        return "data_loss";
-    }
-    return "?";
-}
-
 const Status &
 Status::orFatal() const
 {

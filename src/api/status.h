@@ -48,9 +48,6 @@ enum class ErrorCode
     DataLoss,         ///< durable state failed its checksum (ckpt/WAL)
 };
 
-/** Stable identifier string for an ErrorCode ("unknown_app", ...). */
-const char *errorCodeName(ErrorCode code);
-
 /**
  * The outcome of an API call that returns no value.
  */

@@ -133,14 +133,18 @@ RecordWriter::append(const std::vector<std::uint8_t> &payload)
     if (fd_ < 0)
         return api::Status::error(api::ErrorCode::Unavailable,
                                   "ckpt: append on a closed writer");
-    header_.clear();
-    net::WireWriter w(&header_);
-    w.u32(static_cast<std::uint32_t>(payload.size()));
-    w.u32(crc32(payload.data(), payload.size()));
+    // The header is the payload's length and then its CRC-32, each a
+    // little-endian u32 as WireReader reads them back.
+    const std::uint32_t words[2] = {
+        static_cast<std::uint32_t>(payload.size()),
+        crc32(payload.data(), payload.size())};
+    std::uint8_t header[sizeof words];
+    for (std::size_t i = 0; i < sizeof header; ++i)
+        header[i] = static_cast<std::uint8_t>(words[i / 4] >> (8 * (i % 4)));
     // Header and payload go out as two writes, not one copied frame:
     // a snapshot payload is megabytes. The crash point counts bytes
     // across both, so a torn record looks the same either way.
-    auto st = durableWrite(fd_, header_.data(), header_.size(), path_);
+    auto st = durableWrite(fd_, header, sizeof header, path_);
     if (!st.ok())
         return st;
     st = durableWrite(fd_, payload.data(), payload.size(), path_);

@@ -90,7 +90,6 @@ class RecordWriter
     int fd_ = -1;
     FsyncPolicy fsync_ = FsyncPolicy::Always;
     std::string path_; ///< diagnostics only
-    std::vector<std::uint8_t> header_; ///< reused record header buffer
 };
 
 /**

@@ -239,13 +239,22 @@ findLive(const cop::ClusterImage &c, const LiveSlots &live,
                                                : nullptr;
 }
 
+/** True when `v` lies in [0, 1]; false for NaN. */
+bool
+unitInterval(double v)
+{
+    return v >= 0.0 && v <= 1.0;
+}
+
 /**
  * The slab invariants Cluster::restoreState rebuilds its id table, app
  * lists and free list from. Create hands out ids from [1, next_id)
  * once each and interns the app first; destroy pushes the slot onto
  * the free list and create pops it, so the list holds every dead slot
- * exactly once and no live one. Node indices depend on the world's
- * cluster, so applySnapshot checks those.
+ * exactly once and no live one. The setters store demand, utilization
+ * cap and GPU utilization clamped to [0, 1] and refuse NaN, and admit
+ * only a positive core count that fits a node. Node indices depend on
+ * the world's cluster, so applySnapshot checks those.
  */
 api::Status
 checkCluster(const cop::ClusterImage &c, LiveSlots *live)
@@ -261,6 +270,15 @@ checkCluster(const cop::ClusterImage &c, LiveSlots *live)
         if (ct.app < 0 || static_cast<std::size_t>(ct.app) >= c.apps.size())
             return corrupt("snapshot: container " + std::to_string(ct.id) +
                            " names an app index past the interned names");
+        if (!unitInterval(ct.demand) || !unitInterval(ct.util_cap) ||
+            !unitInterval(ct.gpu_util))
+            return corrupt("snapshot: container " + std::to_string(ct.id) +
+                           " has a demand, cap or GPU utilization "
+                           "outside [0, 1]");
+        if (!(ct.cores > 0.0) || std::isinf(ct.cores))
+            return corrupt("snapshot: container " + std::to_string(ct.id) +
+                           " has a core count that is not finite and "
+                           "positive");
         live->emplace_back(ct.id, i);
     }
     std::sort(live->begin(), live->end());
@@ -394,8 +412,9 @@ checkSessions(const net::ServerCoreImage &img)
  * Registration interned each name in the cluster, and each VES image
  * came from a VES built from the app's share, holding a battery
  * exactly when the share has one, whose rate setters refuse negative
- * and NaN rates. The registration rules need the world's physical
- * system, so applySnapshot checks those.
+ * and NaN rates. The battery holds [0, its share's capacity] Wh, and
+ * capture writes 0 for a VES without one. The registration rules need
+ * the world's physical system, so applySnapshot checks those.
  */
 api::Status
 checkApps(const Snapshot &s)
@@ -413,6 +432,13 @@ checkApps(const Snapshot &s)
             !(a.ves.max_discharge_w >= 0.0))
             return corrupt("snapshot: app '" + a.name +
                            "' has a negative or NaN battery rate");
+        const double capacity_wh =
+            a.share.battery ? a.share.battery->capacity_wh : 0.0;
+        if (!(a.ves.battery_energy_wh >= 0.0 &&
+              a.ves.battery_energy_wh <= capacity_wh))
+            return corrupt("snapshot: app '" + a.name +
+                           "' has a battery energy outside [0, its "
+                           "share's capacity]");
     }
     return api::Status::okStatus();
 }
@@ -498,6 +524,11 @@ applySnapshot(const World &w, const Snapshot &s)
     if (!w.injector && s.injector_armed_ticks != 0)
         return corrupt("snapshot: armed fault ticks without an "
                        "injector to restore them into");
+    if (world_batt &&
+        !(s.phys_battery_wh >= 0.0 &&
+          s.phys_battery_wh <= w.phys->battery().config().capacity_wh))
+        return corrupt("snapshot: physical battery energy outside [0, "
+                       "the bank's capacity]");
     for (const auto &slot : s.cluster.slots)
         if (slot.live &&
             (slot.c.node < 0 || slot.c.node >= w.cluster->nodeCount()))

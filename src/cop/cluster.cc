@@ -70,14 +70,6 @@ Cluster::findAppIndex(std::string_view app) const
     return it == app_index_.end() ? kInvalidApp : it->second;
 }
 
-const std::string &
-Cluster::appName(AppIndex app) const
-{
-    if (app < 0 || static_cast<std::size_t>(app) >= apps_.size())
-        fatal("Cluster::appName: unknown app index");
-    return apps_[static_cast<std::size_t>(app)].name;
-}
-
 // ---------------------------------------------------------------------
 // Container lifecycle.
 // ---------------------------------------------------------------------
@@ -168,7 +160,7 @@ Cluster::pickNode(double cores) const
 std::optional<ContainerId>
 Cluster::createContainer(std::string_view app, double cores)
 {
-    if (cores <= 0.0)
+    if (!(cores > 0.0))
         fatal("Cluster::createContainer: cores must be positive");
     int node = pickNode(cores);
     if (node < 0)
@@ -386,7 +378,7 @@ Cluster::refreshModelCoefficients(std::int32_t s)
 bool
 Cluster::setCores(ContainerId id, double cores)
 {
-    if (cores <= 0.0)
+    if (!(cores > 0.0))
         fatal("Cluster::setCores: cores must be positive");
     const std::int32_t s = liveSlotIndex(id, "Cluster::setCores");
     const auto si = static_cast<std::size_t>(s);
@@ -412,12 +404,16 @@ Cluster::storeUtilCap(std::int32_t s, double cap)
 void
 Cluster::setUtilizationCap(ContainerId id, double cap)
 {
+    if (std::isnan(cap))
+        fatal("Cluster::setUtilizationCap: NaN cap");
     storeUtilCap(liveSlotIndex(id, "Cluster::setUtilizationCap"), cap);
 }
 
 void
 Cluster::setDemand(ContainerId id, double demand)
 {
+    if (std::isnan(demand))
+        fatal("Cluster::setDemand: NaN demand");
     const auto s = static_cast<std::size_t>(
         liveSlotIndex(id, "Cluster::setDemand"));
     cols_.demand[s] = clamp(demand, 0.0, 1.0);
@@ -427,6 +423,8 @@ Cluster::setDemand(ContainerId id, double demand)
 void
 Cluster::setGpuUtil(ContainerId id, double gpu_util)
 {
+    if (std::isnan(gpu_util))
+        fatal("Cluster::setGpuUtil: NaN utilization");
     const auto s = static_cast<std::size_t>(
         liveSlotIndex(id, "Cluster::setGpuUtil"));
     cols_.gpu_util[s] = clamp(gpu_util, 0.0, 1.0);
@@ -572,15 +570,6 @@ Cluster::maxContainerPowerW(ContainerId id) const
         liveSlotIndex(id, "Cluster::container"));
     return (cols_.idle_w[s] + cols_.dyn_w[s] * 1.0) +
            cols_.gpu_peak_w[s] * cols_.gpu_util[s];
-}
-
-double
-Cluster::workCoreSeconds(ContainerId id, TimeS dt_s) const
-{
-    const auto s = static_cast<std::size_t>(
-        liveSlotIndex(id, "Cluster::container"));
-    return std::min(cols_.demand[s], cols_.util_cap[s]) *
-           cols_.cores[s] * static_cast<double>(dt_s);
 }
 
 // ---------------------------------------------------------------------

@@ -244,9 +244,6 @@ class Cluster
     /** Index of an already-interned name; kInvalidApp when unknown. */
     AppIndex findAppIndex(std::string_view app) const;
 
-    /** The name behind an index (fatal on an out-of-range index). */
-    const std::string &appName(AppIndex app) const;
-
     // ------------------------------------------------------------------
     // Container lifecycle.
     // ------------------------------------------------------------------
@@ -304,16 +301,17 @@ class Cluster
     bool setCores(ContainerId id, double cores);
 
     /**
-     * Set the cgroup utilization cap, clamped to [0, 1]: the COP's own
-     * knob. The ecovisor never calls it; applyPowerCaps() undoes it on
-     * a watt-capped or emergency-capped container.
+     * Set the cgroup utilization cap, clamped to [0, 1] (fatal on NaN):
+     * the COP's own knob. The ecovisor never calls it; applyPowerCaps()
+     * undoes it on a watt-capped or emergency-capped container.
      */
     void setUtilizationCap(ContainerId id, double cap);
 
-    /** Set this tick's workload demand, clamped to [0, 1]. */
+    /** Set this tick's workload demand, clamped to [0, 1] (fatal on
+     *  NaN). */
     void setDemand(ContainerId id, double demand);
 
-    /** Set GPU utilization, clamped to [0, 1]. */
+    /** Set GPU utilization, clamped to [0, 1] (fatal on NaN). */
     void setGpuUtil(ContainerId id, double gpu_util);
 
     /**
@@ -394,12 +392,6 @@ class Cluster
 
     /** Attributed power of the container at utilization 1. */
     double maxContainerPowerW(ContainerId id) const;
-
-    /**
-     * Compute work delivered by a container over a tick: effective
-     * utilization x cores x dt, in core-seconds.
-     */
-    double workCoreSeconds(ContainerId id, TimeS dt_s) const;
 
     // ------------------------------------------------------------------
     // Per-app aggregation (the per-tick hot path).

@@ -49,15 +49,6 @@ VirtualEnergySystem::setMaxDischargeW(double rate_w)
 const TickSettlement &
 VirtualEnergySystem::settle(double demand_w, double solar_w,
                             double intensity_g_per_kwh,
-                            TimeS start_s, TimeS dt_s)
-{
-    return settle(demand_w, solar_w, intensity_g_per_kwh, start_s,
-                  dt_s, SettleLimits{});
-}
-
-const TickSettlement &
-VirtualEnergySystem::settle(double demand_w, double solar_w,
-                            double intensity_g_per_kwh,
                             TimeS start_s, TimeS dt_s,
                             const SettleLimits &limits)
 {

@@ -57,10 +57,10 @@ struct AppShareConfig
 /**
  * Physical-availability limits for one tick's settlement, driven by
  * the fault plane (src/fault/, docs/FAULTS.md). The defaults describe
- * the healthy system and make the limited settle() overload compute
- * exactly the same flows as the unlimited one — arming a fault is a
- * branch, not a formula change, so the fault plane is bit-identical
- * zero-cost when no schedule is active.
+ * the healthy system, under which settle() computes exactly the
+ * unlimited flows — arming a fault is a branch, not a formula change,
+ * so the fault plane is bit-identical zero-cost when no schedule is
+ * active.
  */
 struct SettleLimits
 {
@@ -163,31 +163,24 @@ class VirtualEnergySystem
     // --- per-tick settlement ---
 
     /**
-     * Settle one tick.
+     * Settle one tick, under fault-plane availability limits
+     * (docs/FAULTS.md). Under an armed fault the limits gate the
+     * grid/battery branches (no import during an outage, no battery
+     * flow while offline, capacity clamped under fade), and any
+     * shortfall is reported in TickSettlement::unserved_w.
      *
      * @param demand_w application demand (average W over the tick)
      * @param solar_w virtual solar output (average W over the tick)
      * @param intensity_g_per_kwh grid carbon intensity for the tick
      * @param start_s tick start time
      * @param dt_s tick length
+     * @param limits availability; the default is the healthy system
      * @return the settled flows (also retained as lastSettlement())
      */
     const TickSettlement &settle(double demand_w, double solar_w,
                                  double intensity_g_per_kwh,
-                                 TimeS start_s, TimeS dt_s);
-
-    /**
-     * Settle one tick under fault-plane availability limits
-     * (docs/FAULTS.md). With default limits this computes flows
-     * bit-identical to the unlimited overload; under an armed fault
-     * it gates the grid/battery branches (no import during an outage,
-     * no battery flow while offline, capacity clamped under fade) and
-     * reports any shortfall in TickSettlement::unserved_w.
-     */
-    const TickSettlement &settle(double demand_w, double solar_w,
-                                 double intensity_g_per_kwh,
                                  TimeS start_s, TimeS dt_s,
-                                 const SettleLimits &limits);
+                                 const SettleLimits &limits = {});
 
     /**
      * Accept externally redistributed excess solar into the battery

@@ -82,7 +82,9 @@ Battery::charge(double power_w, TimeS dt_s)
         return 0.0;
     double accepted_w = std::min(power_w, maxChargePowerW(dt_s));
     double stored_wh = ecov::energyWh(accepted_w, dt_s) * config_.efficiency;
-    energy_wh_ += stored_wh;
+    // The headroom limit can round a full charge an ulp past the
+    // ceiling; the stored energy never passes the nameplate capacity.
+    energy_wh_ = std::min(energy_wh_ + stored_wh, config_.capacity_wh);
     return accepted_w;
 }
 

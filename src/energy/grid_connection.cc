@@ -38,11 +38,4 @@ GridConnection::draw(double power_w, TimeS t, TimeS dt_s)
     return supplied_w;
 }
 
-void
-GridConnection::resetMeters()
-{
-    total_energy_wh_ = 0.0;
-    total_carbon_g_ = 0.0;
-}
-
 } // namespace ecov::energy

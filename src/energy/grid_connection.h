@@ -52,9 +52,6 @@ class GridConnection
     /** Feeder limit in watts (0 = unlimited). */
     double maxPowerW() const { return max_power_w_; }
 
-    /** Reset meters (tests and run restarts). */
-    void resetMeters();
-
     /** Overwrite meters with checkpointed values (src/ckpt/). */
     void
     restoreMeters(double total_energy_wh, double total_carbon_g)

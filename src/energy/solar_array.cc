@@ -49,15 +49,6 @@ SolarArray::setScale(double scale)
     scale_ = scale;
 }
 
-double
-SolarArray::peakPowerW() const
-{
-    double peak = 0.0;
-    for (const auto &p : points_)
-        peak = std::max(peak, p.power_w);
-    return peak * scale_;
-}
-
 SolarArray
 makeSolarTrace(const SolarTraceConfig &config, std::uint64_t seed)
 {

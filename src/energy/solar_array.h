@@ -52,9 +52,6 @@ class SolarArray
     /** Set the output multiplier (>= 0). */
     void setScale(double scale);
 
-    /** Peak power of the (scaled) trace, in watts. */
-    double peakPowerW() const;
-
     /** Underlying trace points (unscaled). */
     const std::vector<Point> &points() const { return points_; }
 

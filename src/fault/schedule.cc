@@ -7,28 +7,6 @@
 
 namespace ecov::fault {
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::GridOutage:
-        return "grid_outage";
-      case FaultKind::SolarDerate:
-        return "solar_derate";
-      case FaultKind::SolarDropout:
-        return "solar_dropout";
-      case FaultKind::BatteryOffline:
-        return "battery_offline";
-      case FaultKind::BatteryCapacityFade:
-        return "battery_capacity_fade";
-      case FaultKind::SensorBlackout:
-        return "sensor_blackout";
-      case FaultKind::TransportClose:
-        return "transport_close";
-    }
-    return "?";
-}
-
 void
 FaultSchedule::add(const FaultEvent &event)
 {

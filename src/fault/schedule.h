@@ -38,9 +38,6 @@ enum class FaultKind : std::uint8_t
     TransportClose,      ///< close tenant `target`'s connection
 };
 
-/** Identifier string for a FaultKind ("grid_outage", ...). */
-const char *faultKindName(FaultKind kind);
-
 /** Sentinel target: the event applies to every tenant / site-wide. */
 inline constexpr std::uint32_t kAllTargets = 0xFFFFFFFFu;
 

@@ -1,7 +1,5 @@
 #include "geo/geo_coordinator.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace ecov::geo {
@@ -38,13 +36,6 @@ GeoCoordinator::carbonAt(int idx) const
     return site(idx).eco->getGridCarbon();
 }
 
-double
-GeoCoordinator::solarAt(int idx) const
-{
-    const Site &s = site(idx);
-    return s.eco->getSolarPower(s.handle).value();
-}
-
 int
 GeoCoordinator::lowestCarbonSite() const
 {
@@ -56,79 +47,12 @@ GeoCoordinator::lowestCarbonSite() const
     return best;
 }
 
-int
-GeoCoordinator::highestSolarSite() const
-{
-    int best = 0;
-    for (int i = 1; i < siteCount(); ++i) {
-        if (solarAt(i) > solarAt(best))
-            best = i;
-    }
-    return best;
-}
-
-int
-GeoCoordinator::fullestBatterySite() const
-{
-    auto level = [this](int i) {
-        const Site &s = site(i);
-        return s.eco->getBatteryChargeLevel(s.handle).value();
-    };
-    int best = 0;
-    for (int i = 1; i < siteCount(); ++i) {
-        if (level(i) > level(best))
-            best = i;
-    }
-    return best;
-}
-
-int
-GeoCoordinator::cheapestEffectiveSite(double demand_w) const
-{
-    auto effective = [this, demand_w](int i) {
-        const Site &s = site(i);
-        // One snapshot per site: solar and carbon read coherently.
-        const api::EnergySnapshot snap =
-            s.eco->getEnergySnapshot(s.handle).value();
-        double zero_carbon_w = snap.solar_w;
-        const auto &ves = *s.eco->ves(s.handle);
-        if (ves.hasBattery() && !ves.battery().empty())
-            zero_carbon_w += std::min(
-                ves.maxDischargeW(),
-                ves.battery().config().max_discharge_w);
-        if (demand_w <= 1e-12)
-            return 0.0;
-        double uncovered =
-            std::max(0.0, demand_w - zero_carbon_w) / demand_w;
-        return uncovered * snap.grid_carbon_g_per_kwh;
-    };
-    int best = 0;
-    double best_eff = effective(0);
-    for (int i = 1; i < siteCount(); ++i) {
-        double e = effective(i);
-        if (e < best_eff) {
-            best = i;
-            best_eff = e;
-        }
-    }
-    return best;
-}
-
 double
 GeoCoordinator::totalCarbonG() const
 {
     double total = 0.0;
     for (const auto &s : sites_)
         total += s.eco->ves(s.handle)->totalCarbonG();
-    return total;
-}
-
-double
-GeoCoordinator::totalEnergyWh() const
-{
-    double total = 0.0;
-    for (const auto &s : sites_)
-        total += s.eco->ves(s.handle)->totalEnergyWh();
     return total;
 }
 

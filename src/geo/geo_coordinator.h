@@ -56,33 +56,11 @@ class GeoCoordinator
     /** Index of the site with the lowest grid carbon intensity now. */
     int lowestCarbonSite() const;
 
-    /** Index of the site with the highest virtual solar output now. */
-    int highestSolarSite() const;
-
-    /** Index of the site with the fullest virtual battery (Wh). */
-    int fullestBatterySite() const;
-
-    /**
-     * Index of the cheapest site by *effective* carbon intensity:
-     * sites whose zero-carbon supply (solar + permitted battery
-     * discharge) covers `demand_w` rank as zero; otherwise the grid
-     * intensity applies to the uncovered remainder.
-     *
-     * @param demand_w the power the workload would draw at the site
-     */
-    int cheapestEffectiveSite(double demand_w) const;
-
     /** Grid carbon intensity at a site, gCO2/kWh. */
     double carbonAt(int idx) const;
 
-    /** Virtual solar output for the app at a site, watts. */
-    double solarAt(int idx) const;
-
     /** Total attributed carbon for the app across all sites, grams. */
     double totalCarbonG() const;
-
-    /** Total energy consumed by the app across all sites, Wh. */
-    double totalEnergyWh() const;
 
   private:
     std::vector<Site> sites_;

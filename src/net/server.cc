@@ -110,7 +110,6 @@ ServerCore::openConnection()
 {
     const ConnId conn = next_conn_++;
     Conn &c = conns_.insert(conn);
-    c.decoder = FrameDecoder(options_.max_payload_bytes);
     c.session = &newSession(conn);
     return conn;
 }

@@ -99,15 +99,13 @@ using ConnId = std::uint32_t;
  */
 using SessionId = std::uint32_t;
 
-/** Admission-control, framing, and lease bounds. */
+/** Admission-control and lease bounds. */
 struct ServerCoreOptions
 {
     /** Coalesced requests one session may have awaiting commit. */
     std::uint32_t max_inflight_per_conn = 128;
     /** Coalesced requests queued across all sessions. */
     std::uint32_t max_pending_total = 65536;
-    /** Per-frame payload bound handed to each FrameDecoder. */
-    std::uint32_t max_payload_bytes = kMaxPayloadBytes;
     /**
      * Ticks a disconnected session survives awaiting Resume before
      * its containers are revoked. 0 (default) disables leases:

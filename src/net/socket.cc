@@ -20,6 +20,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Pending connections the kernel queues before accept(). */
+constexpr int kListenBacklog = 64;
+
 api::Status
 sysError(const char *what)
 {
@@ -176,7 +179,7 @@ TcpServer::create(ServerCore *core, const TcpServerOptions &options)
         ::close(fd);
         return st;
     }
-    if (::listen(fd, options.backlog) != 0) {
+    if (::listen(fd, kListenBacklog) != 0) {
         const api::Status st = sysError("listen");
         ::close(fd);
         return st;

@@ -61,7 +61,6 @@ struct TcpServerOptions
 {
     /** Port to bind on 127.0.0.1; 0 lets the OS pick (smoke tests). */
     std::uint16_t port = 0;
-    int backlog = 64;
 };
 
 /**

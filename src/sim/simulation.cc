@@ -26,32 +26,13 @@ Simulation::Simulation(TimeS tick_interval_s, TimeS start_s)
 }
 
 void
-Simulation::addListener(TickListener *listener, TickPhase phase,
-                        std::string name)
-{
-    if (!listener)
-        fatal("Simulation::addListener: null listener");
-    entries_.push_back(Entry{static_cast<int>(phase), next_order_++,
-                             listener, nullptr, std::move(name)});
-    dirty_ = true;
-}
-
-void
 Simulation::addListener(TickFn fn, TickPhase phase, std::string name)
 {
     if (!fn)
         fatal("Simulation::addListener: null callback");
     entries_.push_back(Entry{static_cast<int>(phase), next_order_++,
-                             nullptr, std::move(fn), std::move(name)});
+                             std::move(fn), std::move(name)});
     dirty_ = true;
-}
-
-void
-Simulation::removeListener(TickListener *listener)
-{
-    std::erase_if(entries_, [listener](const Entry &e) {
-        return e.listener == listener;
-    });
 }
 
 void
@@ -73,15 +54,11 @@ Simulation::step()
         sortEntries();
     const TimeS start = clock_.now();
     const TimeS dt = clock_.tickInterval();
-    // Copy to tolerate listeners that register/remove during dispatch;
+    // Copy to tolerate listeners that register during dispatch;
     // additions take effect from the next tick.
     auto snapshot = entries_;
-    for (auto &e : snapshot) {
-        if (e.listener)
-            e.listener->onTick(start, dt);
-        else
-            e.fn(start, dt);
-    }
+    for (auto &e : snapshot)
+        e.fn(start, dt);
     clock_.advance();
     ++ticks_executed_;
     g_total_ticks.fetch_add(1, std::memory_order_relaxed);

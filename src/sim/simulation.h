@@ -2,7 +2,7 @@
  * @file
  * Tick-driven simulation driver.
  *
- * Components register TickListener callbacks; each tick the driver
+ * Components register tick callbacks; each tick the driver
  * dispatches them in registration-priority order, mirroring the
  * ecovisor's asynchronous tick() upcall (Table 1). Determinism is
  * guaranteed by ordered dispatch: equal priorities run in registration
@@ -20,27 +20,6 @@
 #include "util/units.h"
 
 namespace ecov::sim {
-
-/**
- * Interface for components that act once per tick.
- *
- * onTick() receives the time at the *start* of the elapsed interval and
- * the interval length; implementations integrate state over
- * [start_s, start_s + dt_s).
- */
-class TickListener
-{
-  public:
-    virtual ~TickListener() = default;
-
-    /**
-     * Called once per tick.
-     *
-     * @param start_s simulated time at the start of the interval
-     * @param dt_s interval length in seconds
-     */
-    virtual void onTick(TimeS start_s, TimeS dt_s) = 0;
-};
 
 /**
  * Orders tick dispatch. Lower values run earlier within a tick.
@@ -67,7 +46,11 @@ enum class TickPhase : int
 class Simulation
 {
   public:
-    /** Callback form of a listener for lightweight registration. */
+    /**
+     * A tick listener. It receives the time at the *start* of the
+     * elapsed interval and the interval length, and integrates state
+     * over [start_s, start_s + dt_s).
+     */
     using TickFn = std::function<void(TimeS start_s, TimeS dt_s)>;
 
     /**
@@ -86,20 +69,14 @@ class Simulation
     TimeS tickInterval() const { return clock_.tickInterval(); }
 
     /**
-     * Register an object listener.
+     * Register a listener.
      *
-     * @param listener borrowed; must outlive the simulation loop
+     * @param fn the callback; what it captures must outlive the
+     *        simulation loop
      * @param phase dispatch phase within each tick
      * @param name diagnostic label
      */
-    void addListener(TickListener *listener, TickPhase phase,
-                     std::string name = "");
-
-    /** Register a function listener. */
     void addListener(TickFn fn, TickPhase phase, std::string name = "");
-
-    /** Remove a previously registered object listener. */
-    void removeListener(TickListener *listener);
 
     /** Run a single tick: dispatch all listeners, then advance time. */
     void step();
@@ -138,7 +115,6 @@ class Simulation
     {
         int priority;
         std::int64_t order;
-        TickListener *listener; // nullptr when fn-based
         TickFn fn;
         std::string name;
     };

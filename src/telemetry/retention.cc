@@ -107,17 +107,4 @@ RollupTier::maxRange(TimeS a, TimeS b, bool *seen) const
     return best;
 }
 
-double
-RollupTier::valueAt(TimeS t, bool *known) const
-{
-    // Last bucket with start <= t.
-    const std::size_t i = lowerBound(t + 1);
-    if (i == 0) {
-        *known = false;
-        return 0.0;
-    }
-    *known = true;
-    return buckets_[i - 1].last;
-}
-
 } // namespace ecov::ts

@@ -184,13 +184,6 @@ class RollupTier
      */
     double maxRange(TimeS a, TimeS b, bool *seen) const;
 
-    /**
-     * Bucket-resolution step value at t: the closing value of the
-     * last bucket starting at or before t. Sets *known when such a
-     * bucket exists.
-     */
-    double valueAt(TimeS t, bool *known) const;
-
     /** Bytes held by the tier: its ring's capacity. */
     std::size_t
     memoryBytes() const

@@ -189,13 +189,6 @@ TimeSeries::reserve(std::size_t n)
     samples_.reserve(n);
 }
 
-double
-TimeSeries::last() const
-{
-    // The hot ring never empties once written (sealing keeps >= 1).
-    return samples_.empty() ? 0.0 : samples_.back().value;
-}
-
 std::size_t
 TimeSeries::lowerBound(TimeS t) const
 {
@@ -228,59 +221,6 @@ TimeSeries::lowerBound(TimeS t, std::size_t hint) const
 }
 
 double
-TimeSeries::valueAt(TimeS t) const
-{
-    if (samples_.empty())
-        return 0.0;
-    if ((cold_.empty() && !has_retired_) ||
-        t >= samples_.front().time_s) {
-        const std::size_t idx = lowerBound(t);
-        if (idx < samples_.size() && samples_[idx].time_s == t)
-            return samples_[idx].value;
-        if (idx == 0)
-            return cold_.empty()
-                       ? (has_retired_ ? value_before_exact_ : 0.0)
-                       : cold_.back().last_value;
-        return samples_[idx - 1].value;
-    }
-    if (!has_retired_ || t >= exact_since_s_) {
-        // Exact region: the step value at t from the cold blocks,
-        // matching the flat series' semantics (first sample with
-        // time >= t wins an exact hit; else the previous sample).
-        double prev = has_retired_ ? value_before_exact_ : 0.0;
-        for (const SealedBlock &blk : cold_) {
-            if (blk.last_time_s < t) {
-                prev = blk.last_value;
-                continue;
-            }
-            if (blk.first_time_s > t)
-                break;
-            BlockCursor bc(blk);
-            Sample s;
-            while (bc.next(&s)) {
-                if (s.time_s < t) {
-                    prev = s.value;
-                    continue;
-                }
-                if (s.time_s == t)
-                    return s.value;
-                break;
-            }
-            break;
-        }
-        return prev;
-    }
-    // Rollup region: bucket-resolution step value; 0 before all
-    // retained knowledge (clamp, never extrapolate).
-    bool known = false;
-    double v = minute_.valueAt(t, &known);
-    if (known)
-        return v;
-    v = hour_.valueAt(t, &known);
-    return known ? v : 0.0;
-}
-
-double
 TimeSeries::hotIntegrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
 {
     double acc = 0.0;
@@ -297,8 +237,7 @@ TimeSeries::hotIntegrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
         cursor->epoch = epoch_;
     }
     // Value in effect at t1: the previous sample's (or 0 before the
-    // first) — read straight from the index the search already found,
-    // instead of re-searching via valueAt(t1).
+    // first), read straight from the index the search already found.
     double current = idx > 0 ? samples_[idx - 1].value : 0.0;
     if (idx < samples_.size() && samples_[idx].time_s == t1) {
         current = samples_[idx].value;
@@ -464,15 +403,6 @@ TimeSeries::exactSumRange(TimeS a, TimeS b) const
         acc += s.value;
     }
     return acc;
-}
-
-double
-TimeSeries::averageOver(TimeS t1, TimeS t2) const
-{
-    if (t2 <= t1)
-        return 0.0;
-    double wh = integrateWh(t1, t2);
-    return wh * kSecondsPerHour / static_cast<double>(t2 - t1);
 }
 
 double

@@ -105,19 +105,6 @@ class TimeSeries
     /** Read-only access to the hot ring (oldest retained raw first). */
     const std::vector<Sample> &samples() const { return samples_; }
 
-    /** Most recent value; 0 when empty. */
-    double last() const;
-
-    /**
-     * Step-function value at a point in time.
-     *
-     * @return the value of the latest sample with time <= t; 0 when t
-     *         precedes all retained knowledge. Exact over the
-     *         cold+hot coverage, bucket-resolution in the rollup
-     *         region.
-     */
-    double valueAt(TimeS t) const;
-
     /**
      * Integrate the step function over [t1, t2).
      *
@@ -139,9 +126,6 @@ class TimeSeries
      *  Same tier semantics as integrateWh: exact over cold+hot,
      *  bucket sums in the rollup region, 0 beyond. */
     double sumRange(TimeS t1, TimeS t2, Cursor *cursor = nullptr) const;
-
-    /** Average step-function value over [t1, t2). */
-    double averageOver(TimeS t1, TimeS t2) const;
 
     /** Maximum raw sample value with t1 <= time < t2; 0 when none. */
     double maxRange(TimeS t1, TimeS t2) const;

@@ -76,14 +76,6 @@ TsDatabase::series(const std::string &measurement,
                                 : slab_[static_cast<std::size_t>(id)];
 }
 
-bool
-TsDatabase::has(const std::string &measurement, const std::string &tag) const
-{
-    const SeriesId id = findSeries(measurement, tag);
-    return id != kInvalidSeries &&
-           !slab_[static_cast<std::size_t>(id)].empty();
-}
-
 std::vector<TsDatabase::Key>
 TsDatabase::keys() const
 {
@@ -107,13 +99,6 @@ TsDatabase::seriesCount() const
             ++n;
     }
     return n;
-}
-
-void
-TsDatabase::clear()
-{
-    index_.clear();
-    slab_.clear();
 }
 
 } // namespace ecov::ts

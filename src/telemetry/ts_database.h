@@ -12,11 +12,11 @@
  * *interned* to an id exactly once (intern()/findSeries()); every
  * append after that is an indexed, allocation-free, string-free
  * vector push. Writes go only through ids; the string-keyed
- * series()/has()/keys() lookups remain on the read side, where global
+ * series()/keys() lookups remain on the read side, where global
  * series such as "grid_carbon" are addressed by name. The slab is a
  * deque: interning a new series never moves existing ones, so
  * `const TimeSeries &` references and SeriesIds stay valid for the
- * database's lifetime (until clear()).
+ * database's lifetime.
  */
 
 #ifndef ECOV_TELEMETRY_TS_DATABASE_H
@@ -34,7 +34,7 @@ namespace ecov::ts {
 
 /**
  * Dense index of an interned (measurement, tag) series. Stable from
- * intern() until clear(); never recycled while the database lives.
+ * intern() on; never recycled while the database lives.
  */
 using SeriesId = std::int32_t;
 
@@ -49,9 +49,10 @@ inline constexpr SeriesId kInvalidSeries = -1;
  * no existence checks.
  *
  * Interned-but-never-written series are invisible to the query
- * surface: has()/keys()/seriesCount() report only series holding at
- * least one sample, so pre-resolving ids (the ecovisor interns every
- * app's series at registration) changes nothing a reader observes.
+ * surface: series() reads them as empty, and keys()/seriesCount()
+ * report only series holding at least one sample, so pre-resolving
+ * ids (the ecovisor interns every app's series at registration)
+ * changes nothing a reader observes.
  */
 class TsDatabase
 {
@@ -109,7 +110,7 @@ class TsDatabase
      * Append a sample to an interned series: a bounds check plus an
      * indexed vector push — no string compares, no allocation beyond
      * amortized sample growth (none at all after reserve()).
-     * Fatal on an invalid id (e.g. one held across clear()).
+     * Fatal on an invalid id.
      */
     void append(SeriesId id, TimeS time_s, double value);
 
@@ -130,18 +131,11 @@ class TsDatabase
     const TimeSeries &series(const std::string &measurement,
                              const std::string &tag = "") const;
 
-    /** True when the series exists and has samples. */
-    bool has(const std::string &measurement,
-             const std::string &tag = "") const;
-
     /** All (measurement, tag) keys with at least one sample, sorted. */
     std::vector<Key> keys() const;
 
     /** Number of series holding at least one sample. */
     std::size_t seriesCount() const;
-
-    /** Drop everything. Outstanding SeriesIds become invalid. */
-    void clear();
 
   private:
     /** Sorted intern table: key -> slab index. */

@@ -208,13 +208,6 @@ JsonWriter::value(bool b)
     out_ += b ? "true" : "false";
 }
 
-void
-JsonWriter::null()
-{
-    preValue();
-    out_ += "null";
-}
-
 std::string
 JsonWriter::str() const
 {

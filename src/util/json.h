@@ -66,7 +66,6 @@ class JsonWriter
     void value(std::uint64_t u);
     void value(int i) { value(static_cast<std::int64_t>(i)); }
     void value(bool b);
-    void null();
 
     /** The finished document. Fatal if containers are still open. */
     std::string str() const;

@@ -5,29 +5,6 @@
 
 namespace ecov {
 
-namespace {
-bool g_verbose = false;
-} // namespace
-
-void
-setVerbose(bool verbose)
-{
-    g_verbose = verbose;
-}
-
-bool
-verbose()
-{
-    return g_verbose;
-}
-
-void
-inform(const std::string &msg)
-{
-    if (g_verbose)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 void
 warn(const std::string &msg)
 {

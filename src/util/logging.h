@@ -2,7 +2,6 @@
  * @file
  * Minimal logging and error-reporting facility in the gem5 spirit.
  *
- * - inform(): status messages, no connotation of misbehaviour.
  * - warn():   something questionable happened but execution continues.
  * - fatal():  unrecoverable *user* error (bad configuration); throws
  *             FatalError so tests can assert on misuse.
@@ -25,15 +24,6 @@ class FatalError : public std::runtime_error
         : std::runtime_error(msg)
     {}
 };
-
-/** Global verbosity switch; informs are suppressed when false. */
-void setVerbose(bool verbose);
-
-/** True when inform() output is enabled. */
-bool verbose();
-
-/** Print an informational message to stderr (when verbose). */
-void inform(const std::string &msg);
 
 /** Print a warning message to stderr (always). */
 void warn(const std::string &msg);

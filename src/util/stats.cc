@@ -35,30 +35,6 @@ RunningStats::stddev() const
     return std::sqrt(variance());
 }
 
-void
-RunningStats::reset()
-{
-    count_ = 0;
-    mean_ = m2_ = min_ = max_ = sum_ = 0.0;
-}
-
-double
-SampleSet::mean() const
-{
-    if (samples_.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : samples_)
-        s += x;
-    return s / static_cast<double>(samples_.size());
-}
-
-double
-SampleSet::percentile(double p) const
-{
-    return percentileOf(samples_, p);
-}
-
 double
 percentileOf(std::vector<double> values, double p)
 {

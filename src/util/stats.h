@@ -2,7 +2,7 @@
  * @file
  * Small statistics helpers used by the evaluation harness: an online
  * accumulator (count/mean/stddev/min/max) and percentile computation
- * over retained samples.
+ * over a sample vector.
  */
 
 #ifndef ECOV_UTIL_STATS_H
@@ -45,9 +45,6 @@ class RunningStats
     /** Sum of all samples. */
     double sum() const { return sum_; }
 
-    /** Reset to empty. */
-    void reset();
-
   private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
@@ -55,42 +52,6 @@ class RunningStats
     double min_ = 0.0;
     double max_ = 0.0;
     double sum_ = 0.0;
-};
-
-/**
- * Sample-retaining collector with percentile queries.
- *
- * Used for latency distributions (e.g. the p95 SLO checks in the web
- * application case studies).
- */
-class SampleSet
-{
-  public:
-    /** Add one sample. */
-    void add(double x) { samples_.push_back(x); }
-
-    /** Number of retained samples. */
-    std::size_t count() const { return samples_.size(); }
-
-    /** Arithmetic mean (0 when empty). */
-    double mean() const;
-
-    /**
-     * Percentile by linear interpolation between closest ranks.
-     *
-     * @param p percentile in [0, 100]
-     * @return interpolated percentile value; 0 when empty
-     */
-    double percentile(double p) const;
-
-    /** Read-only access to retained samples. */
-    const std::vector<double> &samples() const { return samples_; }
-
-    /** Drop all samples. */
-    void clear() { samples_.clear(); }
-
-  private:
-    std::vector<double> samples_;
 };
 
 /**

@@ -39,15 +39,6 @@ RequestTrace::rateAt(TimeS t) const
     return (it - 1)->rps;
 }
 
-double
-RequestTrace::peakRps() const
-{
-    double peak = 0.0;
-    for (const auto &p : points_)
-        peak = std::max(peak, p.rps);
-    return peak;
-}
-
 RequestTrace
 makeRequestTrace(const RequestTraceConfig &config, std::uint64_t seed)
 {

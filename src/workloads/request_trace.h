@@ -54,9 +54,6 @@ class RequestTrace
     /** Request rate (requests/second) at time t. */
     double rateAt(TimeS t) const;
 
-    /** Peak rate over the whole trace. */
-    double peakRps() const;
-
     /** Trace points. */
     const std::vector<Point> &points() const { return points_; }
 

@@ -43,27 +43,6 @@ TEST(Status, BasicsAndBridge)
     EXPECT_THROW(bad.value(), FatalError);
 }
 
-TEST(Status, ErrorCodeNames)
-{
-    EXPECT_STREQ(errorCodeName(ErrorCode::Ok), "ok");
-    EXPECT_STREQ(errorCodeName(ErrorCode::InvalidArgument),
-                 "invalid_argument");
-    EXPECT_STREQ(errorCodeName(ErrorCode::InvalidHandle),
-                 "invalid_handle");
-    EXPECT_STREQ(errorCodeName(ErrorCode::UnknownApp), "unknown_app");
-    EXPECT_STREQ(errorCodeName(ErrorCode::DuplicateApp),
-                 "duplicate_app");
-    EXPECT_STREQ(errorCodeName(ErrorCode::UnknownContainer),
-                 "unknown_container");
-    EXPECT_STREQ(errorCodeName(ErrorCode::ShareViolation),
-                 "share_violation");
-    EXPECT_STREQ(errorCodeName(ErrorCode::NoBattery), "no_battery");
-    EXPECT_STREQ(errorCodeName(ErrorCode::NoSolar), "no_solar");
-    EXPECT_STREQ(errorCodeName(ErrorCode::ResourceExhausted),
-                 "resource_exhausted");
-    EXPECT_STREQ(errorCodeName(ErrorCode::Unavailable), "unavailable");
-}
-
 TEST(Status, AdmissionAndDrainCodes)
 {
     // The ecovisord admission/shutdown codes behave like every other

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -712,6 +713,116 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
             break;
           case EmergencyForgery::IdOrder:
             std::sort(list.begin(), list.end());
+            break;
+        }
+        expectForgedSnapshotRefused(snap);
+    }
+    // Snapshot: the values of a live two-app capture, forged out of
+    // the ranges their writers keep. The COP setters store demand,
+    // utilization cap and GPU utilization clamped to [0, 1] and refuse
+    // NaN, and admit only a positive core count that fits a node; a
+    // battery holds [0, its capacity] Wh, and a VES without one
+    // captures 0. Each forgery recovered Ok before, and the NaN worlds
+    // went on to read a NaN battery level or grid draw.
+    enum class RangeForgery
+    {
+        DemandNaN,
+        DemandAboveOne,
+        UtilCapNaN,
+        UtilCapNegative,
+        GpuUtilNaN,
+        GpuUtilAboveOne,
+        CoresNegative,
+        CoresNaN,
+        CoresInfinite,
+        BatteryNaN,
+        BatteryNegative,
+        BatteryAboveShare,
+        BatteryWithoutShare,
+        BankNaN,
+        BankNegative,
+        BankAboveCapacity,
+    };
+    for (const RangeForgery forgery :
+         {RangeForgery::DemandNaN, RangeForgery::DemandAboveOne,
+          RangeForgery::UtilCapNaN, RangeForgery::UtilCapNegative,
+          RangeForgery::GpuUtilNaN, RangeForgery::GpuUtilAboveOne,
+          RangeForgery::CoresNegative, RangeForgery::CoresNaN,
+          RangeForgery::CoresInfinite, RangeForgery::BatteryNaN,
+          RangeForgery::BatteryNegative, RangeForgery::BatteryAboveShare,
+          RangeForgery::BatteryWithoutShare, RangeForgery::BankNaN,
+          RangeForgery::BankNegative, RangeForgery::BankAboveCapacity}) {
+        SCOPED_TRACE("range forgery " +
+                     std::to_string(static_cast<int>(forgery)));
+        Snapshot snap;
+        {
+            WorldHarness a(makeStateDir());
+            ASSERT_TRUE(a.mgr.recover().ok());
+            ASSERT_TRUE(
+                a.rig.eco.tryAddApp("t", testutil::appShare(0.3, 100.0))
+                    .ok());
+            ASSERT_TRUE(a.rig.eco.tryAddApp("u", core::AppShareConfig{}).ok());
+            a.rig.cluster.setDemand(
+                a.rig.cluster.createContainer("t", 1.0).value(), 0.5);
+            a.runTo(1);
+            snap = captureSnapshot(a.world());
+        }
+        ASSERT_TRUE(snap.has_phys_battery);
+        ASSERT_EQ(snap.eco.apps.size(), 2u);
+        ASSERT_TRUE(snap.eco.apps[0].ves.has_battery);
+        ASSERT_FALSE(snap.eco.apps[1].ves.has_battery);
+        ASSERT_TRUE(snap.cluster.slots[0].live);
+        cop::Container &slot = snap.cluster.slots[0].c;
+        double &battery_wh = snap.eco.apps[0].ves.battery_energy_wh;
+        const double nan = std::nan("");
+        switch (forgery) {
+          case RangeForgery::DemandNaN:
+            slot.demand = nan;
+            break;
+          case RangeForgery::DemandAboveOne:
+            slot.demand = 1.5;
+            break;
+          case RangeForgery::UtilCapNaN:
+            slot.util_cap = nan;
+            break;
+          case RangeForgery::UtilCapNegative:
+            slot.util_cap = -0.5;
+            break;
+          case RangeForgery::GpuUtilNaN:
+            slot.gpu_util = nan;
+            break;
+          case RangeForgery::GpuUtilAboveOne:
+            slot.gpu_util = 2.0;
+            break;
+          case RangeForgery::CoresNegative:
+            slot.cores = -1.0;
+            break;
+          case RangeForgery::CoresNaN:
+            slot.cores = nan;
+            break;
+          case RangeForgery::CoresInfinite:
+            slot.cores = std::numeric_limits<double>::infinity();
+            break;
+          case RangeForgery::BatteryNaN:
+            battery_wh = nan;
+            break;
+          case RangeForgery::BatteryNegative:
+            battery_wh = -100.0;
+            break;
+          case RangeForgery::BatteryAboveShare:
+            battery_wh = 1e6; // share: 100 Wh
+            break;
+          case RangeForgery::BatteryWithoutShare:
+            snap.eco.apps[1].ves.battery_energy_wh = 5.0;
+            break;
+          case RangeForgery::BankNaN:
+            snap.phys_battery_wh = nan;
+            break;
+          case RangeForgery::BankNegative:
+            snap.phys_battery_wh = -1.0;
+            break;
+          case RangeForgery::BankAboveCapacity:
+            snap.phys_battery_wh = 1e6; // bank: 1440 Wh
             break;
         }
         expectForgedSnapshotRefused(snap);

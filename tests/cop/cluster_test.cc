@@ -159,15 +159,6 @@ TEST(Cluster, TotalPowerIncludesIdleBaseline)
     EXPECT_NEAR(c.totalPowerW(), 4 * 1.35 + 0.9125, 1e-9);
 }
 
-TEST(Cluster, WorkCoreSeconds)
-{
-    Cluster c(1, microserver());
-    auto id = c.createContainer("a", 2.0);
-    ASSERT_TRUE(id);
-    c.setDemand(*id, 0.5);
-    EXPECT_DOUBLE_EQ(c.workCoreSeconds(*id, 60), 0.5 * 2.0 * 60.0);
-}
-
 TEST(Cluster, UnknownIdIsFatal)
 {
     Cluster c(1, microserver());

@@ -281,10 +281,9 @@ TEST(Ecovisor, TelemetryRecordsPerContainerSeries)
     ASSERT_TRUE(id);
     rig.cluster.setDemand(*id, 1.0);
     rig.eco.settleTick(0, 60);
-    EXPECT_TRUE(rig.eco.db().has("container_power_w",
-                                 std::to_string(*id)));
-    EXPECT_TRUE(rig.eco.db().has("container_carbon_g",
-                                 std::to_string(*id)));
+    const std::string tag = std::to_string(*id);
+    EXPECT_FALSE(rig.eco.db().series("container_power_w", tag).empty());
+    EXPECT_FALSE(rig.eco.db().series("container_carbon_g", tag).empty());
 }
 
 TEST(Ecovisor, UnknownAppOrContainerIsAnError)

@@ -59,16 +59,6 @@ TEST(GridConnection, CarbonIntensityPassThrough)
     EXPECT_DOUBLE_EQ(g.carbonIntensityAt(4000), 300.0);
 }
 
-TEST(GridConnection, ResetMeters)
-{
-    auto sig = signal();
-    GridConnection g(&sig);
-    g.draw(1000.0, 0, 3600);
-    g.resetMeters();
-    EXPECT_DOUBLE_EQ(g.totalEnergyWh(), 0.0);
-    EXPECT_DOUBLE_EQ(g.totalCarbonG(), 0.0);
-}
-
 TEST(GridConnection, ZeroDurationDrawsNothing)
 {
     auto sig = signal();

@@ -83,33 +83,6 @@ TEST(GeoCoordinator, LowestCarbonSite)
     EXPECT_DOUBLE_EQ(g.carbonAt(1), 250.0);
 }
 
-TEST(GeoCoordinator, HighestSolarSite)
-{
-    Fleet f;
-    auto g = f.coordinator();
-    EXPECT_EQ(g.highestSolarSite(), 1); // california at 50 W
-    EXPECT_DOUBLE_EQ(g.solarAt(1), 50.0);
-}
-
-TEST(GeoCoordinator, FullestBatterySite)
-{
-    Fleet f;
-    auto g = f.coordinator();
-    EXPECT_EQ(g.fullestBatterySite(), 1); // 90 % SOC
-}
-
-TEST(GeoCoordinator, CheapestEffectiveSiteUsesZeroCarbonSupply)
-{
-    Fleet f;
-    auto g = f.coordinator();
-    // At a 5 W demand, California's 50 W of solar covers everything:
-    // effective intensity 0 beats even Ontario's 30 g/kWh grid.
-    EXPECT_EQ(g.cheapestEffectiveSite(5.0), 1);
-    // At a 1 kW demand, solar coverage is negligible everywhere;
-    // Ontario's clean grid wins.
-    EXPECT_EQ(g.cheapestEffectiveSite(1000.0), 0);
-}
-
 TEST(GeoCoordinator, AggregateMetersSumOverSites)
 {
     Fleet f;
@@ -125,7 +98,6 @@ TEST(GeoCoordinator, AggregateMetersSumOverSites)
     f.ontario.eco.settleTick(0, 3600);
     f.uruguay.eco.settleTick(0, 3600);
     // 5 Wh each; carbon = 5/1000*30 + 5/1000*80 = 0.15 + 0.40.
-    EXPECT_NEAR(g.totalEnergyWh(), 10.0, 1e-9);
     EXPECT_NEAR(g.totalCarbonG(), 0.55, 1e-9);
 }
 

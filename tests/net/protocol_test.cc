@@ -51,8 +51,8 @@ TEST(Protocol, ErrorCodeWireRoundTrip)
     for (ErrorCode c : codes) {
         ErrorCode back = ErrorCode::Ok;
         ASSERT_TRUE(errorCodeFromWire(wireErrorCode(c), &back))
-            << errorCodeName(c);
-        EXPECT_EQ(back, c) << errorCodeName(c);
+            << static_cast<int>(c);
+        EXPECT_EQ(back, c) << static_cast<int>(c);
     }
     // The new admission/drain codes have the documented stable values.
     EXPECT_EQ(wireErrorCode(ErrorCode::ResourceExhausted), 9);

@@ -100,36 +100,6 @@ TEST(Simulation, RunUntilStopsAtBoundary)
     EXPECT_EQ(simul.now(), 240);
 }
 
-TEST(Simulation, ObjectListener)
-{
-    struct Counter : TickListener
-    {
-        int calls = 0;
-        void onTick(TimeS, TimeS) override { ++calls; }
-    };
-    Counter c;
-    Simulation simul(60);
-    simul.addListener(&c, TickPhase::Workload);
-    simul.runTicks(5);
-    EXPECT_EQ(c.calls, 5);
-}
-
-TEST(Simulation, RemoveListener)
-{
-    struct Counter : TickListener
-    {
-        int calls = 0;
-        void onTick(TimeS, TimeS) override { ++calls; }
-    };
-    Counter c;
-    Simulation simul(60);
-    simul.addListener(&c, TickPhase::Workload);
-    simul.runTicks(2);
-    simul.removeListener(&c);
-    simul.runTicks(2);
-    EXPECT_EQ(c.calls, 2);
-}
-
 TEST(Simulation, ListenerAddedDuringDispatchRunsNextTick)
 {
     Simulation simul(60);
@@ -168,9 +138,6 @@ TEST(Simulation, NullListenerIsFatal)
 {
     Simulation simul(60);
     EXPECT_THROW(simul.addListener(Simulation::TickFn{},
-                                   TickPhase::Workload),
-                 FatalError);
-    EXPECT_THROW(simul.addListener(static_cast<TickListener *>(nullptr),
                                    TickPhase::Workload),
                  FatalError);
 }

@@ -155,14 +155,6 @@ class Tier
         return best;
     }
 
-    double
-    valueAt(TimeS t, bool *known) const
-    {
-        auto it = lower(t + 1);
-        *known = it != b_.begin();
-        return *known ? std::prev(it)->last : 0.0;
-    }
-
   private:
     std::deque<Bucket>::const_iterator
     lower(TimeS t) const
@@ -225,41 +217,6 @@ class Series
         const std::size_t seal_n = lowerBound(cut);
         if (seal_n > 0)
             seal(seal_n, cut);
-    }
-
-    double
-    valueAt(TimeS t) const
-    {
-        if (hot_.empty())
-            return 0.0;
-        if ((cold_.empty() && !retired_) || t >= hot_.front().time_s) {
-            const std::size_t idx = lowerBound(t);
-            if (idx < hot_.size() && hot_[idx].time_s == t)
-                return hot_[idx].value;
-            if (idx > 0)
-                return hot_[idx - 1].value;
-            return !cold_.empty() ? cold_.back().last_value
-                   : retired_     ? before_exact_
-                                  : 0.0;
-        }
-        if (!retired_ || t >= exact_since_) {
-            double prev = retired_ ? before_exact_ : 0.0;
-            for (const Block &blk : cold_)
-                for (const Sample &s : blk.samples) {
-                    if (s.time_s < t) {
-                        prev = s.value;
-                        continue;
-                    }
-                    return s.time_s == t ? s.value : prev;
-                }
-            return prev;
-        }
-        bool known = false;
-        double v = minute_.valueAt(t, &known);
-        if (known)
-            return v;
-        v = hour_.valueAt(t, &known);
-        return known ? v : 0.0;
     }
 
     double
@@ -342,15 +299,6 @@ class Series
         if (a < t2)
             forExact(a, t2, [&](const Sample &s) { take(s.value); });
         return seen ? best : 0.0;
-    }
-
-    double
-    averageOver(TimeS t1, TimeS t2) const
-    {
-        if (t2 <= t1)
-            return 0.0;
-        return integrateWh(t1, t2) * kSecondsPerHour /
-               static_cast<double>(t2 - t1);
     }
 
   private:
@@ -704,13 +652,7 @@ compareQueries(const TimeSeries &s, const ref::Series &r, Rng &rng,
             mm->check(bitsOf(s.maxRange(t1, t2)) ==
                           bitsOf(r.maxRange(t1, t2)),
                       "maxRange " + at.str());
-            mm->check(bitsOf(s.averageOver(t1, t2)) ==
-                          bitsOf(r.averageOver(t1, t2)),
-                      "averageOver " + at.str());
         }
-        mm->check(bitsOf(s.valueAt(t1)) == bitsOf(r.valueAt(t1)),
-                  "valueAt seed=" + std::to_string(seed) +
-                      " t=" + std::to_string(t1));
     }
 }
 
@@ -928,9 +870,6 @@ TEST(TelemetryRing, TierDropsToEmptyAndRefills)
     EXPECT_TRUE(tier.empty());
     EXPECT_EQ(tier.frontStart(), 0);
     EXPECT_EQ(tier.integrateVs(0, 100000), 0.0);
-    bool known = true;
-    EXPECT_EQ(tier.valueAt(5000, &known), 0.0);
-    EXPECT_FALSE(known);
 
     // Refill past the gap: the first new bucket opens fresh (nothing
     // left to close) and carries the last value across the gap.

@@ -59,13 +59,7 @@ expectExactInsideCoverage(const TimeSeries &bounded,
             << "t1=" << t1 << " t2=" << t2;
         EXPECT_EQ(bounded.maxRange(t1, t2), shadow.maxRange(t1, t2))
             << "t1=" << t1 << " t2=" << t2;
-        EXPECT_EQ(bounded.averageOver(t1, t2),
-                  shadow.averageOver(t1, t2))
-            << "t1=" << t1 << " t2=" << t2;
-        EXPECT_EQ(bounded.valueAt(t1), shadow.valueAt(t1))
-            << "t1=" << t1;
     }
-    EXPECT_EQ(bounded.last(), shadow.last());
 }
 
 TEST(Retention, CountBoundKeepsRingSmallAndQueriesExact)
@@ -167,7 +161,6 @@ TEST(Retention, EvictedHistoryClampsToZero)
     EXPECT_EQ(bounded.integrateWh(a, a + 3600), 0.0);
     EXPECT_EQ(bounded.sumRange(a, a + 3600), 0.0);
     EXPECT_EQ(bounded.maxRange(a, a + 3600), 0.0);
-    EXPECT_EQ(bounded.valueAt(a), 0.0);
 
     // A window straddling the clamp boundary must not extrapolate
     // into the dead zone either: it can never exceed the unbounded
@@ -187,8 +180,6 @@ TEST(Retention, EmptyBoundedSeriesReturnsZeroEverywhere)
     EXPECT_EQ(s.integrateWh(-100, 100), 0.0);
     EXPECT_EQ(s.sumRange(-100, 100), 0.0);
     EXPECT_EQ(s.maxRange(-100, 100), 0.0);
-    EXPECT_EQ(s.valueAt(0), 0.0);
-    EXPECT_EQ(s.last(), 0.0);
     // A forged cursor on an empty series must not underflow anything.
     Cursor cur{42, 7};
     EXPECT_EQ(s.integrateWh(0, 100, &cur), 0.0);

@@ -252,10 +252,12 @@ TEST(TelemetryPipeline, RecycledSlotNeverAliasesOldSeries)
     // series started fresh under its own tag.
     EXPECT_EQ(rig.eco.db().series(old_power).size(), 1u);
     EXPECT_EQ(rig.eco.db().series(new_power).size(), 1u);
-    EXPECT_TRUE(
-        rig.eco.db().has("container_power_w", std::to_string(*first)));
-    EXPECT_TRUE(rig.eco.db().has("container_power_w",
-                                 std::to_string(*second)));
+    EXPECT_FALSE(rig.eco.db()
+                     .series("container_power_w", std::to_string(*first))
+                     .empty());
+    EXPECT_FALSE(rig.eco.db()
+                     .series("container_power_w", std::to_string(*second))
+                     .empty());
 }
 
 TEST(TelemetryPipeline, AppSeriesIdMatchesStringLookup)

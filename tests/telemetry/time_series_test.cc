@@ -16,19 +16,17 @@ TEST(TimeSeries, EmptyQueries)
 {
     TimeSeries s;
     EXPECT_TRUE(s.empty());
-    EXPECT_DOUBLE_EQ(s.last(), 0.0);
-    EXPECT_DOUBLE_EQ(s.valueAt(100), 0.0);
     EXPECT_DOUBLE_EQ(s.integrateWh(0, 100), 0.0);
     EXPECT_DOUBLE_EQ(s.sumRange(0, 100), 0.0);
 }
 
-TEST(TimeSeries, AppendAndLast)
+TEST(TimeSeries, AppendKeepsSamplesInOrder)
 {
     TimeSeries s;
     s.append(0, 5.0);
     s.append(60, 7.0);
     EXPECT_EQ(s.size(), 2u);
-    EXPECT_DOUBLE_EQ(s.last(), 7.0);
+    EXPECT_DOUBLE_EQ(s.samples().back().value, 7.0);
 }
 
 TEST(TimeSeries, NonDecreasingTimestampsEnforced)
@@ -39,18 +37,6 @@ TEST(TimeSeries, NonDecreasingTimestampsEnforced)
     // Equal timestamps allowed (multiple writers in one tick).
     s.append(60, 3.0);
     EXPECT_EQ(s.size(), 2u);
-}
-
-TEST(TimeSeries, StepFunctionValueAt)
-{
-    TimeSeries s;
-    s.append(60, 10.0);
-    s.append(120, 20.0);
-    EXPECT_DOUBLE_EQ(s.valueAt(0), 0.0);    // before first sample
-    EXPECT_DOUBLE_EQ(s.valueAt(60), 10.0);  // exact hit
-    EXPECT_DOUBLE_EQ(s.valueAt(90), 10.0);  // holds
-    EXPECT_DOUBLE_EQ(s.valueAt(120), 20.0);
-    EXPECT_DOUBLE_EQ(s.valueAt(10000), 20.0); // holds after the last
 }
 
 TEST(TimeSeries, IntegrateConstantPower)
@@ -108,15 +94,6 @@ TEST(TimeSeries, SumRangeCountsDeltasInWindow)
     EXPECT_DOUBLE_EQ(s.sumRange(0, 120), 3.0);  // [0, 120) excludes 120
     EXPECT_DOUBLE_EQ(s.sumRange(60, 121), 6.0);
     EXPECT_DOUBLE_EQ(s.sumRange(200, 300), 0.0);
-}
-
-TEST(TimeSeries, AverageOver)
-{
-    TimeSeries s;
-    s.append(0, 100.0);
-    s.append(1800, 200.0);
-    EXPECT_NEAR(s.averageOver(0, 3600), 150.0, 1e-9);
-    EXPECT_DOUBLE_EQ(s.averageOver(100, 100), 0.0);
 }
 
 TEST(TimeSeries, MaxRange)
@@ -189,8 +166,8 @@ TEST(TimeSeries, CursorQueriesAreBitIdentical)
 
 /**
  * Reference for the pre-optimization integrateWh (it recomputed the
- * start value with a second search via valueAt); the single-search
- * rewrite must be bit-identical on every window alignment.
+ * start value with a second search); the single-search rewrite must
+ * be bit-identical on every window alignment.
  */
 double
 referenceIntegrateWh(const TimeSeries &s, TimeS t1, TimeS t2)
@@ -200,8 +177,14 @@ referenceIntegrateWh(const TimeSeries &s, TimeS t1, TimeS t2)
     double acc = 0.0;
     TimeS cursor = t1;
     std::size_t idx = s.lowerBound(t1);
-    double current = s.valueAt(t1);
     const auto &samples = s.samples();
+    // The step value in effect before t1, from a linear walk.
+    double current = 0.0;
+    for (const Sample &x : samples) {
+        if (x.time_s >= t1)
+            break;
+        current = x.value;
+    }
     if (idx < samples.size() && samples[idx].time_s == t1) {
         current = samples[idx].value;
         ++idx;

@@ -76,13 +76,12 @@ TEST(JsonWriterTest, BuildsNestedDocument)
     w.beginArray();
     w.value("batch");
     w.value(true);
-    w.null();
     w.endArray();
     w.endObject();
     EXPECT_EQ(w.str(),
               "{\"name\":\"fig04\",\"ticks\":2880,"
               "\"metrics\":{\"carbon_g\":12.5},"
-              "\"tags\":[\"batch\",true,null]}");
+              "\"tags\":[\"batch\",true]}");
 }
 
 TEST(JsonWriterTest, IndentedOutputParses)

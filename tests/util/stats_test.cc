@@ -48,16 +48,6 @@ TEST(RunningStats, KnownMoments)
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, ResetClears)
-{
-    RunningStats s;
-    s.add(1.0);
-    s.add(2.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
 TEST(RunningStats, NegativeValues)
 {
     RunningStats s;
@@ -68,29 +58,22 @@ TEST(RunningStats, NegativeValues)
     EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
-TEST(SampleSet, EmptyPercentileIsZero)
+TEST(PercentileOf, EmptyIsZero)
 {
-    SampleSet s;
-    EXPECT_DOUBLE_EQ(s.percentile(95), 0.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(percentileOf({}, 95), 0.0);
 }
 
-TEST(SampleSet, PercentileEndpoints)
+TEST(PercentileOf, Endpoints)
 {
-    SampleSet s;
-    for (double x : {10.0, 20.0, 30.0, 40.0})
-        s.add(x);
-    EXPECT_DOUBLE_EQ(s.percentile(0), 10.0);
-    EXPECT_DOUBLE_EQ(s.percentile(100), 40.0);
-    EXPECT_DOUBLE_EQ(s.percentile(50), 25.0);
+    const std::vector<double> v{10.0, 20.0, 30.0, 40.0};
+    EXPECT_DOUBLE_EQ(percentileOf(v, 0), 10.0);
+    EXPECT_DOUBLE_EQ(percentileOf(v, 100), 40.0);
+    EXPECT_DOUBLE_EQ(percentileOf(v, 50), 25.0);
 }
 
-TEST(SampleSet, UnsortedInputHandled)
+TEST(PercentileOf, UnsortedInputHandled)
 {
-    SampleSet s;
-    for (double x : {40.0, 10.0, 30.0, 20.0})
-        s.add(x);
-    EXPECT_DOUBLE_EQ(s.percentile(50), 25.0);
+    EXPECT_DOUBLE_EQ(percentileOf({40.0, 10.0, 30.0, 20.0}, 50), 25.0);
 }
 
 TEST(PercentileOf, SingleElement)

@@ -79,13 +79,5 @@ TEST(Logging, FatalThrows)
     }
 }
 
-TEST(Logging, VerboseToggle)
-{
-    setVerbose(true);
-    EXPECT_TRUE(verbose());
-    setVerbose(false);
-    EXPECT_FALSE(verbose());
-}
-
 } // namespace
 } // namespace ecov

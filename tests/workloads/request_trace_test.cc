@@ -19,7 +19,6 @@ TEST(RequestTrace, LookupAndWrap)
     EXPECT_DOUBLE_EQ(t.rateAt(700), 20.0);
     EXPECT_DOUBLE_EQ(t.rateAt(1200), 10.0);
     EXPECT_DOUBLE_EQ(t.rateAt(-500), 20.0);
-    EXPECT_DOUBLE_EQ(t.peakRps(), 20.0);
 }
 
 TEST(RequestTrace, RejectsInvalid)
