@@ -14,7 +14,9 @@
 #   6. durable kill-and-restart leg: same shape, but both daemon
 #      incarnations share a --state-dir. Sessions now survive the
 #      restart, so the client must report ZERO re-registrations —
-#      every recovery is a resume. See docs/CHECKPOINT.md.
+#      every recovery is a resume. See docs/CHECKPOINT.md. Legs 6
+#      and 7 run the daemon's default --fsync=always, so the WAL's
+#      sync thread is live when SIGKILL lands.
 #   7. digest-match leg: one bounded run split across a SIGKILL +
 #      restart (--state-dir, recovery sized from the "recovered to
 #      tick" banner) must print the same final state digest as an
@@ -24,6 +26,10 @@
 #      sleeps between ticks (user + system CPU under 25% of the wall
 #      time). A wait truncated to whole milliseconds spins through
 #      the last ~1 ms of every tick, which reads ~99% here.
+#   9. durability-failure leg: a tick whose endTick fails ends the
+#      daemon (exit 1) before any of that tick's replies leaves, so a
+#      client waiting on RegisterApp sees the connection drop, not an
+#      answer for a tick that may not be on disk.
 #
 # Expects a built tree; pass it as $1 or via ECOV_BUILD_DIR
 # (default: build-ci, matching build_and_test.sh).
@@ -156,7 +162,7 @@ daemon_pid=""
 STATE_DIR="$(mktemp -d /tmp/ecovisord_state.XXXXXX)"
 CLOG="$(mktemp /tmp/ecovisord_chaos.XXXXXX.log)"
 "${DAEMON}" --port=0 --tick-ms=20 --lease-ticks=500 \
-    --state-dir="${STATE_DIR}" --fsync=never \
+    --state-dir="${STATE_DIR}" --fsync=always \
     --checkpoint-every-ticks=4 >"${LOG}" 2>&1 &
 daemon_pid=$!
 port=""
@@ -173,8 +179,9 @@ echo "server_smoke: durable daemon up on port ${port} (pid ${daemon_pid})"
 chaos_pid=$!
 
 # Kill only once the session is durable: the daemon answers
-# RegisterApp after the committing tick's WAL append, and the client
-# prints this line when that answer arrives.
+# RegisterApp only after the committing tick's endTick barrier (its
+# WAL record fsync'd), and the client prints this line when that
+# answer arrives.
 registered=""
 for _ in $(seq 1 250); do
     grep -q "^chaos: registered " "${CLOG}" && registered=1 && break
@@ -192,7 +199,7 @@ daemon_pid=""
 restarted=""
 for _ in $(seq 1 60); do
     "${DAEMON}" --port="${port}" --tick-ms=20 --lease-ticks=500 \
-        --state-dir="${STATE_DIR}" --fsync=never \
+        --state-dir="${STATE_DIR}" --fsync=always \
         --checkpoint-every-ticks=4 >"${LOG}" 2>&1 &
     daemon_pid=$!
     sleep 0.1
@@ -244,7 +251,7 @@ REF_DIR="$(mktemp -d /tmp/ecovisord_ref.XXXXXX)"
 SPLIT_DIR="$(mktemp -d /tmp/ecovisord_split.XXXXXX)"
 
 "${DAEMON}" --port=0 --tick-ms=10 --max-ticks="${TOTAL_TICKS}" \
-    --lease-ticks=500 --state-dir="${REF_DIR}" --fsync=never \
+    --lease-ticks=500 --state-dir="${REF_DIR}" --fsync=always \
     --checkpoint-every-ticks=16 >"${LOG}" 2>&1
 [[ $? -eq 0 ]] || fail "reference run exited nonzero"
 ref_digest="$(sed -n 's/^ecovisord: state digest \([0-9a-f]*\)$/\1/p' "${LOG}")"
@@ -252,7 +259,7 @@ ref_digest="$(sed -n 's/^ecovisord: state digest \([0-9a-f]*\)$/\1/p' "${LOG}")"
 echo "server_smoke: reference digest ${ref_digest} (${TOTAL_TICKS} ticks)"
 
 "${DAEMON}" --port=0 --tick-ms=10 --max-ticks="${TOTAL_TICKS}" \
-    --lease-ticks=500 --state-dir="${SPLIT_DIR}" --fsync=never \
+    --lease-ticks=500 --state-dir="${SPLIT_DIR}" --fsync=always \
     --checkpoint-every-ticks=16 >"${LOG}" 2>&1 &
 daemon_pid=$!
 sleep 0.5
@@ -267,7 +274,7 @@ daemon_pid=""
 # cleanly at tick R, so the final incarnation below needs exactly
 # TOTAL - R more ticks.
 "${DAEMON}" --port=0 --tick-ms=60000 --state-dir="${SPLIT_DIR}" \
-    --fsync=never --checkpoint-every-ticks=16 --lease-ticks=500 \
+    --fsync=always --checkpoint-every-ticks=16 --lease-ticks=500 \
     >"${LOG}" 2>&1 &
 daemon_pid=$!
 recovered=""
@@ -295,7 +302,7 @@ remaining=$((TOTAL_TICKS - recovered))
 echo "server_smoke: split run recovered to tick ${recovered}, ${remaining} to go"
 
 "${DAEMON}" --port=0 --tick-ms=10 --max-ticks="${remaining}" \
-    --lease-ticks=500 --state-dir="${SPLIT_DIR}" --fsync=never \
+    --lease-ticks=500 --state-dir="${SPLIT_DIR}" --fsync=always \
     --checkpoint-every-ticks=16 >"${LOG}" 2>&1
 [[ $? -eq 0 ]] || fail "recovered split run exited nonzero"
 split_digest="$(sed -n 's/^ecovisord: state digest \([0-9a-f]*\)$/\1/p' "${LOG}")"
@@ -319,7 +326,50 @@ awk -v w="${idle_wall}" -v u="${idle_user}" -v s="${idle_sys}" 'BEGIN {
     exit !(w >= 1.9 && u + s < 0.25 * w)
 }' || fail "idle daemon off schedule or spinning: ${idle_times} (wall user sys)"
 
+# 9. Durability failure. A directory where snapshot.eckp goes makes
+#    every snapshot's rename fail, and this daemon snapshots every
+#    tick, so its first tick's endTick fails: the same exit a failed
+#    WAL fsync takes. That tick is a second away, so the client's ping
+#    is answered and its RegisterApp commits in it; the client must
+#    then see the connection drop instead of the answer.
+FAIL_DIR="$(mktemp -d /tmp/ecovisord_fail.XXXXXX)"
+"${DAEMON}" --port=0 --tick-ms=1000 --state-dir="${FAIL_DIR}" \
+    --checkpoint-every-ticks=1 >"${LOG}" 2>&1 &
+daemon_pid=$!
+port=""
+for _ in $(seq 1 100); do
+    port="$(sed -n 's/^ecovisord: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "${LOG}")"
+    [[ -n "${port}" ]] && break
+    kill -0 "${daemon_pid}" 2>/dev/null \
+        || fail "durability-failure daemon exited early"
+    sleep 0.05
+done
+[[ -n "${port}" ]] || fail "no listening banner (durability-failure leg)"
+rm -f "${FAIL_DIR}/snapshot.eckp"
+mkdir "${FAIL_DIR}/snapshot.eckp"
+client_out="$("${EXAMPLE}" "${port}" 2>&1)"
+fail_status=""
+for _ in $(seq 1 100); do
+    if ! kill -0 "${daemon_pid}" 2>/dev/null; then
+        wait "${daemon_pid}"
+        fail_status=$?
+        break
+    fi
+    sleep 0.05
+done
+[[ -n "${fail_status}" ]] || fail "daemon outlived its durability failure"
+daemon_pid=""
+[[ ${fail_status} -eq 1 ]] \
+    || fail "durability failure exited ${fail_status}, not 1"
+grep -q "^ecovisord: durability failed: " "${LOG}" \
+    || fail "no durability failure reported"
+grep -q "^connected to ecovisord" <<<"${client_out}" \
+    || fail "client never reached the daemon: ${client_out}"
+grep -q "^registerApp failed: " <<<"${client_out}" \
+    || fail "a reply of the failed tick reached the client: ${client_out}"
+echo "server_smoke: durability failure sent no reply of its tick"
+
 echo "server_smoke: PASS"
 rm -f "${LOG}" "${CLOG}"
-rm -rf "${STATE_DIR}" "${REF_DIR}" "${SPLIT_DIR}"
+rm -rf "${STATE_DIR}" "${REF_DIR}" "${SPLIT_DIR}" "${FAIL_DIR}"
 exit 0

@@ -150,9 +150,10 @@ runChaos(const std::string &host, std::uint16_t port,
         auto a = client.registerApp(name, core::AppShareConfig{});
         if (!a.ok())
             return false;
-        // The daemon answers only after the committing tick's WAL
-        // append, so a --state-dir daemon now holds this session
-        // durably; ci/server_smoke.sh waits for this line to kill it.
+        // The daemon answers only after the committing tick's
+        // endTick, its WAL record synced, so a --state-dir daemon now
+        // holds this session durably; ci/server_smoke.sh waits for
+        // this line to kill it.
         std::printf("chaos: registered %s\n", name);
         std::fflush(stdout);
         auto c = client.spawnContainer(a.value(), 1.0);

@@ -176,6 +176,9 @@ CheckpointManager::endTick()
 {
     if (!recovered_)
         fatal("CheckpointManager::endTick: recover() first");
+    const api::Status st = wal_.wait();
+    if (!st.ok())
+        return st;
     if (options_.every_ticks <= 0)
         return api::Status::okStatus();
     if (world_.sim->clock().tickCount() % options_.every_ticks != 0)

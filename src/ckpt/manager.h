@@ -8,18 +8,24 @@
  *     mgr.recover();                 // once, before the loop
  *     loop {
  *         ...process transport frames / stage mutations...
- *         mgr.beginTick();           // WAL: this tick's inputs
+ *         mgr.beginTick();           // WAL: write this tick's inputs
  *         sim.step();                // commit + settle
- *         mgr.endTick();             // snapshot every K ticks
+ *         mgr.endTick();             // inputs durable; snapshot every
+ *         ...deliver replies...      // K ticks
  *     }
  *
- * beginTick() makes the tick's inputs durable *before* they are
- * applied — the write-ahead discipline — so a crash at any byte
- * offset leaves either (a) a torn tail the next recovery truncates
- * (the tick never happened, and its ops were never acked as committed)
- * or (b) a complete record the next recovery replays. Either way the
- * recovered world is bit-identical to some uninterrupted prefix of
- * the run, and continues deterministically from there.
+ * beginTick() writes the tick's inputs *before* they are applied — the
+ * write-ahead discipline — and under FsyncPolicy::Always their fsync
+ * runs on the WAL writer's sync thread while sim.step() runs.
+ * endTick() waits for it first, so the inputs are durable before
+ * endTick() returns, and no reply, snapshot or WAL reset leaves the
+ * process before then. A crash at any byte offset, or in mid-step,
+ * leaves either (a) a torn tail the next recovery truncates, or after
+ * a power loss no record at all (the tick never happened, and its ops
+ * were never acked as committed) or (b) a complete record the next
+ * recovery replays. Either way the recovered world is bit-identical
+ * to some uninterrupted prefix of the run, and continues
+ * deterministically from there.
  */
 
 #ifndef ECOV_CKPT_MANAGER_H
@@ -72,16 +78,19 @@ class CheckpointManager
     api::Status recover();
 
     /**
-     * Append this tick's inputs (drained session events + the
-     * canonical mutation batch) to the WAL. Call immediately before
+     * Write this tick's inputs (drained session events + the
+     * canonical mutation batch) to the WAL; under FsyncPolicy::Always
+     * their fsync runs while the tick steps. Call immediately before
      * sim.step().
      */
     api::Status beginTick();
 
     /**
-     * Snapshot every `every_ticks` ticks (tick-count modulo, so the
-     * cadence phase survives recovery). Call immediately after
-     * sim.step().
+     * The durability barrier: wait for the WAL record's fsync and
+     * return its failure, then snapshot every `every_ticks` ticks
+     * (tick-count modulo, so the cadence phase survives recovery).
+     * Call immediately after sim.step(), and deliver the tick's
+     * replies only after it returns Ok.
      */
     api::Status endTick();
 

@@ -26,12 +26,19 @@
  * Writes go through RecordWriter, which routes every byte through
  * fault::CrashPoint — the crash-injection tests choose the exact byte
  * the process dies on — and fsyncs per the configured policy.
+ *
+ * crc32() folds 64-byte blocks with carry-less multiplies where the CPU
+ * has them (x86-64 with PCLMULQDQ and SSE4.1, checked once at run
+ * time) and runs slicing-by-8 tables elsewhere and on the short tail.
+ * Both compute the same IEEE 802.3 CRC, so no file's bytes depend on
+ * the host.
  */
 
 #ifndef ECOV_CKPT_RECORD_IO_H
 #define ECOV_CKPT_RECORD_IO_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,7 +54,8 @@ enum class FsyncPolicy
 {
     /** fsync after every append (and every snapshot publish): a
      *  crash loses at most the record being written. The daemon
-     *  default. */
+     *  default. An append's fsync runs on the writer's sync thread
+     *  and RecordWriter::wait() collects it. */
     Always,
     /** Never fsync; durability is whatever the page cache grants.
      *  For tests and benches where the "crash" is process death, not
@@ -60,11 +68,19 @@ enum class FsyncPolicy
  * so fsync semantics are explicit; every byte is admitted through
  * fault::CrashPoint before it reaches the kernel (a crossed crash
  * point writes the partial prefix, fsyncs it, and dies).
+ *
+ * Under FsyncPolicy::Always, append() writes the record on the
+ * caller's thread and hands its fsync to one sync thread, which the
+ * writer starts on its first such append and which blocks every
+ * signal, so it never takes one meant for the process. wait() returns
+ * that fsync's status. append(), reset(), sync(), open(), close() and
+ * the destructor wait first, so at most one fsync is in flight and no
+ * write overlaps it. FsyncPolicy::Never starts no thread.
  */
 class RecordWriter
 {
   public:
-    RecordWriter() = default;
+    RecordWriter();
     ~RecordWriter();
 
     RecordWriter(const RecordWriter &) = delete;
@@ -73,8 +89,20 @@ class RecordWriter
     /** Open (creating or appending). */
     api::Status open(const std::string &path, FsyncPolicy fsync);
 
-    /** Frame and append one record; flushes per the fsync policy. */
+    /**
+     * Frame and append one record. Under FsyncPolicy::Always the
+     * record is durable once wait() returns Ok, not when this
+     * returns. A failed fsync of the previous append is returned
+     * here, before anything is written, if wait() did not collect it.
+     */
     api::Status append(const std::vector<std::uint8_t> &payload);
+
+    /**
+     * Block until the last append's fsync has run and return its
+     * status: Ok with none pending, Unavailable naming the fsync when
+     * it failed.
+     */
+    api::Status wait();
 
     /** Truncate the file to empty (WAL reset after a snapshot). */
     api::Status reset();
@@ -87,9 +115,12 @@ class RecordWriter
     bool isOpen() const { return fd_ >= 0; }
 
   private:
+    class SyncThread;
+
     int fd_ = -1;
     FsyncPolicy fsync_ = FsyncPolicy::Always;
     std::string path_; ///< diagnostics only
+    std::unique_ptr<SyncThread> sync_thread_; ///< first Always append on
 };
 
 /**

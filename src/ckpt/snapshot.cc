@@ -529,12 +529,31 @@ applySnapshot(const World &w, const Snapshot &s)
           s.phys_battery_wh <= w.phys->battery().config().capacity_wh))
         return corrupt("snapshot: physical battery energy outside [0, "
                        "the bank's capacity]");
-    for (const auto &slot : s.cluster.slots)
-        if (slot.live &&
-            (slot.c.node < 0 || slot.c.node >= w.cluster->nodeCount()))
+    // Each live container sits on a node of this cluster, and no node
+    // holds more cores than it has. Cluster::fits lets every
+    // createContainer and setCores pass by 1e-9, measured on a running
+    // cores_allocated that sums in the order containers came, went and
+    // resized, so it differs from this slot-order sum by rounding. A
+    // millionth of the node's cores more covers that rounding and
+    // still refuses any overfill that would matter.
+    std::vector<double> node_cores(
+        static_cast<std::size_t>(w.cluster->nodeCount()), 0.0);
+    for (const auto &slot : s.cluster.slots) {
+        if (!slot.live)
+            continue;
+        if (slot.c.node < 0 || slot.c.node >= w.cluster->nodeCount())
             return corrupt("snapshot: container " +
                            std::to_string(slot.c.id) +
                            " on a node this cluster does not have");
+        node_cores[static_cast<std::size_t>(slot.c.node)] += slot.c.cores;
+    }
+    for (int n = 0; n < w.cluster->nodeCount(); ++n) {
+        const double cores = w.cluster->node(n).model.cores();
+        if (node_cores[static_cast<std::size_t>(n)] >
+            cores + 1e-9 + 1e-6 * cores)
+            return corrupt("snapshot: node " + std::to_string(n) +
+                           "'s containers hold more cores than it has");
+    }
     // Restore re-registers each app after the ones before it, under
     // the rules that registered it live.
     const std::span<const core::EcovisorImage::AppImage> apps = s.eco.apps;

@@ -35,13 +35,15 @@
  *   --checkpoint-every-ticks  snapshot cadence (default 32)
  *   --fsync     durability policy for --state-dir writes: "always"
  *               (default; survives power loss) or "never" (survives
- *               process death only — crash tests, CI)
+ *               process death only — crash tests)
  *
  * SIGINT/SIGTERM drain cleanly: queued requests are answered
  * Unavailable, outboxes flush, and the process exits 0 — the CI smoke
  * job asserts exactly this. With --state-dir the daemon also writes a
  * final snapshot and prints its full-state digest, which the smoke
- * job compares against an uninterrupted reference run.
+ * job compares against an uninterrupted reference run. A tick whose
+ * durability barrier (endTick) fails ends the process with exit 1
+ * before any of that tick's replies is sent.
  */
 
 #include <atomic>
@@ -243,12 +245,20 @@ main(int argc, char **argv)
             simul.step();
             ++ticks;
             if (ckpt_mgr) {
+                // The durability barrier: the tick's WAL record is
+                // synced (and every K ticks a snapshot published)
+                // before any of its replies goes out below.
                 auto st = ckpt_mgr->endTick();
                 if (!st.ok()) {
-                    std::fprintf(stderr, "ecovisord: snapshot "
+                    // The step has already queued this tick's replies
+                    // in the outboxes, and a return would flush them
+                    // from ~TcpServer, acking a tick that may not be
+                    // on disk. _Exit sends none of them.
+                    std::fprintf(stderr, "ecovisord: durability "
                                  "failed: %s\n",
                                  st.message().c_str());
-                    return 1;
+                    std::fflush(stdout);
+                    std::_Exit(1);
                 }
             }
             next_tick += tick_period;

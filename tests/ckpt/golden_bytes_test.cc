@@ -6,9 +6,11 @@
  * session-event kind — a disconnect and Resume (the DiscardVirgin
  * id hand-back), a takeover and a lease expiry — and the snapshot
  * digest at three ticks plus the FNV-1a 64 of every WAL record payload
- * must equal the values pinned here. A change to the request path, the
- * session tables or the wire writer that moves one byte of a snapshot
- * or the log fails this suite, whatever the round trip still accepts.
+ * must equal the values pinned here, and so must the FNV-1a 64 of the
+ * raw WAL and snapshot files, whose record headers carry each payload's
+ * CRC-32. A change to the request path, the session tables, the wire
+ * writer or the checksum that moves one byte of a snapshot or the log
+ * fails this suite, whatever the round trip still accepts.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@ namespace {
 
 using testutil::WorldHarness;
 using testutil::makeStateDir;
+using testutil::slurp;
 
 std::uint64_t
 fnv1a64(const std::vector<std::uint8_t> &bytes)
@@ -88,6 +91,10 @@ constexpr std::array<std::uint64_t, 23> kWalRecords = {
     0x8d1e998800b5d302ull, 0xffdd3d62d9229a57ull,
     0x2e1385e6b3b89dd7ull,
 };
+/** FNV-1a 64 of the whole files, 8-byte record headers included, as
+ *  the slicing-by-8 checksum wrote them. */
+constexpr std::uint64_t kWalFile = 0xaf7b96572baa4bfeull;
+constexpr std::uint64_t kSnapshotFile = 0x0fb0caee2fa60582ull;
 
 TEST(CkptGoldenBytes, SnapshotAndWalBytesArePinned)
 {
@@ -202,6 +209,7 @@ TEST(CkptGoldenBytes, SnapshotAndWalBytesArePinned)
     EXPECT_EQ(ops.size(), 8u);
     EXPECT_TRUE(bare_register);
     EXPECT_EQ(kinds.size(), 5u);
+    const std::uint64_t wal_file = fnv1a64(slurp(h.mgr.walPath()));
 
     // The snapshot file holds exactly the digested encoding.
     ASSERT_TRUE(h.mgr.writeSnapshot().ok());
@@ -209,6 +217,8 @@ TEST(CkptGoldenBytes, SnapshotAndWalBytesArePinned)
     ASSERT_TRUE(readRecords(h.mgr.snapshotPath(), &snap).ok());
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(fnv1a64(snap[0]), digests.back());
+    const std::uint64_t snapshot_file =
+        fnv1a64(slurp(h.mgr.snapshotPath()));
 
     ASSERT_EQ(digests.size(), kDigests.size());
     for (std::size_t i = 0; i < kDigests.size(); ++i)
@@ -216,6 +226,8 @@ TEST(CkptGoldenBytes, SnapshotAndWalBytesArePinned)
     ASSERT_EQ(wal.size(), kWalRecords.size());
     for (std::size_t i = 0; i < kWalRecords.size(); ++i)
         EXPECT_EQ(wal[i], kWalRecords[i]) << "WAL record " << i;
+    EXPECT_EQ(wal_file, kWalFile) << std::hex << wal_file;
+    EXPECT_EQ(snapshot_file, kSnapshotFile) << std::hex << snapshot_file;
 }
 
 } // namespace

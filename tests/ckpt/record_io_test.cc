@@ -3,13 +3,18 @@
  * The durable record layer's damage taxonomy (src/ckpt/record_io.h):
  * CRC framing round-trips, a torn tail truncates silently (crash
  * artifact), a checksum mismatch on a complete record is DataLoss
- * (corruption), and publishRecordFile replaces atomically. Plus the
- * CrashPoint byte accounting the crash-recovery suite drives.
+ * (corruption), and publishRecordFile replaces atomically. crc32 —
+ * carry-less folds or tables, whichever this CPU runs — equals a
+ * bit-at-a-time IEEE 802.3 reference at every length and alignment
+ * that reaches each path. Only FsyncPolicy::Always starts the sync
+ * thread, and a failed fsync on it comes back through wait(). Plus
+ * the CrashPoint byte accounting the crash-recovery suite drives.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -18,19 +23,10 @@
 
 #include "ckpt/record_io.h"
 #include "fault/crash_point.h"
-#include "world_harness.h" // makeStateDir
+#include "world_harness.h" // makeStateDir, slurp
 
 namespace ecov::ckpt {
 namespace {
-
-std::vector<std::uint8_t>
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<std::uint8_t>(
-        std::istreambuf_iterator<char>(in),
-        std::istreambuf_iterator<char>());
-}
 
 void
 spit(const std::string &path, const std::vector<std::uint8_t> &bytes)
@@ -43,7 +39,7 @@ spit(const std::string &path, const std::vector<std::uint8_t> &bytes)
 void
 flipByte(const std::string &path, std::size_t offset)
 {
-    std::vector<std::uint8_t> bytes = slurp(path);
+    std::vector<std::uint8_t> bytes = testutil::slurp(path);
     ASSERT_LT(offset, bytes.size());
     bytes[offset] ^= 0xff;
     spit(path, bytes);
@@ -78,6 +74,45 @@ TEST(RecordIo, Crc32KnownAnswer)
     EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(fox.data()),
                     fox.size()),
               0x414FA339u);
+}
+
+/** The CRC-32 register after `p`, one bit at a time: the definition,
+ *  with no table or fold shared with crc32(). */
+std::uint32_t
+crcBits(std::uint32_t c, std::uint8_t p)
+{
+    c ^= p;
+    for (int k = 0; k < 8; ++k)
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    return c;
+}
+
+TEST(RecordIo, Crc32MatchesBitwiseReference)
+{
+    // xorshift bytes: no period a fold could alias with.
+    std::vector<std::uint8_t> bytes(6u << 20);
+    std::uint64_t x = 88172645463325252ull;
+    for (std::uint8_t &b : bytes) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<std::uint8_t>(x);
+    }
+    // Every length to 1,024 from every start offset 0-15: under 64
+    // bytes, whole and partial 64-byte blocks, and each 0-15 byte tail.
+    for (std::size_t off = 0; off < 16; ++off) {
+        std::uint32_t c = 0xFFFFFFFFu;
+        for (std::size_t n = 0; n <= 1024; ++n) {
+            ASSERT_EQ(crc32(bytes.data() + off, n), c ^ 0xFFFFFFFFu)
+                << "offset " << off << ", length " << n;
+            c = crcBits(c, bytes[off + n]);
+        }
+    }
+    // One buffer the size of a benchmark snapshot.
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::uint8_t b : bytes)
+        c = crcBits(c, b);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), c ^ 0xFFFFFFFFu);
 }
 
 TEST(RecordIo, AppendReadRoundTrip)
@@ -176,6 +211,72 @@ TEST(RecordIo, ChecksumMismatchIsDataLoss)
     api::Status st = readRecords(path, &recs);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), api::ErrorCode::DataLoss);
+}
+
+/** Threads of this process, as Linux lists them. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+// Defined before any other test starts a sync thread: a thread that
+// pthread_join has returned for can stay listed for a moment, which
+// only ever lowers a later count.
+TEST(RecordIo, OnlyAlwaysStartsTheSyncThread)
+{
+    const std::string dir = testutil::makeStateDir();
+    const std::size_t before = threadCount();
+    {
+        RecordWriter w;
+        ASSERT_TRUE(w.open(dir + "/never", FsyncPolicy::Never).ok());
+        ASSERT_TRUE(w.append(payloadOf(16, 3)).ok());
+        EXPECT_LE(threadCount(), before);
+    }
+    RecordWriter w;
+    ASSERT_TRUE(w.open(dir + "/always", FsyncPolicy::Always).ok());
+    EXPECT_LE(threadCount(), before); // not before the first append
+    ASSERT_TRUE(w.append(payloadOf(16, 3)).ok());
+    const std::size_t started = threadCount();
+    EXPECT_GT(started, before);
+    // One thread, however many appends.
+    ASSERT_TRUE(w.append(payloadOf(16, 4)).ok());
+    ASSERT_TRUE(w.append(payloadOf(16, 5)).ok());
+    EXPECT_TRUE(w.wait().ok());
+    EXPECT_EQ(threadCount(), started);
+}
+
+TEST(RecordIo, FailedFsyncComesBackThroughWait)
+{
+    // /dev/null takes writes and refuses fsync (EINVAL). Under Always
+    // the append returns once the bytes are written; the fsync's
+    // failure is the sync thread's to report, through wait().
+    RecordWriter w;
+    ASSERT_TRUE(w.open("/dev/null", FsyncPolicy::Always).ok());
+    ASSERT_TRUE(w.append(payloadOf(16, 3)).ok());
+    api::Status st = w.wait();
+    EXPECT_EQ(st.code(), api::ErrorCode::Unavailable);
+    EXPECT_NE(st.message().find("fsync /dev/null"), std::string::npos)
+        << st.message();
+    // Collected once: nothing is pending any more.
+    EXPECT_TRUE(w.wait().ok());
+
+    // Not collected by wait(), the failure stops the next append
+    // before it writes.
+    ASSERT_TRUE(w.append(payloadOf(16, 3)).ok());
+    st = w.append(payloadOf(16, 3));
+    EXPECT_EQ(st.code(), api::ErrorCode::Unavailable);
+    EXPECT_TRUE(w.wait().ok());
+
+    // Never syncs nothing, so there is nothing to fail.
+    RecordWriter never;
+    ASSERT_TRUE(never.open("/dev/null", FsyncPolicy::Never).ok());
+    ASSERT_TRUE(never.append(payloadOf(16, 3)).ok());
+    EXPECT_TRUE(never.wait().ok());
 }
 
 TEST(RecordIo, ResetEmptiesFile)

@@ -81,8 +81,11 @@ TEST(CkptRecovery, FreshDirectoryIsFreshStart)
 // that never restarted. With a dedup window of 2, the 7 commits
 // before the tick-8 snapshot have wrapped and compacted the window
 // twice, so the snapshot holds a window captured from mid-storage.
+// Under FsyncPolicy::Always every WAL record's fsync runs on the
+// writer's sync thread while its tick steps.
 void
-checkRestartResumeMatchesUninterrupted(std::uint32_t dedup_window)
+checkRestartResumeMatchesUninterrupted(std::uint32_t dedup_window,
+                                       FsyncPolicy fsync)
 {
     const std::string d1 = makeStateDir();
     const std::string d2 = makeStateDir();
@@ -92,7 +95,7 @@ checkRestartResumeMatchesUninterrupted(std::uint32_t dedup_window)
 
     // Life 1: churny tenant work, then the "process" stops.
     {
-        WorldHarness a(d1, 4, 64, dedup_window);
+        WorldHarness a(d1, 4, 64, dedup_window, fsync);
         ASSERT_TRUE(a.mgr.recover().ok());
         net::LoopbackTransport lt(&a.server);
         lt.setIdleHandler([&] { a.tick(); });
@@ -113,7 +116,7 @@ checkRestartResumeMatchesUninterrupted(std::uint32_t dedup_window)
 
     // Life 2: recover. Cadence is every 4 ticks, so the snapshot sits
     // at tick 8 and the WAL tail replays ticks 8 and 9.
-    WorldHarness b(d1, 4, 64, dedup_window);
+    WorldHarness b(d1, 4, 64, dedup_window, fsync);
     ASSERT_TRUE(b.mgr.recover().ok());
     EXPECT_EQ(b.mgr.recoveredTick(), 10);
     EXPECT_EQ(b.mgr.replayedTicks(), 2);
@@ -133,7 +136,7 @@ checkRestartResumeMatchesUninterrupted(std::uint32_t dedup_window)
     b.runTo(20);
 
     // Reference: the same tenant history without any restart.
-    WorldHarness r(d2, 4, 64, dedup_window);
+    WorldHarness r(d2, 4, 64, dedup_window, fsync);
     ASSERT_TRUE(r.mgr.recover().ok());
     net::LoopbackTransport ltr(&r.server);
     ltr.setIdleHandler([&] { r.tick(); });
@@ -158,11 +161,16 @@ TEST(CkptRecovery, RestartResumeMatchesUninterrupted)
     {
         SCOPED_TRACE("default dedup window");
         checkRestartResumeMatchesUninterrupted(
-            net::ServerCoreOptions{}.dedup_window);
+            net::ServerCoreOptions{}.dedup_window, FsyncPolicy::Never);
     }
     {
         SCOPED_TRACE("dedup window of 2");
-        checkRestartResumeMatchesUninterrupted(2);
+        checkRestartResumeMatchesUninterrupted(2, FsyncPolicy::Never);
+    }
+    {
+        SCOPED_TRACE("fsync always");
+        checkRestartResumeMatchesUninterrupted(
+            net::ServerCoreOptions{}.dedup_window, FsyncPolicy::Always);
     }
 }
 
@@ -223,6 +231,9 @@ std::vector<std::uint8_t>
 forgedCountPayload(std::uint32_t magic, std::uint32_t version)
 {
     std::vector<std::uint8_t> out;
+    // Sized first: GCC 12 at -O3 reads the growth of an empty vector
+    // as an overflow (-Wstringop-overflow) once this is inlined.
+    out.reserve(28);
     net::WireWriter w(&out);
     w.u32(magic);
     w.u32(version);
@@ -722,8 +733,9 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
     // utilization cap and GPU utilization clamped to [0, 1] and refuse
     // NaN, and admit only a positive core count that fits a node; a
     // battery holds [0, its capacity] Wh, and a VES without one
-    // captures 0. Each forgery recovered Ok before, and the NaN worlds
-    // went on to read a NaN battery level or grid draw.
+    // captures 0. Each forgery recovered Ok before, the NaN worlds
+    // went on to read a NaN battery level or grid draw, and the
+    // overfilled node read -999,996 free cores.
     enum class RangeForgery
     {
         DemandNaN,
@@ -735,6 +747,7 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
         CoresNegative,
         CoresNaN,
         CoresInfinite,
+        CoresOverfillNode,
         BatteryNaN,
         BatteryNegative,
         BatteryAboveShare,
@@ -748,7 +761,8 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
           RangeForgery::UtilCapNaN, RangeForgery::UtilCapNegative,
           RangeForgery::GpuUtilNaN, RangeForgery::GpuUtilAboveOne,
           RangeForgery::CoresNegative, RangeForgery::CoresNaN,
-          RangeForgery::CoresInfinite, RangeForgery::BatteryNaN,
+          RangeForgery::CoresInfinite, RangeForgery::CoresOverfillNode,
+          RangeForgery::BatteryNaN,
           RangeForgery::BatteryNegative, RangeForgery::BatteryAboveShare,
           RangeForgery::BatteryWithoutShare, RangeForgery::BankNaN,
           RangeForgery::BankNegative, RangeForgery::BankAboveCapacity}) {
@@ -802,6 +816,9 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
             break;
           case RangeForgery::CoresInfinite:
             slot.cores = std::numeric_limits<double>::infinity();
+            break;
+          case RangeForgery::CoresOverfillNode:
+            slot.cores = 1e6; // node: 4 cores
             break;
           case RangeForgery::BatteryNaN:
             battery_wh = nan;
@@ -877,6 +894,73 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
         }
         ASSERT_TRUE(forged);
         expectForgedWalRefused(recs);
+    }
+}
+
+// The other side of the overfilled-node refusal: every fill that
+// Cluster::fits admits recovers to the digest it was captured at.
+void
+checkFilledNodesRecover(void (*fill)(cop::Cluster &), int containers)
+{
+    const std::string dir = makeStateDir();
+    std::uint64_t digest = 0;
+    {
+        WorldHarness a(dir);
+        ASSERT_TRUE(a.mgr.recover().ok());
+        ASSERT_TRUE(
+            a.rig.eco.tryAddApp("t", testutil::appShare(0.3, 100.0)).ok());
+        ASSERT_NO_FATAL_FAILURE(fill(a.rig.cluster));
+        ASSERT_EQ(a.rig.cluster.containerCount(), containers);
+        ASSERT_LT(std::abs(a.rig.cluster.freeCores()), 1e-8);
+        a.runTo(4); // the snapshot at tick 4 holds them
+        digest = a.mgr.digest();
+    }
+    WorldHarness b(dir);
+    ASSERT_TRUE(b.mgr.recover().ok());
+    EXPECT_EQ(b.mgr.digest(), digest);
+    EXPECT_EQ(b.rig.cluster.containerCount(), containers);
+    EXPECT_LT(std::abs(b.rig.cluster.freeCores()), 1e-8);
+}
+
+TEST(CkptRecovery, NodesFilledToTheirCoresRecover)
+{
+    {
+        SCOPED_TRACE("four 4-core nodes: three whole, one by parts");
+        // 0.1 + 0.2 + 3.7 fills node 3 to within an ulp of its cores.
+        checkFilledNodesRecover(
+            [](cop::Cluster &c) {
+                for (const double cores : {4.0, 4.0, 4.0, 0.1, 0.2, 3.7})
+                    ASSERT_TRUE(c.createContainer("t", cores))
+                        << cores << " cores";
+            },
+            6);
+    }
+    {
+        SCOPED_TRACE("node 0 to the fits limit after a removal and a "
+                     "setCores");
+        // Node 0's running cores_allocated goes 0.78, + 2.43, + the
+        // setCores delta, − 0.78, and the last container takes all it
+        // leaves plus the 1e-9 Cluster::fits allows. That container
+        // reuses slot 0, so the reader sums it before the resized
+        // one, and that sum passes 4 + 1e-9 by an ulp.
+        checkFilledNodesRecover(
+            [](cop::Cluster &c) {
+                const auto first = c.createContainer("t", 0.78);
+                ASSERT_TRUE(first);
+                for (int n = 1; n < 4; ++n)
+                    ASSERT_TRUE(c.createContainer("t", 4.0));
+                const auto resized = c.createContainer("t", 2.43);
+                ASSERT_TRUE(resized);
+                ASSERT_TRUE(c.setCores(*resized, 0.07));
+                c.destroyContainer(*first);
+                const double last = c.node(0).freeCores() + 1e-9;
+                const auto filler = c.createContainer("t", last);
+                ASSERT_TRUE(filler);
+                ASSERT_EQ(c.container(*filler).node, 0);
+                ASSERT_EQ(c.container(*resized).node, 0);
+                ASSERT_GT(last + 0.07, 4.0 + 1e-9);
+            },
+            5);
     }
 }
 

@@ -13,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "ckpt/manager.h"
 #include "common/rig.h"
@@ -31,6 +35,15 @@ makeStateDir()
     const char *p = ::mkdtemp(buf);
     EXPECT_NE(p, nullptr);
     return p ? std::string(p) : std::string();
+}
+
+/** Every byte of a file (empty when it cannot be read). */
+inline std::vector<std::uint8_t>
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>());
 }
 
 struct WorldHarness
@@ -51,15 +64,17 @@ struct WorldHarness
         return o;
     }
 
+    /** Process death (not power loss) is the failure model under
+     *  test, and the page cache keeps the bytes either way, so the
+     *  suites default to Never; Always runs the WAL's sync thread. */
     static ckpt::CheckpointOptions
-    ckptOpts(const std::string &dir, std::int64_t every)
+    ckptOpts(const std::string &dir, std::int64_t every,
+             ckpt::FsyncPolicy fsync = ckpt::FsyncPolicy::Never)
     {
         ckpt::CheckpointOptions o;
         o.dir = dir;
         o.every_ticks = every;
-        // Process death (not power loss) is the failure model under
-        // test; the page cache keeps the bytes either way.
-        o.fsync = ckpt::FsyncPolicy::Never;
+        o.fsync = fsync;
         return o;
     }
 
@@ -79,11 +94,12 @@ struct WorldHarness
     explicit WorldHarness(
         const std::string &dir, std::int64_t every = 4,
         std::uint32_t lease_ticks = 64,
-        std::uint32_t dedup_window = net::ServerCoreOptions{}.dedup_window)
+        std::uint32_t dedup_window = net::ServerCoreOptions{}.dedup_window,
+        ckpt::FsyncPolicy fsync = ckpt::FsyncPolicy::Never)
         : simul(60),
           attached_((rig.eco.attach(simul), 0)),
           server(&rig.eco, serverOpts(lease_ticks, dedup_window)),
-          mgr(world(), ckptOpts(dir, every))
+          mgr(world(), ckptOpts(dir, every, fsync))
     {}
 
     /** One daemon-loop tick: WAL the inputs, step, maybe snapshot. */
