@@ -42,9 +42,22 @@ set -e
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" "${CMAKE_ARGS[@]}"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
+# The checkpoint suites remove every state directory they make. Count
+# them before and after the run, since /tmp need not start empty.
+count_state_dirs() {
+    find /tmp -maxdepth 1 -type d -name 'ecov_ckpt_*' 2>/dev/null | wc -l
+}
+dirs_before=$(count_state_dirs)
+
 set +e
 (cd "${BUILD_DIR}" && ctest --output-on-failure -j "${JOBS}")
 status=$?
+dirs_after=$(count_state_dirs)
+if [[ ${dirs_after} -gt ${dirs_before} ]]; then
+    echo "ctest left $((dirs_after - dirs_before)) new /tmp/ecov_ckpt_*" \
+         "state directories behind" >&2
+    status=1
+fi
 if [[ ${status} -ne 0 ]]; then
     upload_log
 fi

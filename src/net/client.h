@@ -14,7 +14,10 @@
  *  - Pipelined: sendX() returns the request id immediately; awaitX()
  *    blocks for that specific response later. This is how a tenant
  *    batches many requests into one tick window — and how the
- *    equality suite and scale_rpc drive shuffled interleavings.
+ *    equality suite and scale_rpc drive shuffled interleavings. Over
+ *    TCP the frames wait in SocketTransport's queue until the thread
+ *    next blocks in the socket layer (an await does), so a pipelined
+ *    batch leaves in one write (socket.h).
  *
  * Remote ids (RemoteApp / RemoteContainer) are *connection-local*:
  * dense indices in this connection's server-side namespace, worthless
@@ -103,8 +106,12 @@ class Client
     api::Result<api::EnergySnapshot> getEnergySnapshot(RemoteApp app);
 
     // ------------------------------------------------------------------
-    // Pipelined surface. Each sendX() transmits immediately and
-    // returns the request id to pass to the matching awaitX().
+    // Pipelined surface. Each sendX() hands its frame to the transport
+    // and returns the request id to pass to the matching awaitX().
+    // The loopback delivers it at once; SocketTransport queues it
+    // until this thread's next wait in the socket layer (the await),
+    // 64 KiB of queue, the transport's destruction or the thread's
+    // exit, whichever comes first.
     // ------------------------------------------------------------------
 
     std::uint32_t sendPing();
@@ -225,7 +232,8 @@ class Client
         std::vector<std::uint8_t> result; ///< fields after the status
     };
 
-    /** Transmit tx_ and count (and possibly track) the request. */
+    /** Hand tx_ to the transport and count (and possibly track) the
+     *  request. */
     std::uint32_t finishSend(std::uint32_t req_id);
 
     /** One receive; parses every complete frame. `timeout_ms <= 0`

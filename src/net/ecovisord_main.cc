@@ -293,9 +293,11 @@ main(int argc, char **argv)
 
     if (!quiet) {
         const net::ServerStats &st = server.stats();
+        const net::TcpServerStats &io = tcp.value()->stats();
         std::printf("ecovisord: %lld ticks, %llu frames, %llu "
                     "committed, %llu rejected, %llu resumed, %llu "
-                    "leases expired, exiting cleanly\n",
+                    "leases expired, %llu reads, %llu writes, %llu "
+                    "wakeups, exiting cleanly\n",
                     ticks,
                     static_cast<unsigned long long>(st.frames_decoded),
                     static_cast<unsigned long long>(
@@ -305,7 +307,10 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         st.leases_resumed),
                     static_cast<unsigned long long>(
-                        st.leases_expired));
+                        st.leases_expired),
+                    static_cast<unsigned long long>(io.reads),
+                    static_cast<unsigned long long>(io.writes),
+                    static_cast<unsigned long long>(io.wakeups));
     }
     return 0;
 }

@@ -14,7 +14,65 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "util/logging.h"
+
 namespace ecov::net {
+
+/**
+ * The transports a thread has queued bytes on: an event loop's
+ * "pending writes" list, with the calling thread as the loop. It is
+ * written out before the thread blocks in the socket layer, so no
+ * frame waits behind its own sender's sleep, and when the thread
+ * exits.
+ */
+class PendingWrites
+{
+  public:
+    /** The calling thread's list. */
+    static PendingWrites &
+    mine()
+    {
+        thread_local PendingWrites list;
+        return list;
+    }
+
+    PendingWrites() = default;
+    PendingWrites(const PendingWrites &) = delete;
+    PendingWrites &operator=(const PendingWrites &) = delete;
+    ~PendingWrites() { flush(); }
+
+    void
+    add(SocketTransport *t)
+    {
+        t->pending_ = this;
+        list_.push_back(t);
+    }
+
+    /** Take `t` off the list and write its queue. */
+    void
+    write(SocketTransport *t)
+    {
+        list_.erase(std::find(list_.begin(), list_.end(), t));
+        t->pending_ = nullptr;
+        t->writeQueue();
+    }
+
+    /** Write every queue; a failed write stays on its transport. */
+    void
+    flush()
+    {
+        if (list_.empty())
+            return;
+        for (SocketTransport *t : list_) {
+            t->pending_ = nullptr;
+            t->writeQueue();
+        }
+        list_.clear();
+    }
+
+  private:
+    std::vector<SocketTransport *> list_;
+};
 
 namespace {
 
@@ -40,12 +98,14 @@ setNonBlocking(int fd)
 
 /**
  * The socket layer's one wait: ppoll(2) on `fds` until `deadline`, at
- * nanosecond precision. The time left is clamped at zero, so a passed
- * deadline polls without blocking. Returns what ppoll returns.
+ * nanosecond precision, after writing what this thread has queued.
+ * The time left is clamped at zero, so a passed deadline polls
+ * without blocking. Returns what ppoll returns.
  */
 int
 pollUntil(pollfd *fds, std::size_t n, Clock::time_point deadline)
 {
+    PendingWrites::mine().flush();
     const Clock::duration left =
         std::max(deadline - Clock::now(), Clock::duration::zero());
     const auto whole = std::chrono::floor<std::chrono::seconds>(left);
@@ -73,6 +133,9 @@ SocketTransport::connect(const std::string &host, std::uint16_t port)
         return api::Status::error(api::ErrorCode::InvalidArgument,
                                   "not an IPv4 address: " + host);
 
+    // connect(2) blocks, so it is a wait like any other.
+    PendingWrites::mine().flush();
+
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         return sysError("socket");
@@ -89,30 +152,71 @@ SocketTransport::connect(const std::string &host, std::uint16_t port)
 
 SocketTransport::~SocketTransport()
 {
-    if (fd_ >= 0)
-        ::close(fd_);
+    if (pending_) {
+        // Another live thread's list would keep a dangling pointer;
+        // fatal() throws, and out of a destructor that ends the
+        // process. A failed last write has no caller left to tell: a
+        // client learns what arrived from the replies it awaits.
+        checkThread();
+        pending_->write(this);
+    }
+    ::close(fd_);
+}
+
+void
+SocketTransport::checkThread() const
+{
+    if (pending_ && pending_ != &PendingWrites::mine())
+        fatal("SocketTransport used on a second thread while another "
+              "thread's queue holds its bytes");
+}
+
+void
+SocketTransport::writeQueue()
+{
+    std::size_t off = 0;
+    while (off < queue_.size()) {
+        const ssize_t w = ::send(fd_, queue_.data() + off,
+                                 queue_.size() - off, MSG_NOSIGNAL);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            // The stream now has a hole: nothing after it can frame.
+            write_error_ = sysError("send");
+            break;
+        }
+        off += static_cast<std::size_t>(w);
+    }
+    queue_.clear();
+}
+
+api::Status
+SocketTransport::flushBeforeWait()
+{
+    checkThread();
+    PendingWrites::mine().flush();
+    return write_error_;
 }
 
 api::Status
 SocketTransport::send(const std::uint8_t *data, std::size_t n)
 {
-    std::size_t off = 0;
-    while (off < n) {
-        const ssize_t w = ::send(fd_, data + off, n - off,
-                                 MSG_NOSIGNAL);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return sysError("send");
-        }
-        off += static_cast<std::size_t>(w);
-    }
-    return api::Status::okStatus();
+    if (!write_error_.ok())
+        return write_error_;
+    checkThread();
+    if (!pending_)
+        PendingWrites::mine().add(this);
+    queue_.insert(queue_.end(), data, data + n);
+    if (queue_.size() >= kMaxQueuedBytes)
+        pending_->write(this);
+    return write_error_;
 }
 
 api::Status
 SocketTransport::receiveSome(std::vector<std::uint8_t> &buf)
 {
+    if (api::Status st = flushBeforeWait(); !st.ok())
+        return st;
     std::uint8_t chunk[65536];
     for (;;) {
         const ssize_t r = ::recv(fd_, chunk, sizeof chunk, 0);
@@ -135,6 +239,8 @@ SocketTransport::receiveSome(std::vector<std::uint8_t> &buf,
 {
     if (timeout_ms <= 0)
         return receiveSome(buf);
+    if (api::Status st = flushBeforeWait(); !st.ok())
+        return st;
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(timeout_ms);
     pollfd pfd{fd_, POLLIN, 0};
@@ -227,6 +333,7 @@ TcpServer::poll(Clock::time_point deadline)
         return errno == EINTR; // interrupted by a signal: not fatal
     if (n == 0)
         return true;
+    ++stats_.wakeups;
 
     if (fds[0].revents & POLLIN) {
         for (;;) {
@@ -258,6 +365,7 @@ TcpServer::poll(Clock::time_point deadline)
             for (;;) {
                 const ssize_t r = ::recv(fd, chunk, sizeof chunk, 0);
                 if (r > 0) {
+                    ++stats_.reads;
                     if (!core_->onBytes(
                             conn, chunk,
                             static_cast<std::size_t>(r))) {
@@ -326,6 +434,7 @@ TcpServer::flushOutbox(int fd, ConnId conn)
                 alive = false;
             break;
         }
+        ++stats_.writes;
         off += static_cast<std::size_t>(w);
     }
     out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(off));

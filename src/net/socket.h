@@ -10,6 +10,12 @@
  * say in simulation state — the threadless design is what makes that
  * trivially race-free.
  *
+ * A client's frames leave in bursts. SocketTransport::send() queues
+ * the frame, and the thread's queues are written, one send(2) per
+ * transport, when it next blocks in this layer. A pipelined tick of
+ * 66 frames on one connection is then one segment for the daemon to
+ * read, not 66 (docs/PERF.md §16).
+ *
  * POSIX only (Linux CI); the library's simulation layers have no
  * socket dependency — everything OS-facing lives in this pair. Both
  * sides wait with ppoll(2) (Linux, the BSDs, POSIX.1-2024), which
@@ -30,10 +36,35 @@
 
 namespace ecov::net {
 
-/** Blocking TCP byte stream for net::Client. */
+class PendingWrites;
+
+/**
+ * Blocking TCP byte stream for net::Client.
+ *
+ * send() appends to the transport's queue. The queue leaves in one
+ * send(2):
+ *  - when the thread that queued it blocks in the socket layer (either
+ *    receiveSome(), connect(), or TcpServer::poll()), which first
+ *    writes every transport that thread has queued on;
+ *  - at once, when it reaches kMaxQueuedBytes;
+ *  - when the transport is destroyed;
+ *  - when the thread exits.
+ * A write that fails, whichever transport's wait made it, stays on
+ * this transport: its every later send and receive returns it.
+ *
+ * Queued bytes belong to the thread that queued them until that
+ * thread next waits. Using or destroying the transport on another
+ * thread before then is a fatal() error (client.h: one Client per
+ * Transport per thread). Like stdio's buffers, a fork() copies them:
+ * a child that leaves through exit(), not exec or _exit(), writes
+ * them a second time.
+ */
 class SocketTransport : public Transport
 {
   public:
+    /** A queue this long is written without waiting for a wait. */
+    static constexpr std::size_t kMaxQueuedBytes = 64 * 1024;
+
     /** Connect to host:port (dotted quad or "localhost"). */
     static api::Result<std::unique_ptr<SocketTransport>>
     connect(const std::string &host, std::uint16_t port);
@@ -43,6 +74,7 @@ class SocketTransport : public Transport
     SocketTransport(const SocketTransport &) = delete;
     SocketTransport &operator=(const SocketTransport &) = delete;
 
+    /** Queue n bytes (see the class comment for when they leave). */
     api::Status send(const std::uint8_t *data, std::size_t n) override;
     api::Status receiveSome(std::vector<std::uint8_t> &buf) override;
     /** Timed receive: wait until timeout_ms after entry,
@@ -52,8 +84,32 @@ class SocketTransport : public Transport
                             int timeout_ms) override;
 
   private:
+    friend class PendingWrites;
+
     explicit SocketTransport(int fd) : fd_(fd) {}
+
+    /** fatal() unless the queue is empty or this thread's. */
+    void checkThread() const;
+
+    /** Write this thread's queues; this transport's write status. */
+    api::Status flushBeforeWait();
+
+    /** Write and empty the queue; a failure goes to write_error_. */
+    void writeQueue();
+
     int fd_;
+    std::vector<std::uint8_t> queue_;
+    /** The list of the thread that queued; null while queue_ is empty. */
+    PendingWrites *pending_ = nullptr;
+    api::Status write_error_;
+};
+
+/** What the server's socket layer has done (the daemon's exit line). */
+struct TcpServerStats
+{
+    std::uint64_t reads = 0;   ///< recv(2) calls that returned bytes
+    std::uint64_t writes = 0;  ///< send(2) calls that wrote bytes
+    std::uint64_t wakeups = 0; ///< ppoll(2) returns with fds ready
 };
 
 /** TCP front-end options. */
@@ -96,6 +152,8 @@ class TcpServer
 
     std::size_t connectionCount() const { return conns_.size(); }
 
+    const TcpServerStats &stats() const { return stats_; }
+
   private:
     TcpServer(ServerCore *core, int listen_fd, std::uint16_t port)
         : core_(core), listen_fd_(listen_fd), port_(port)
@@ -113,6 +171,7 @@ class TcpServer
     int listen_fd_;
     std::uint16_t port_;
     std::map<int, ConnId> conns_; ///< fd -> connection id
+    TcpServerStats stats_;
 };
 
 } // namespace ecov::net

@@ -24,8 +24,12 @@ class Transport
   public:
     virtual ~Transport() = default;
 
-    /** Deliver n bytes to the peer; Unavailable once the
-     *  connection is gone. */
+    /** Hand n bytes to the peer, in order; Unavailable once the
+     *  connection is gone. The loopback delivers them before it
+     *  returns. SocketTransport queues them until the calling thread
+     *  next blocks in the socket layer, or one of its other write
+     *  points (socket.h), and a failed write is returned by a later
+     *  call. */
     virtual api::Status send(const std::uint8_t *data,
                              std::size_t n) = 0;
 

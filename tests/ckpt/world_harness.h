@@ -13,11 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "ckpt/manager.h"
@@ -27,14 +32,58 @@
 
 namespace ecov::testutil {
 
-/** Fresh state directory under /tmp (unique per call). */
+/**
+ * The state directories a test binary has made, removed when it
+ * exits. Each is removed only by the process that made it, so a
+ * forked child that exits through exit() leaves its parent's alone.
+ */
+class StateDirs
+{
+  public:
+    static StateDirs &
+    instance()
+    {
+        static StateDirs dirs;
+        return dirs;
+    }
+
+    StateDirs(const StateDirs &) = delete;
+    StateDirs &operator=(const StateDirs &) = delete;
+
+    ~StateDirs()
+    {
+        for (const auto &[pid, dir] : dirs_) {
+            if (pid != ::getpid())
+                continue;
+            std::error_code ec;
+            std::filesystem::remove_all(dir, ec);
+        }
+    }
+
+    /** Fresh directory under /tmp (unique per call). */
+    std::string
+    make()
+    {
+        char buf[] = "/tmp/ecov_ckpt_XXXXXX";
+        const char *p = ::mkdtemp(buf);
+        EXPECT_NE(p, nullptr);
+        if (!p)
+            return std::string();
+        dirs_.emplace_back(::getpid(), p);
+        return p;
+    }
+
+  private:
+    StateDirs() = default;
+
+    std::vector<std::pair<pid_t, std::string>> dirs_;
+};
+
+/** Fresh state directory under /tmp, removed when the test exits. */
 inline std::string
 makeStateDir()
 {
-    char buf[] = "/tmp/ecov_ckpt_XXXXXX";
-    const char *p = ::mkdtemp(buf);
-    EXPECT_NE(p, nullptr);
-    return p ? std::string(p) : std::string();
+    return StateDirs::instance().make();
 }
 
 /** Every byte of a file (empty when it cannot be read). */
