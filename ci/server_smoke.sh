@@ -14,13 +14,14 @@
 #   6. durable kill-and-restart leg: same shape, but both daemon
 #      incarnations share a --state-dir. Sessions now survive the
 #      restart, so the client must report ZERO re-registrations —
-#      every recovery is a resume. See docs/CHECKPOINT.md. Legs 6
-#      and 7 run the daemon's default --fsync=always, so the WAL's
-#      sync thread is live when SIGKILL lands.
+#      every recovery is a resume. See docs/CHECKPOINT.md. Leg 6 and
+#      leg 7's first pass run the daemon's default --fsync=always, so
+#      the WAL's sync thread is live when SIGKILL lands.
 #   7. digest-match leg: one bounded run split across a SIGKILL +
 #      restart (--state-dir, recovery sized from the "recovered to
 #      tick" banner) must print the same final state digest as an
-#      uninterrupted reference run of the same length.
+#      uninterrupted reference run of the same length; once with every
+#      daemon at --fsync=always, then again at --fsync=never.
 #   8. idle-CPU leg: with no tenants, 2000 ticks at --tick-ms=1 must
 #      keep to schedule (>= 1.9 s of wall time) while the daemon
 #      sleeps between ticks (user + system CPU under 25% of the wall
@@ -244,72 +245,88 @@ daemon_pid=""
 
 # 7. Digest match: a bounded run SIGKILLed mid-flight and finished by
 #    a recovered incarnation must land on the same full-state digest
-#    as an uninterrupted run of the same total length. This is the
-#    daemon-level face of the bit-identical-recovery contract.
+#    as an uninterrupted run of the same length. This is the
+#    daemon-level face of the bit-identical-recovery contract. The leg
+#    runs twice: every daemon it starts (reference, SIGKILLed run,
+#    recovery probe, finishing run) takes --fsync=always, then
+#    --fsync=never, where no snapshot, WAL record or directory is
+#    fsync'd and the page cache alone carries the state across the
+#    SIGKILL.
 TOTAL_TICKS=200
-REF_DIR="$(mktemp -d /tmp/ecovisord_ref.XXXXXX)"
-SPLIT_DIR="$(mktemp -d /tmp/ecovisord_split.XXXXXX)"
+DIGEST_DIRS=()
 
-"${DAEMON}" --port=0 --tick-ms=10 --max-ticks="${TOTAL_TICKS}" \
-    --lease-ticks=500 --state-dir="${REF_DIR}" --fsync=always \
-    --checkpoint-every-ticks=16 >"${LOG}" 2>&1
-[[ $? -eq 0 ]] || fail "reference run exited nonzero"
-ref_digest="$(sed -n 's/^ecovisord: state digest \([0-9a-f]*\)$/\1/p' "${LOG}")"
-[[ -n "${ref_digest}" ]] || fail "reference run printed no digest"
-echo "server_smoke: reference digest ${ref_digest} (${TOTAL_TICKS} ticks)"
+digest_leg() {
+    local fsync="$1"
+    local ref_dir split_dir ref_digest recovered probe_status remaining
+    local split_digest
+    ref_dir="$(mktemp -d /tmp/ecovisord_ref.XXXXXX)"
+    split_dir="$(mktemp -d /tmp/ecovisord_split.XXXXXX)"
+    DIGEST_DIRS+=("${ref_dir}" "${split_dir}")
 
-"${DAEMON}" --port=0 --tick-ms=10 --max-ticks="${TOTAL_TICKS}" \
-    --lease-ticks=500 --state-dir="${SPLIT_DIR}" --fsync=always \
-    --checkpoint-every-ticks=16 >"${LOG}" 2>&1 &
-daemon_pid=$!
-sleep 0.5
-kill -0 "${daemon_pid}" 2>/dev/null \
-    || fail "split run finished before the kill (raise TOTAL_TICKS)"
-kill -KILL "${daemon_pid}" 2>/dev/null
-wait "${daemon_pid}" 2>/dev/null
-daemon_pid=""
+    "${DAEMON}" --port=0 --tick-ms=10 --max-ticks="${TOTAL_TICKS}" \
+        --lease-ticks=500 --state-dir="${ref_dir}" --fsync="${fsync}" \
+        --checkpoint-every-ticks=16 >"${LOG}" 2>&1
+    [[ $? -eq 0 ]] || fail "reference run exited nonzero (--fsync=${fsync})"
+    ref_digest="$(sed -n 's/^ecovisord: state digest \([0-9a-f]*\)$/\1/p' "${LOG}")"
+    [[ -n "${ref_digest}" ]] || fail "reference run printed no digest (--fsync=${fsync})"
+    echo "server_smoke: --fsync=${fsync} reference digest ${ref_digest} (${TOTAL_TICKS} ticks)"
 
-# Zero-tick probe: recover, scrape the recovered-to tick, SIGTERM
-# before the (deliberately distant) first tick fires. It exits
-# cleanly at tick R, so the final incarnation below needs exactly
-# TOTAL - R more ticks.
-"${DAEMON}" --port=0 --tick-ms=60000 --state-dir="${SPLIT_DIR}" \
-    --fsync=always --checkpoint-every-ticks=16 --lease-ticks=500 \
-    >"${LOG}" 2>&1 &
-daemon_pid=$!
-recovered=""
-for _ in $(seq 1 100); do
-    recovered="$(sed -n 's/^ecovisord: recovered to tick \([0-9]*\) .*$/\1/p' "${LOG}")"
-    [[ -n "${recovered}" ]] && break
-    kill -0 "${daemon_pid}" 2>/dev/null || break
-    sleep 0.05
-done
-[[ -n "${recovered}" ]] || fail "restarted split run printed no recovery banner"
-kill -TERM "${daemon_pid}" 2>/dev/null
-probe_status=1
-for _ in $(seq 1 100); do
-    if ! kill -0 "${daemon_pid}" 2>/dev/null; then
-        wait "${daemon_pid}"
-        probe_status=$?
-        break
-    fi
-    sleep 0.05
-done
-daemon_pid=""
-[[ ${probe_status} -eq 0 ]] || fail "probe incarnation exited ${probe_status}"
-remaining=$((TOTAL_TICKS - recovered))
-[[ "${remaining}" -gt 0 ]] || fail "split run crashed too late (recovered=${recovered})"
-echo "server_smoke: split run recovered to tick ${recovered}, ${remaining} to go"
+    "${DAEMON}" --port=0 --tick-ms=10 --max-ticks="${TOTAL_TICKS}" \
+        --lease-ticks=500 --state-dir="${split_dir}" --fsync="${fsync}" \
+        --checkpoint-every-ticks=16 >"${LOG}" 2>&1 &
+    daemon_pid=$!
+    sleep 0.5
+    kill -0 "${daemon_pid}" 2>/dev/null \
+        || fail "split run finished before the kill (raise TOTAL_TICKS)"
+    kill -KILL "${daemon_pid}" 2>/dev/null
+    wait "${daemon_pid}" 2>/dev/null
+    daemon_pid=""
 
-"${DAEMON}" --port=0 --tick-ms=10 --max-ticks="${remaining}" \
-    --lease-ticks=500 --state-dir="${SPLIT_DIR}" --fsync=always \
-    --checkpoint-every-ticks=16 >"${LOG}" 2>&1
-[[ $? -eq 0 ]] || fail "recovered split run exited nonzero"
-split_digest="$(sed -n 's/^ecovisord: state digest \([0-9a-f]*\)$/\1/p' "${LOG}")"
-[[ -n "${split_digest}" ]] || fail "split run printed no digest"
-[[ "${split_digest}" == "${ref_digest}" ]] \
-    || fail "digest mismatch: split ${split_digest} != reference ${ref_digest}"
-echo "server_smoke: split-run digest matches reference (${split_digest})"
+    # Zero-tick probe: recover, scrape the recovered-to tick, SIGTERM
+    # before the (deliberately distant) first tick fires. It exits
+    # cleanly at tick R, so the final incarnation below needs exactly
+    # TOTAL - R more ticks.
+    "${DAEMON}" --port=0 --tick-ms=60000 --state-dir="${split_dir}" \
+        --fsync="${fsync}" --checkpoint-every-ticks=16 --lease-ticks=500 \
+        >"${LOG}" 2>&1 &
+    daemon_pid=$!
+    recovered=""
+    for _ in $(seq 1 100); do
+        recovered="$(sed -n 's/^ecovisord: recovered to tick \([0-9]*\) .*$/\1/p' "${LOG}")"
+        [[ -n "${recovered}" ]] && break
+        kill -0 "${daemon_pid}" 2>/dev/null || break
+        sleep 0.05
+    done
+    [[ -n "${recovered}" ]] || fail "restarted split run printed no recovery banner (--fsync=${fsync})"
+    kill -TERM "${daemon_pid}" 2>/dev/null
+    probe_status=1
+    for _ in $(seq 1 100); do
+        if ! kill -0 "${daemon_pid}" 2>/dev/null; then
+            wait "${daemon_pid}"
+            probe_status=$?
+            break
+        fi
+        sleep 0.05
+    done
+    daemon_pid=""
+    [[ ${probe_status} -eq 0 ]] || fail "probe incarnation exited ${probe_status} (--fsync=${fsync})"
+    remaining=$((TOTAL_TICKS - recovered))
+    [[ "${remaining}" -gt 0 ]] || fail "split run crashed too late (recovered=${recovered})"
+    echo "server_smoke: --fsync=${fsync} split run recovered to tick ${recovered}, ${remaining} to go"
+
+    "${DAEMON}" --port=0 --tick-ms=10 --max-ticks="${remaining}" \
+        --lease-ticks=500 --state-dir="${split_dir}" --fsync="${fsync}" \
+        --checkpoint-every-ticks=16 >"${LOG}" 2>&1
+    [[ $? -eq 0 ]] || fail "recovered split run exited nonzero (--fsync=${fsync})"
+    split_digest="$(sed -n 's/^ecovisord: state digest \([0-9a-f]*\)$/\1/p' "${LOG}")"
+    [[ -n "${split_digest}" ]] || fail "split run printed no digest (--fsync=${fsync})"
+    [[ "${split_digest}" == "${ref_digest}" ]] \
+        || fail "digest mismatch (--fsync=${fsync}): split ${split_digest} != reference ${ref_digest}"
+    echo "server_smoke: --fsync=${fsync} split-run digest matches reference (${split_digest})"
+}
+
+digest_leg always
+digest_leg never
 
 # 8. Idle CPU: bash's time keyword reports wall, user and system
 #    seconds for the daemon's whole life, with the '.' decimal point
@@ -371,5 +388,5 @@ echo "server_smoke: durability failure sent no reply of its tick"
 
 echo "server_smoke: PASS"
 rm -f "${LOG}" "${CLOG}"
-rm -rf "${STATE_DIR}" "${REF_DIR}" "${SPLIT_DIR}" "${FAIL_DIR}"
+rm -rf "${STATE_DIR}" "${DIGEST_DIRS[@]}" "${FAIL_DIR}"
 exit 0

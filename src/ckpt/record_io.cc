@@ -480,7 +480,11 @@ publishRecordFile(const std::string &path,
         st = w.append(payload);
         if (!st.ok())
             return st;
-        st = w.sync(); // the file must be durable before the rename
+        // Under Always the file must be durable before the rename.
+        // Under Never the rename is still atomic against process
+        // death: the page cache holds the bytes either way.
+        if (fsync == FsyncPolicy::Always)
+            st = w.sync();
         if (!st.ok())
             return st;
     }

@@ -138,6 +138,8 @@ api::Status readRecords(const std::string &path,
  * RecordWriter, so crash points apply), fsync it, rename over `path`,
  * fsync the directory. Readers therefore always see either the old
  * complete file or the new complete file — never a torn snapshot.
+ * Under FsyncPolicy::Never neither fsync runs; the rename is still
+ * atomic against process death.
  */
 api::Status publishRecordFile(const std::string &path,
                               const std::vector<std::uint8_t> &payload,

@@ -90,51 +90,73 @@ constexpr auto ecovisorFields = [](auto &io, auto &e) {
            io.f64(e.last_intensity) && io.i64(e.settled_ticks);
 };
 
-/** One dedup-window entry: a request id and its response's bytes. */
-using WindowEntry = std::pair<std::uint32_t, std::string_view>;
+/** The shortest reply a coalesced request gets: a bare u16 status. */
+constexpr std::size_t kMinReplyPayload = 2;
+/** The longest: an error's u16 status, u16 message length and message.
+ *  Ok and id replies are shorter. */
+constexpr std::size_t kMaxReplyPayload = 4 + net::kMaxErrorMessageBytes;
+/** The least a window entry takes on disk: id, opcode, length and the
+ *  shortest reply. */
+constexpr std::size_t kMinWindowEntry = 4 + 1 + 2 + kMinReplyPayload;
 
-constexpr auto windowEntryFields = [](auto &io, auto &e) {
-    return io.u32(e.first) && io.str(e.second);
-};
-
-// A dedup window is flat in memory (ids, ends and one byte arena) but
-// a counted list of window entries on disk, so each Io walks it by hand.
-
-// Each field is a vector append whose fast path is a few instructions.
-// Once the field lists are inlined into an encoder, GCC stops inlining
-// most of those appends and calls an out-of-line insert per field,
-// which made the snapshot encode 2.5 times slower (docs/PERF.md §13).
-// So the two loops that write most durable bytes, the dedup windows
-// and the WAL's ops, are flattened.
-[[gnu::flatten]] bool
-dedupWindow(WireWriter &w, const net::DedupWindow &d)
+/** True for the response opcode of a coalesced request, the only
+ *  replies a dedup window records. */
+bool
+coalescedResponse(std::uint8_t raw)
 {
-    const auto *arena = reinterpret_cast<const char *>(d.bytes.data());
-    w.u32(static_cast<std::uint32_t>(d.ids.size()));
-    for (std::size_t k = 0; k < d.ids.size(); ++k) {
-        const WindowEntry e(
-            d.ids[k], std::string_view(arena + d.start(k),
-                                       d.ends[k] - d.start(k)));
-        windowEntryFields(w, e);
-    }
-    return true;
+    const auto req = static_cast<std::uint8_t>(raw & ~net::kResponseBit);
+    return (raw & net::kResponseBit) != 0 && net::validOpcode(req) &&
+           net::isCoalesced(static_cast<net::Opcode>(req));
 }
 
+// A dedup window is flat in memory (ids, end offsets, opcodes and one
+// payload arena) and four columns on disk after its count: the request
+// ids (u32), the response opcodes (u8), the payload lengths (u16) and
+// the payloads back to back. Each column but the lengths is one copy
+// on a little-endian host; an encoder that wrote each entry's fields
+// in turn was slower than the framed layout it replaced
+// (docs/PERF.md §17).
+bool
+dedupWindow(WireWriter &w, const net::DedupWindow &d)
+{
+    const std::size_t n = d.ids.size();
+    std::vector<std::uint16_t> lens(n);
+    for (std::size_t k = 0; k < n; ++k)
+        lens[k] = static_cast<std::uint16_t>(d.ends[k] - d.start(k));
+    return w.u32(static_cast<std::uint32_t>(n)) && w.column(d.ids) &&
+           w.column(d.opcodes) && w.column(lens) && w.column(d.bytes);
+}
+
+/** Refuses what no writer emits: an opcode that is not a coalesced
+ *  response, a payload shorter than a status or longer than the
+ *  longest error, and a status that is not a wire code. */
 bool
 dedupWindow(WireReader &r, net::DedupWindow &d)
 {
     std::uint32_t n = 0;
-    if (!r.count(n, net::minBytes<WindowEntry>(windowEntryFields)))
+    std::vector<std::uint16_t> lens;
+    if (!r.count(n, kMinWindowEntry) || !r.column(d.ids, n) ||
+        !r.column(d.opcodes, n) || !r.column(lens, n) ||
+        !std::all_of(d.opcodes.begin(), d.opcodes.end(),
+                     coalescedResponse))
         return false;
-    d.ids.reserve(n);
     d.ends.reserve(n);
-    for (std::uint32_t k = 0; k < n; ++k) {
-        WindowEntry e;
-        if (!windowEntryFields(r, e))
+    std::size_t end = 0;
+    for (const std::uint16_t len : lens) {
+        if (len < kMinReplyPayload || len > kMaxReplyPayload)
             return false;
-        d.ids.push_back(e.first);
-        d.bytes.insert(d.bytes.end(), e.second.begin(), e.second.end());
-        d.ends.push_back(static_cast<std::uint32_t>(d.bytes.size()));
+        end += len;
+        d.ends.push_back(static_cast<std::uint32_t>(end));
+    }
+    if (!r.column(d.bytes, end))
+        return false;
+    api::ErrorCode code;
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::uint8_t *status = d.bytes.data() + d.start(k);
+        if (!net::errorCodeFromWire(
+                static_cast<std::uint16_t>(status[0] | status[1] << 8),
+                &code))
+            return false;
     }
     return true;
 }
@@ -581,7 +603,11 @@ applySnapshot(const World &w, const Snapshot &s)
 // WAL records.
 // ---------------------------------------------------------------------
 
-// Flattened for the reason the dedup-window writer is.
+// Each field is a vector append whose fast path is a few instructions.
+// Once the field lists are inlined into an encoder, GCC stops inlining
+// most of those appends and calls an out-of-line insert per field,
+// which made the snapshot encode 2.5 times slower (docs/PERF.md §13).
+// So the loop that writes most WAL bytes, the ops, is flattened.
 [[gnu::flatten]] void
 encodeTickRecord(std::vector<std::uint8_t> &out, std::int64_t tick,
                  TimeS start_s, std::span<const net::SessionEvent> events,

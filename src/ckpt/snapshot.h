@@ -54,9 +54,12 @@ class FaultInjector;
 
 namespace ecov::ckpt {
 
-/** Snapshot format magic + revision (first fields of the payload). */
+/** Snapshot format magic + revision (first fields of the payload).
+ *  Revision 2 keeps each dedup-window entry as its reply (opcode and
+ *  payload, in columns); no reader of revision 1, whose entries were
+ *  whole response frames, is kept, so decode refuses it. */
 inline constexpr std::uint32_t kSnapshotMagic = 0x504B4345u; // "ECKP"
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 /** WAL record magic + revision. */
 inline constexpr std::uint32_t kWalMagic = 0x574B4345u; // "ECKW"
 inline constexpr std::uint32_t kWalVersion = 1;
@@ -115,14 +118,16 @@ Snapshot captureSnapshot(const World &w);
  *  repeats one or misses a dead one, session ids that are
  *  zero, not strictly ascending or not below next_session, a resume
  *  token two sessions share, a dedup window out of order or above
- *  its watermark, a watt-cap list that is out of order, names a
- *  container not live in the image, or holds a cap that is not finite
- *  and non-negative, an emergency list that names a container not
- *  live in the image or not owned by a registered app, or is not
- *  strictly ascending by (app name, id), or an app whose name is not
- *  interned in the cluster, whose VES holds a battery its share lacks
- *  or the reverse, or whose charge or discharge rate is negative or
- *  NaN. */
+ *  its watermark, a dedup-window entry whose opcode is not a coalesced
+ *  request's response, whose payload is under 2 or over 516 bytes, or
+ *  whose status is not a wire code, a watt-cap list that is out of
+ *  order, names a container not live in the image, or holds a cap
+ *  that is not finite and non-negative, an emergency list that names
+ *  a container not live in the image or not owned by a registered
+ *  app, or is not strictly ascending by (app name, id), or an app
+ *  whose name is not interned in the cluster, whose VES holds a
+ *  battery its share lacks or the reverse, or whose charge or
+ *  discharge rate is negative or NaN. */
 void encodeSnapshot(std::vector<std::uint8_t> &out, const Snapshot &s);
 api::Status decodeSnapshot(const std::vector<std::uint8_t> &payload,
                            Snapshot *out);

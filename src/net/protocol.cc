@@ -288,8 +288,8 @@ encodeErrorResponse(std::vector<std::uint8_t> &out, Opcode op,
     WireWriter w(&out);
     w.u16(wireErrorCode(status.code()));
     std::string_view msg = status.message();
-    if (msg.size() > 512)
-        msg = msg.substr(0, 512);
+    if (msg.size() > kMaxErrorMessageBytes)
+        msg = msg.substr(0, kMaxErrorMessageBytes);
     w.u16(static_cast<std::uint16_t>(msg.size()));
     w.bytes(msg);
     endFrame(out, off);

@@ -183,6 +183,9 @@ void encodeSessionInfo(std::vector<std::uint8_t> &out,
 // Response payloads.
 // ----------------------------------------------------------------------
 
+/** An error reply's message is cut to this many bytes. */
+inline constexpr std::size_t kMaxErrorMessageBytes = 512;
+
 /**
  * Append a complete response frame: ok status + writer-provided
  * result fields, or error status + message.

@@ -510,8 +510,10 @@ ServerCore::admitDeduped(Session &s, PendingOp &&op)
         // Request ids are monotone per session, so an id at or below
         // the committed watermark is a retransmit, and every stored
         // id lies at or below it: a fresh request never searches the
-        // window. A retransmit whose response is still stored replays
-        // it verbatim. One already evicted must NOT re-commit (that
+        // window. A retransmit whose reply is still stored gets it
+        // again, in the frame it first went out in: the header is
+        // rebuilt from the stored opcode and the request id around the
+        // stored payload. One already evicted must NOT re-commit (that
         // would break exactly-once); the original response is
         // unrecoverable, so say so instead of lying with a fresh
         // apply.
@@ -524,9 +526,12 @@ ServerCore::admitDeduped(Session &s, PendingOp &&op)
             if (it != w.ids.end() && *it == op.req_id) {
                 const auto k =
                     static_cast<std::size_t>(it - w.ids.begin());
+                const std::size_t off =
+                    beginFrame(s.outbox, w.opcodes[k], op.req_id);
                 s.outbox.insert(s.outbox.end(),
                                 w.bytes.begin() + w.start(k),
                                 w.bytes.begin() + w.ends[k]);
+                endFrame(s.outbox, off);
                 return;
             }
             encodeErrorResponse(s.outbox, op.op, op.req_id,
@@ -630,7 +635,7 @@ ServerCore::sortPending()
 
 void
 ServerCore::recordDone(Session &s, std::uint32_t req_id,
-                       const std::uint8_t *bytes, std::size_t n)
+                       const std::uint8_t *frame, std::size_t n)
 {
     // Commit order is ascending per session and every admitted id lies
     // above the watermark, so the window stays sorted by construction.
@@ -641,7 +646,8 @@ ServerCore::recordDone(Session &s, std::uint32_t req_id,
     s.committed_max = req_id;
     DedupWindow &w = s.done;
     w.ids.push_back(req_id);
-    w.bytes.insert(w.bytes.end(), bytes, bytes + n);
+    w.opcodes.push_back(frame[3]); // the header's opcode byte
+    w.bytes.insert(w.bytes.end(), frame + kFrameHeaderBytes, frame + n);
     w.ends.push_back(static_cast<std::uint32_t>(w.bytes.size()));
 
     // Evict down to the window; a restored window larger than it
@@ -660,6 +666,7 @@ ServerCore::recordDone(Session &s, std::uint32_t req_id,
     const std::uint32_t base = w.start(s.done_head);
     w.ids.erase(w.ids.begin(), w.ids.begin() + head);
     w.ends.erase(w.ends.begin(), w.ends.begin() + head);
+    w.opcodes.erase(w.opcodes.begin(), w.opcodes.begin() + head);
     for (std::uint32_t &end : w.ends)
         end -= base;
     w.bytes.erase(w.bytes.begin(), w.bytes.begin() + base);
@@ -1046,6 +1053,7 @@ ServerCore::captureSessions() const
         img.done.ends.assign(w.ends.begin() + head, w.ends.end());
         for (std::uint32_t &end : img.done.ends)
             end -= base;
+        img.done.opcodes.assign(w.opcodes.begin() + head, w.opcodes.end());
         img.done.bytes.assign(w.bytes.begin() + base, w.bytes.end());
         image.sessions.push_back(std::move(img));
     }

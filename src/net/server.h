@@ -54,11 +54,12 @@
  *
  * Exactly-once mutations under retry: when leases are enabled each
  * session keeps a bounded request-id dedup window. A retransmitted
- * mutation whose original already committed gets the *stored*
- * response bytes replayed verbatim; one still queued is swallowed
- * (its reply arrives at commit). A client that retransmits everything
- * unacknowledged after a reconnect therefore commits each mutation
- * exactly once, in canonical order (docs/FAULTS.md). The window is
+ * mutation whose original already committed gets the *stored* reply,
+ * rebuilt byte for byte into the frame it first went out in; one
+ * still queued is swallowed (its reply arrives at commit). A client
+ * that retransmits everything unacknowledged after a reconnect
+ * therefore commits each mutation exactly once, in canonical order
+ * (docs/FAULTS.md). The window is
  * backed by a committed-request-id watermark: a retransmit whose
  * stored response was already evicted answers Unavailable rather
  * than re-committing, and the SessionInfo grant advertises the
@@ -174,9 +175,11 @@ struct SessionEvent
 };
 
 /**
- * Committed responses remembered for duplicate replay, in flat
- * storage (docs/PERF.md §7): request ids strictly ascending, and
- * response k's bytes at [start(k), ends[k]) of one arena.
+ * Committed replies remembered for duplicate replay, in flat storage
+ * (docs/PERF.md §7): request ids strictly ascending, entry k's
+ * response opcode (bit 7 set) in `opcodes[k]`, and its response
+ * payload at [start(k), ends[k]) of one arena. The frame header is
+ * not stored: a replay rebuilds it from the opcode and the request id.
  * Appending an entry allocates nothing once the vectors have reached
  * their steady-state capacity.
  */
@@ -184,9 +187,10 @@ struct DedupWindow
 {
     std::vector<std::uint32_t> ids;
     std::vector<std::uint32_t> ends;
+    std::vector<std::uint8_t> opcodes;
     std::vector<std::uint8_t> bytes;
 
-    /** Offset of entry k's first response byte. */
+    /** Offset of entry k's first payload byte. */
     std::uint32_t start(std::size_t k) const
     {
         return k == 0 ? 0 : ends[k - 1];
@@ -455,7 +459,7 @@ class ServerCore
         std::uint32_t lease_left = 0;
         /** Resume token (0 when leases are disabled). */
         std::uint64_t token = 0;
-        /** Committed responses, replayed verbatim on duplicate
+        /** Committed replies, rebuilt byte for byte on duplicate
          *  receipt. Entries before `done_head` are evicted and wait
          *  for compaction; the live window is [done_head, size). */
         DedupWindow done;
@@ -499,10 +503,11 @@ class ServerCore
     /** Apply one queued request against the v2 surface. */
     void apply(const PendingOp &op, Session &s);
 
-    /** Record a committed response for duplicate replay, advancing
-     *  the watermark and trimming the window. */
+    /** Record the committed reply frame [frame, frame + n) for
+     *  duplicate replay, advancing the watermark and trimming the
+     *  window. Only its opcode and payload are kept. */
     void recordDone(Session &s, std::uint32_t req_id,
-                    const std::uint8_t *bytes, std::size_t n);
+                    const std::uint8_t *frame, std::size_t n);
 
     /** First position in sessions_ at or after `from` whose id is
      *  not below `sid` (sessions_ ascends by id). */

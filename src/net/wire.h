@@ -36,6 +36,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace ecov::net {
@@ -200,6 +201,37 @@ class WireReader
         return true;
     }
 
+    /**
+     * A column of `n` little-endian unsigned integers, appended to
+     * `v`: one copy on a little-endian host.
+     */
+    template <class T>
+    bool
+    column(std::vector<T> &v, std::size_t n)
+    {
+        static_assert(std::is_unsigned_v<T>);
+        if (failed_ || n > remaining() / sizeof(T))
+            return fail();
+        if (n == 0)
+            return true;
+        const std::size_t at = v.size();
+        v.resize(at + n);
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(v.data() + at, data_ + pos_, n * sizeof(T));
+        } else {
+            for (std::size_t k = 0; k < n; ++k) {
+                T e = 0;
+                for (std::size_t b = 0; b < sizeof(T); ++b)
+                    e |= static_cast<T>(
+                        static_cast<T>(data_[pos_ + k * sizeof(T) + b])
+                        << (8 * b));
+                v[at + k] = e;
+            }
+        }
+        pos_ += n * sizeof(T);
+        return true;
+    }
+
     /** A u32-prefixed byte run, borrowed (the view) or copied. */
     bool
     str(std::string_view &v)
@@ -355,6 +387,23 @@ class WireWriter
     str(std::string_view v)
     {
         return u32(static_cast<std::uint32_t>(v.size())) && bytes(v);
+    }
+
+    /** A column of unsigned integers, each little-endian and with no
+     *  count: one copy on a little-endian host. */
+    template <class T>
+    bool
+    column(const std::vector<T> &v)
+    {
+        static_assert(std::is_unsigned_v<T>);
+        if constexpr (std::endian::native == std::endian::big) {
+            for (T e : v)
+                put(e);
+        } else {
+            const auto *p = reinterpret_cast<const std::uint8_t *>(v.data());
+            out_->insert(out_->end(), p, p + v.size() * sizeof(T));
+        }
+        return true;
     }
 
     template <class V, class Each>

@@ -7,7 +7,8 @@
  * by token without re-registering, and damaged state files recover
  * per the taxonomy (torn tail truncates, corruption — a flipped byte,
  * or a CRC-valid record with a forged element count, an out-of-order
- * dedup window, a forged session plane, slab, watt-cap list,
+ * or forged dedup window, a revision-1 snapshot header, a forged
+ * session plane, slab, watt-cap list,
  * emergency list or app image, a flag byte other than 0 or 1, or a WAL
  * that cannot replay — is DataLoss and mutates nothing).
  *
@@ -244,8 +245,8 @@ forgedCountPayload(std::uint32_t magic, std::uint32_t version)
 }
 
 /** Recover `b`: it must be DataLoss, with no throw, at tick 0 and
- *  with no app, session or container restored. */
-void
+ *  with no app, session or container restored. Returns the status. */
+api::Status
 expectRecoveryRefused(WorldHarness &b)
 {
     api::Status st;
@@ -255,6 +256,7 @@ expectRecoveryRefused(WorldHarness &b)
     EXPECT_EQ(b.server.sessionCount(), 0u);
     EXPECT_EQ(b.rig.eco.appCount(), 0u);
     EXPECT_EQ(b.rig.cluster.containerCount(), 0);
+    return st;
 }
 
 /** Publish a forged snapshot payload into a fresh harness; recovery
@@ -289,6 +291,26 @@ expectForgedWalRefused(const std::vector<std::vector<std::uint8_t>> &recs)
         ASSERT_TRUE(wal.append(payload).ok());
     wal.close();
     expectRecoveryRefused(b);
+}
+
+/** A live capture of one leased tenant whose dedup window holds a
+ *  RegisterApp and a SpawnContainer id reply, then a SetDemand ok
+ *  reply. */
+Snapshot
+windowSnapshot()
+{
+    WorldHarness a(makeStateDir());
+    EXPECT_TRUE(a.mgr.recover().ok());
+    net::LoopbackTransport lt(&a.server);
+    lt.setIdleHandler([&] { a.tick(); });
+    net::Client c(&lt);
+    EXPECT_TRUE(c.beginSession().ok());
+    auto app = c.registerApp("t", testutil::appShare(0.3, 100.0));
+    EXPECT_TRUE(app.ok());
+    auto cont = c.spawnContainer(app.value(), 1.0);
+    EXPECT_TRUE(cont.ok());
+    EXPECT_TRUE(c.setDemand(cont.value(), 0.5).ok());
+    return captureSnapshot(a.world());
 }
 
 /** The whole WAL of a leased world whose tenant registers an app with
@@ -352,6 +374,7 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
             const std::vector<std::uint8_t> second(
                 d.bytes.begin() + d.ends[0], d.bytes.end());
             std::swap(d.ids[0], d.ids[1]);
+            std::swap(d.opcodes[0], d.opcodes[1]);
             d.bytes = second;
             d.bytes.insert(d.bytes.end(), first.begin(), first.end());
             d.ends = {static_cast<std::uint32_t>(second.size()),
@@ -360,6 +383,127 @@ TEST(CkptRecovery, ForgedCountIsDataLossAndMutatesNothing)
             img.committed_max = d.ids[0];
         }
         expectForgedSnapshotRefused(snap);
+    }
+    // Snapshot: a live dedup window's columns, forged seven ways. A
+    // window records only the replies of coalesced requests, each
+    // payload a u16 wire status and then an id, nothing, or a message
+    // length and a message of at most 512 bytes. No writer emits any
+    // of these; restoring one would replay a frame no commit produced.
+    enum class WindowForgery
+    {
+        RequestOpcode,
+        ReadResponse,
+        ProtocolError,
+        EmptyPayload,
+        OneBytePayload,
+        LongPayload,
+        UnknownStatus,
+    };
+    for (const WindowForgery forgery :
+         {WindowForgery::RequestOpcode, WindowForgery::ReadResponse,
+          WindowForgery::ProtocolError, WindowForgery::EmptyPayload,
+          WindowForgery::OneBytePayload, WindowForgery::LongPayload,
+          WindowForgery::UnknownStatus}) {
+        SCOPED_TRACE("window forgery " +
+                     std::to_string(static_cast<int>(forgery)));
+        Snapshot snap = windowSnapshot();
+        ASSERT_EQ(snap.server.sessions.size(), 1u);
+        net::DedupWindow &d = snap.server.sessions[0].done;
+        ASSERT_EQ(d.opcodes,
+                  (std::vector<std::uint8_t>{0x82, 0x83, 0x8a}));
+        ASSERT_EQ(d.ends, (std::vector<std::uint32_t>{6, 12, 14}));
+        // The last entry, SetDemand's ok reply, is rewritten in place.
+        const auto reply = [&d](std::vector<std::uint8_t> payload) {
+            d.bytes.resize(d.ends[1]);
+            d.bytes.insert(d.bytes.end(), payload.begin(), payload.end());
+            d.ends[2] = static_cast<std::uint32_t>(d.bytes.size());
+        };
+        switch (forgery) {
+          case WindowForgery::RequestOpcode:
+            d.opcodes[2] = 0x0a;
+            break;
+          case WindowForgery::ReadResponse:
+            d.opcodes[2] = 0x81; // Ping's, answered at arrival
+            break;
+          case WindowForgery::ProtocolError:
+            d.opcodes[2] = 0xff;
+            break;
+          case WindowForgery::EmptyPayload:
+            reply({});
+            break;
+          case WindowForgery::OneBytePayload:
+            reply({0});
+            break;
+          case WindowForgery::LongPayload: {
+            // InvalidArgument with a 513-byte message: 517 bytes.
+            std::vector<std::uint8_t> p = {1, 0, 0x01, 0x02};
+            p.resize(4 + 513, 'm');
+            reply(p);
+            break;
+          }
+          case WindowForgery::UnknownStatus:
+            reply({13, 0}); // one past the last wire code
+            break;
+        }
+        expectForgedSnapshotRefused(snap);
+    }
+    // The bounds are exact: the longest error reply a writer emits, a
+    // 512-byte message, recovers.
+    {
+        SCOPED_TRACE("516-byte reply");
+        Snapshot snap = windowSnapshot();
+        net::DedupWindow &d = snap.server.sessions[0].done;
+        d.bytes.resize(d.ends[1]);
+        const std::vector<std::uint8_t> head = {1, 0, 0x00, 0x02};
+        d.bytes.insert(d.bytes.end(), head.begin(), head.end());
+        d.bytes.resize(d.bytes.size() + net::kMaxErrorMessageBytes, 'm');
+        d.ends[2] = static_cast<std::uint32_t>(d.bytes.size());
+        ASSERT_EQ(d.ends[2] - d.ends[1], 516u);
+        std::vector<std::uint8_t> payload;
+        encodeSnapshot(payload, snap);
+        WorldHarness b(makeStateDir());
+        ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
+                                      FsyncPolicy::Never)
+                        .ok());
+        EXPECT_TRUE(b.mgr.recover().ok());
+        EXPECT_EQ(b.server.sessionCount(), 1u);
+    }
+    // Snapshot bytes: the window's count, the last four bytes before
+    // its columns (the session is the last one), raised to one past
+    // what the bytes after it can hold at 9 bytes an entry.
+    {
+        SCOPED_TRACE("window count past its bytes");
+        const Snapshot snap = windowSnapshot();
+        const net::DedupWindow &d = snap.server.sessions[0].done;
+        std::vector<std::uint8_t> payload;
+        encodeSnapshot(payload, snap);
+        const std::size_t columns = 7 * d.ids.size() + d.bytes.size();
+        const std::size_t at = payload.size() - columns - 4;
+        net::WireReader r(payload.data() + at, 4);
+        std::uint32_t n = 0;
+        ASSERT_TRUE(r.u32(n));
+        ASSERT_EQ(n, d.ids.size());
+        std::vector<std::uint8_t> count;
+        net::WireWriter(&count).u32(
+            static_cast<std::uint32_t>(columns / 9 + 1));
+        std::copy(count.begin(), count.end(), payload.begin() + at);
+        expectForgedPayloadRefused(payload);
+    }
+    // Snapshot bytes: a revision-1 header. Its windows held whole
+    // response frames, and no reader of that layout is kept.
+    {
+        SCOPED_TRACE("version-1 header");
+        std::vector<std::uint8_t> payload;
+        encodeSnapshot(payload, windowSnapshot());
+        ASSERT_EQ(payload[4], kSnapshotVersion);
+        payload[4] = 1;
+        WorldHarness b(makeStateDir());
+        ASSERT_TRUE(publishRecordFile(b.mgr.snapshotPath(), payload,
+                                      FsyncPolicy::Never)
+                        .ok());
+        const api::Status st = expectRecoveryRefused(b);
+        EXPECT_NE(st.message().find("unknown version 1"), std::string::npos)
+            << st.message();
     }
     // Snapshot: the watt-cap list the ecovisor restores into its slot
     // column, captured live with caps on the first and last of three

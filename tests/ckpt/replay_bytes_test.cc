@@ -252,12 +252,25 @@ TEST(CkptReplayBytes, RepliesReplayByteForByteAcrossASnapshot)
         ASSERT_GT(a.requests.size(), 2 * kWindow);
         ASSERT_LT(b.requests.size(), kWindow);
 
-        // What the recorded replies cover: every coalesced opcode, ok,
-        // id and error replies, and a message length over 255.
+        ASSERT_TRUE(h.mgr.writeSnapshot().ok());
+        for (const RawTenant *t : {&a, &b}) {
+            std::vector<std::uint32_t> &w = t == &a ? window_a : window_b;
+            auto it = t->requests.begin();
+            std::advance(it, t->requests.size() -
+                                 std::min<std::size_t>(kWindow,
+                                                       t->requests.size()));
+            for (; it != t->requests.end(); ++it)
+                w.push_back(it->first);
+        }
+
+        // What the replies in the windows cover: every coalesced
+        // opcode, ok, id and error replies, and a message length over
+        // 255.
         std::set<std::uint8_t> opcodes;
         bool ok = false, id_reply = false, error = false, long_msg = false;
         for (const RawTenant *t : {&a, &b}) {
-            for (const auto &[rid, frame] : t->replies) {
+            for (std::uint32_t id : t == &a ? window_a : window_b) {
+                const FrameBytes &frame = t->replies.at(id);
                 opcodes.insert(frame[3]);
                 const std::size_t len =
                     frame.size() - net::kFrameHeaderBytes;
@@ -275,17 +288,6 @@ TEST(CkptReplayBytes, RepliesReplayByteForByteAcrossASnapshot)
         EXPECT_TRUE(id_reply);
         EXPECT_TRUE(error);
         EXPECT_TRUE(long_msg);
-
-        ASSERT_TRUE(h.mgr.writeSnapshot().ok());
-        for (const RawTenant *t : {&a, &b}) {
-            std::vector<std::uint32_t> &w = t == &a ? window_a : window_b;
-            auto it = t->requests.begin();
-            std::advance(it, t->requests.size() -
-                                 std::min<std::size_t>(kWindow,
-                                                       t->requests.size()));
-            for (; it != t->requests.end(); ++it)
-                w.push_back(it->first);
-        }
         a.transport.reset();
         b.transport.reset();
     }

@@ -199,10 +199,13 @@ runGolden(int threads)
     return out;
 }
 
+// Re-pinned only for snapshot revision 2: this world has no session
+// plane, so only the digested version word moved (the values under
+// revision 1 were unchanged by its dedup-window layout).
 const std::vector<std::uint64_t> kGolden = {
-    0x001a1724e990cbaaull, 0x9f0ebec1c091505full, 0x2ff7daea93cceab9ull,
-    0x105fcc4267e5922aull, 0x32e7a773b2948852ull, 0x6574197ab2ac6797ull,
-    0x7ac8fb7e7c5b6009ull, 0x87ff554500c3abb4ull};
+    0xaa9bddc12275ac6full, 0xf9e0e65bd3171206ull, 0x6f6e3846b17226aaull,
+    0xe0cbdd9d35da1b81ull, 0xecc5510a5086a921ull, 0xa4978ab7d1395be0ull,
+    0x0e8beb8162f5118aull, 0xe132c037a3bb188full};
 
 TEST(GoldenDigest, PlacementAndCapsMatchPinnedDigests)
 {

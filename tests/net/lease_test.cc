@@ -618,6 +618,7 @@ expectSameImage(const ServerCoreImage &got, const ServerCoreImage &want)
         }
         EXPECT_EQ(g.done.ids, w.done.ids);
         EXPECT_EQ(g.done.ends, w.done.ends);
+        EXPECT_EQ(g.done.opcodes, w.done.opcodes);
         EXPECT_EQ(g.done.bytes, w.done.bytes);
     }
 }
@@ -657,6 +658,7 @@ TEST(SessionLease, RestoredIdGapsKeepAscendingIdOrder)
     image.sessions[2].committed_max = 4;
     image.sessions[2].done.ids = {3, 4};
     image.sessions[2].done.ends = {2, 5};
+    image.sessions[2].done.opcodes = {0x8a, 0x85};
     image.sessions[2].done.bytes = {1, 2, 3, 4, 5};
 
     core.restoreSessions(image);
