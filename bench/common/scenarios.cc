@@ -31,8 +31,10 @@ copySeries(const ts::TimeSeries &ts)
 {
     Series out;
     out.reserve(ts.size());
-    for (const auto &s : ts.samples())
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+        const auto s = ts.sample(i);
         out.emplace_back(s.time_s, s.value);
+    }
     return out;
 }
 

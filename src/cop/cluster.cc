@@ -620,21 +620,24 @@ Cluster::totalPowerW() const
 {
     // Per node: idle + dynamic of hosted containers (+ GPU terms).
     // The global live list is in increasing-id order, matching the
-    // original map iteration bit-for-bit.
-    std::vector<double> core_util(nodes_.size(), 0.0);
-    std::vector<double> gpu_util(nodes_.size(), 0.0);
+    // original map iteration bit-for-bit. The per-node core and GPU
+    // utilisations accumulate in a buffer reused across calls, so the
+    // per-tick record allocates nothing; one buffer per thread keeps
+    // the const call safe from any thread.
+    thread_local std::vector<double> util;
+    util.assign(2 * nodes_.size(), 0.0);
     for (std::int32_t s = all_head_; s >= 0;
          s = cols_.all_next[static_cast<std::size_t>(s)]) {
         const auto i = static_cast<std::size_t>(s);
-        auto idx = static_cast<std::size_t>(cols_.node[i]);
-        core_util[idx] +=
+        const auto idx = 2 * static_cast<std::size_t>(cols_.node[i]);
+        util[idx] +=
             std::min(cols_.demand[i], cols_.util_cap[i]) *
             cols_.cores[i];
-        gpu_util[idx] = std::max(gpu_util[idx], cols_.gpu_util[i]);
+        util[idx + 1] = std::max(util[idx + 1], cols_.gpu_util[i]);
     }
     double total = 0.0;
     for (std::size_t i = 0; i < nodes_.size(); ++i)
-        total += nodes_[i].model.nodePowerW(core_util[i], gpu_util[i]);
+        total += nodes_[i].model.nodePowerW(util[2 * i], util[2 * i + 1]);
     return total;
 }
 

@@ -103,7 +103,7 @@ getXor(const std::vector<std::uint8_t> &in, std::size_t *pos)
 } // namespace
 
 SealedBlock
-sealBlock(const Sample *samples, std::size_t count, TimeS start_cut_s,
+sealBlock(const SampleStore &store, std::size_t count, TimeS start_cut_s,
           TimeS end_cut_s)
 {
     if (count == 0)
@@ -111,23 +111,26 @@ sealBlock(const Sample *samples, std::size_t count, TimeS start_cut_s,
     SealedBlock b;
     b.start_cut_s = start_cut_s;
     b.end_cut_s = end_cut_s;
-    b.first_time_s = samples[0].time_s;
-    b.last_time_s = samples[count - 1].time_s;
-    b.first_value = samples[0].value;
-    b.last_value = samples[count - 1].value;
+    b.first_time_s = store.frontTime();
+    b.last_time_s = store.time(count - 1);
+    b.first_value = store.value(0);
+    b.last_value = store.value(count - 1);
     b.count = static_cast<std::uint32_t>(count);
 
     // Sharded recording seals from worker threads, hence one buffer
     // per thread; it keeps its capacity across seals.
     thread_local std::vector<std::uint8_t> buf;
     buf.clear();
+    TimeS prev_time = b.first_time_s;
     TimeS prev_delta = 0;
-    std::uint64_t prev_bits = bitsOf(samples[0].value);
+    std::uint64_t prev_bits = bitsOf(b.first_value);
     for (std::size_t i = 1; i < count; ++i) {
-        const TimeS delta = samples[i].time_s - samples[i - 1].time_s;
+        const TimeS time = store.time(i);
+        const TimeS delta = time - prev_time;
         putVarint(&buf, zigzag(delta - prev_delta));
+        prev_time = time;
         prev_delta = delta;
-        const std::uint64_t bits = bitsOf(samples[i].value);
+        const std::uint64_t bits = bitsOf(store.value(i));
         putXor(&buf, bits ^ prev_bits);
         prev_bits = bits;
     }

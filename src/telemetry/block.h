@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "telemetry/sample.h"
+#include "telemetry/sample_store.h"
 #include "util/units.h"
 
 namespace ecov::ts {
@@ -50,12 +50,13 @@ struct SealedBlock
 };
 
 /**
- * Seal `count` samples (count >= 1, non-decreasing timestamps, all
- * within [start_cut_s, end_cut_s)) into a block. Fatal on an empty
- * span — the caller owns batching. Encodes through a buffer reused
- * per thread, so the only allocation is the exactly sized payload.
+ * Seal the oldest `count` samples of `store` (1 <= count <= size(),
+ * all within [start_cut_s, end_cut_s)) into a block, reading them in
+ * place. Fatal on an empty span — the caller owns batching. Encodes
+ * through a buffer reused per thread, so the only allocation is the
+ * exactly sized payload.
  */
-SealedBlock sealBlock(const Sample *samples, std::size_t count,
+SealedBlock sealBlock(const SampleStore &store, std::size_t count,
                       TimeS start_cut_s, TimeS end_cut_s);
 
 /**

@@ -15,6 +15,7 @@
 #define ECOV_TELEMETRY_RING_H
 
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -58,7 +59,7 @@ class Ring
     {
         if constexpr (!std::is_trivially_destructible_v<T>)
             slots_[head_] = T{};
-        head_ = slot(1);
+        head_ = static_cast<std::uint32_t>(slot(1));
         --size_;
     }
 
@@ -134,8 +135,10 @@ class Ring
     }
 
     std::vector<T> slots_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
+    /** 32-bit: a series holds three rings, and no tier comes near
+     *  2^32 elements (that is over 100 GB of rollup buckets). */
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
 };
 
 } // namespace ecov::ts

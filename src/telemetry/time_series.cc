@@ -8,13 +8,6 @@ namespace ecov::ts {
 
 namespace {
 
-/** The comparator shared by every lower-bound search. */
-inline bool
-sampleBefore(const Sample &s, TimeS v)
-{
-    return s.time_s < v;
-}
-
 /** Seal cuts are minute-aligned so tiers tile on bucket seams. */
 constexpr TimeS kCutAlignS = 60;
 
@@ -44,9 +37,7 @@ TimeSeries::setRetention(const RetentionConfig &config)
 void
 TimeSeries::append(TimeS time_s, double value)
 {
-    if (!samples_.empty() && time_s < samples_.back().time_s)
-        fatal("TimeSeries::append: timestamps must be non-decreasing");
-    samples_.push_back(Sample{time_s, value});
+    store_.append(time_s, value);
     ++total_appends_;
     if (!bounded_)
         return;
@@ -61,13 +52,13 @@ TimeSeries::maybeSeal()
     // the count and window bounds). A pure function of the appended
     // data and the config — no wall clock, no allocator state — so
     // eviction is deterministic and thread-count independent.
-    const std::size_t n = samples_.size();
+    const std::size_t n = store_.size();
     std::size_t keep_from = 0;
     if (retention_.max_samples > 0 && n > retention_.max_samples)
         keep_from = n - retention_.max_samples;
     if (retention_.window_s > 0) {
         const std::size_t wfrom =
-            lowerBound(samples_.back().time_s - retention_.window_s);
+            lowerBound(store_.backTime() - retention_.window_s);
         if (wfrom > keep_from)
             keep_from = wfrom;
     }
@@ -76,8 +67,7 @@ TimeSeries::maybeSeal()
         return;
     // Cut on a minute boundary at (or before) the first keeper, so
     // block seams land on rollup-bucket seams.
-    const TimeS cut =
-        alignDown(samples_[keep_from].time_s, kCutAlignS);
+    const TimeS cut = alignDown(store_.time(keep_from), kCutAlignS);
     const std::size_t seal_n = lowerBound(cut);
     if (seal_n == 0)
         return;
@@ -94,9 +84,8 @@ TimeSeries::sealPrefix(std::size_t seal_n, TimeS cut)
         !cold_.empty() ? cold_.back().end_cut_s
         : has_retired_
             ? exact_since_s_
-            : alignDown(samples_.front().time_s, kCutAlignS);
-    cold_.push_back(
-        sealBlock(samples_.data(), seal_n, start_cut, cut));
+            : alignDown(store_.frontTime(), kCutAlignS);
+    cold_.push_back(sealBlock(store_, seal_n, start_cut, cut));
     cold_samples_ += seal_n;
     // The minute tier holds sealed history only. Folding the span in
     // sample order runs the same record() arithmetic a per-append
@@ -105,11 +94,9 @@ TimeSeries::sealPrefix(std::size_t seal_n, TimeS cut)
     // last folded bucket exactly as close() does now. Queries never
     // read a minute bucket at or past the cut.
     for (std::size_t i = 0; i < seal_n; ++i)
-        minute_.record(samples_[i].time_s, samples_[i].value);
+        minute_.record(store_.time(i), store_.value(i));
     minute_.close();
-    samples_.erase(samples_.begin(),
-                   samples_.begin() +
-                       static_cast<std::ptrdiff_t>(seal_n));
+    store_.erasePrefix(seal_n);
     // The ring base moved: outstanding index cursors are stale now.
     ++epoch_;
     retireCold();
@@ -119,7 +106,7 @@ TimeSeries::sealPrefix(std::size_t seal_n, TimeS cut)
 void
 TimeSeries::retireCold()
 {
-    const TimeS newest = samples_.back().time_s;
+    const TimeS newest = store_.backTime();
     while (!cold_.empty()) {
         const SealedBlock &front = cold_.front();
         bool retire;
@@ -150,13 +137,13 @@ TimeSeries::retireCold()
 void
 TimeSeries::dropRollups()
 {
-    const TimeS newest = samples_.back().time_s;
+    const TimeS newest = store_.backTime();
     // Effective window for the keep multipliers: the configured
     // window, or the observed hot span under a pure count bound.
     TimeS w_eff = retention_.window_s;
     if (w_eff <= 0)
         w_eff = std::max<TimeS>(
-            newest - samples_.front().time_s, kCutAlignS);
+            newest - store_.frontTime(), kCutAlignS);
     // Hour-aligned drops for both tiers keep the hour->minute seam
     // clean: a surviving minute front never splits an hour bucket
     // that was itself dropped.
@@ -186,38 +173,19 @@ TimeSeries::reserve(std::size_t n)
             retention_.seal_batch;
         n = std::min(n, bound);
     }
-    samples_.reserve(n);
+    store_.reserve(n);
 }
 
 std::size_t
 TimeSeries::lowerBound(TimeS t) const
 {
-    auto it = std::lower_bound(samples_.begin(), samples_.end(), t,
-                               sampleBefore);
-    return static_cast<std::size_t>(it - samples_.begin());
+    return store_.lowerBound(t);
 }
 
 std::size_t
 TimeSeries::lowerBound(TimeS t, std::size_t hint) const
 {
-    const std::size_t n = samples_.size();
-    if (hint > n)
-        hint = n;
-    // One comparison decides which side of the hint the answer lies
-    // on; the binary search then runs over that side only. Since
-    // std::lower_bound is deterministic and the answer is inside the
-    // chosen subrange, the result is identical to an unhinted search.
-    std::size_t lo = 0, hi = n;
-    if (hint < n && samples_[hint].time_s < t)
-        lo = hint + 1;
-    else
-        hi = hint;
-    auto it = std::lower_bound(samples_.begin() +
-                                   static_cast<std::ptrdiff_t>(lo),
-                               samples_.begin() +
-                                   static_cast<std::ptrdiff_t>(hi),
-                               t, sampleBefore);
-    return static_cast<std::size_t>(it - samples_.begin());
+    return store_.lowerBound(t, hint);
 }
 
 double
@@ -238,17 +206,19 @@ TimeSeries::hotIntegrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
     }
     // Value in effect at t1: the previous sample's (or 0 before the
     // first), read straight from the index the search already found.
-    double current = idx > 0 ? samples_[idx - 1].value : 0.0;
-    if (idx < samples_.size() && samples_[idx].time_s == t1) {
-        current = samples_[idx].value;
+    const std::size_t n = store_.size();
+    double current = idx > 0 ? store_.value(idx - 1) : 0.0;
+    if (idx < n && store_.time(idx) == t1) {
+        current = store_.value(idx);
         ++idx;
     }
-    while (idx < samples_.size() && samples_[idx].time_s < t2) {
-        acc += current *
-               static_cast<double>(samples_[idx].time_s - cursor_t);
-        cursor_t = samples_[idx].time_s;
-        current = samples_[idx].value;
-        ++idx;
+    for (; idx < n; ++idx) {
+        const TimeS t = store_.time(idx);
+        if (t >= t2)
+            break;
+        acc += current * static_cast<double>(t - cursor_t);
+        cursor_t = t;
+        current = store_.value(idx);
     }
     acc += current * static_cast<double>(t2 - cursor_t);
     return acc / kSecondsPerHour;
@@ -257,12 +227,11 @@ TimeSeries::hotIntegrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
 double
 TimeSeries::integrateWh(TimeS t1, TimeS t2, Cursor *cursor) const
 {
-    if (t2 <= t1 || samples_.empty())
+    if (t2 <= t1 || store_.empty())
         return 0.0;
     // Window entirely inside the hot ring (or nothing ever evicted):
     // the legacy flat scan, bit-identical to the unbounded series.
-    if ((cold_.empty() && !has_retired_) ||
-        t1 >= samples_.front().time_s)
+    if ((cold_.empty() && !has_retired_) || t1 >= store_.frontTime())
         return hotIntegrateWh(t1, t2, cursor);
     double acc_vs = 0.0;
     TimeS a = t1;
@@ -328,12 +297,12 @@ TimeSeries::exactIntegrateVs(TimeS a, TimeS b) const
             consume(s);
         }
     }
-    for (std::size_t i = 0; i < samples_.size() && !stopped; ++i) {
-        if (samples_[i].time_s < a) {
-            current = samples_[i].value;
-            continue;
-        }
-        consume(samples_[i]);
+    if (!stopped) {
+        std::size_t i = store_.lowerBound(a);
+        if (i > 0)
+            current = store_.value(i - 1);
+        for (; i < store_.size() && !stopped; ++i)
+            consume(store_[i]);
     }
     acc += current * static_cast<double>(b - cursor_t);
     return acc;
@@ -351,16 +320,16 @@ TimeSeries::hotSumRange(TimeS t1, TimeS t2, Cursor *cursor) const
     }
     double acc = 0.0;
     for (std::size_t i = start;
-         i < samples_.size() && samples_[i].time_s < t2; ++i)
-        acc += samples_[i].value;
+         i < store_.size() && store_.time(i) < t2; ++i)
+        acc += store_.value(i);
     return acc;
 }
 
 double
 TimeSeries::sumRange(TimeS t1, TimeS t2, Cursor *cursor) const
 {
-    if (samples_.empty() || (cold_.empty() && !has_retired_) ||
-        t1 >= samples_.front().time_s)
+    if (store_.empty() || (cold_.empty() && !has_retired_) ||
+        t1 >= store_.frontTime())
         return hotSumRange(t1, t2, cursor);
     double acc = 0.0;
     if (has_retired_ && t1 < exact_since_s_)
@@ -395,33 +364,19 @@ TimeSeries::exactSumRange(TimeS a, TimeS b) const
             acc += s.value;
         }
     }
-    for (const Sample &s : samples_) {
-        if (s.time_s < a)
-            continue;
-        if (s.time_s >= b)
-            break;
-        acc += s.value;
-    }
+    for (std::size_t i = store_.lowerBound(a);
+         i < store_.size() && store_.time(i) < b; ++i)
+        acc += store_.value(i);
     return acc;
 }
 
 double
 TimeSeries::maxRange(TimeS t1, TimeS t2) const
 {
-    if (samples_.empty() || (cold_.empty() && !has_retired_) ||
-        t1 >= samples_.front().time_s) {
-        double best = 0.0;
-        bool seen = false;
-        for (std::size_t i = lowerBound(t1);
-             i < samples_.size() && samples_[i].time_s < t2; ++i) {
-            if (!seen || samples_[i].value > best) {
-                best = samples_[i].value;
-                seen = true;
-            }
-        }
-        return seen ? best : 0.0;
-    }
     bool seen = false;
+    if (store_.empty() || (cold_.empty() && !has_retired_) ||
+        t1 >= store_.frontTime())
+        return hotMaxRange(t1, t2, &seen, 0.0);
     double best = 0.0;
     if (has_retired_ && t1 < exact_since_s_)
         best = rollupMaxRange(t1, std::min(t2, exact_since_s_),
@@ -455,13 +410,17 @@ TimeSeries::exactMaxRange(TimeS a, TimeS b, bool *seen,
             }
         }
     }
-    for (const Sample &s : samples_) {
-        if (s.time_s < a)
-            continue;
-        if (s.time_s >= b)
-            break;
-        if (!*seen || s.value > best) {
-            best = s.value;
+    return hotMaxRange(a, b, seen, best);
+}
+
+double
+TimeSeries::hotMaxRange(TimeS a, TimeS b, bool *seen, double best) const
+{
+    for (std::size_t i = store_.lowerBound(a);
+         i < store_.size() && store_.time(i) < b; ++i) {
+        const double v = store_.value(i);
+        if (!*seen || v > best) {
+            best = v;
             *seen = true;
         }
     }
@@ -476,7 +435,7 @@ TimeSeries::minuteFront() const
     // every append would begin (its sealed buckets all dropped, its
     // hot ones never are: drop cuts lie at or behind the seal cut).
     return minute_.empty()
-               ? alignDown(samples_.front().time_s, kCutAlignS)
+               ? alignDown(store_.frontTime(), kCutAlignS)
                : minute_.frontStart();
 }
 
@@ -533,8 +492,7 @@ TimeSeries::rollupMaxRange(TimeS a, TimeS b, bool *seen) const
 std::size_t
 TimeSeries::memoryBytes() const
 {
-    std::size_t bytes = sizeof(TimeSeries) +
-                        samples_.capacity() * sizeof(Sample) +
+    std::size_t bytes = sizeof(TimeSeries) + store_.heapBytes() +
                         cold_.capacity() * sizeof(SealedBlock);
     for (const SealedBlock &blk : cold_)
         bytes += blk.payload.capacity();

@@ -12,9 +12,11 @@
  * EcovisorOptions::retention_samples / retention_window_s) it becomes
  * a three-tier bounded store (docs/PERF.md "Retention tiers"):
  *
- *  - **hot ring**: the raw samples inside the retention bound, stored
- *    flat in `samples_` (so `samples()` and indexed access keep their
- *    meaning; eviction erases an aligned prefix in batches).
+ *  - **hot ring**: the raw samples inside the retention bound, in a
+ *    SampleStore (sample_store.h): a value column whose time axis is
+ *    just (t0, step) while the series keeps a fixed cadence, with
+ *    explicit times only after a cadence break. Eviction erases an
+ *    aligned prefix in batches.
  *  - **cold blocks**: evicted spans sealed into delta-of-delta /
  *    XOR-compressed blocks (block.h) — still lossless; queries decode
  *    them transparently, so every interval query is bit-identical to
@@ -33,12 +35,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "telemetry/block.h"
 #include "telemetry/retention.h"
 #include "telemetry/ring.h"
-#include "telemetry/sample.h"
+#include "telemetry/sample_store.h"
 #include "util/units.h"
 
 namespace ecov::ts {
@@ -94,16 +95,16 @@ class TimeSeries
     void reserve(std::size_t n);
 
     /** Reserved raw sample capacity (diagnostics/benches). */
-    std::size_t capacity() const { return samples_.capacity(); }
+    std::size_t capacity() const { return store_.capacity(); }
 
     /** Number of raw samples in the hot ring. */
-    std::size_t size() const { return samples_.size(); }
+    std::size_t size() const { return store_.size(); }
 
     /** True when the series has never been written. */
     bool empty() const { return total_appends_ == 0; }
 
-    /** Read-only access to the hot ring (oldest retained raw first). */
-    const std::vector<Sample> &samples() const { return samples_; }
+    /** Hot-ring sample i, oldest retained first (i < size()). */
+    Sample sample(std::size_t i) const { return store_[i]; }
 
     /**
      * Integrate the step function over [t1, t2).
@@ -193,6 +194,8 @@ class TimeSeries
     /** The legacy flat-scan queries over the hot ring only. */
     double hotIntegrateWh(TimeS t1, TimeS t2, Cursor *cursor) const;
     double hotSumRange(TimeS t1, TimeS t2, Cursor *cursor) const;
+    /** Folds the hot samples in [a, b) into a running max. */
+    double hotMaxRange(TimeS a, TimeS b, bool *seen, double best) const;
 
     /** Exact queries over [a, b) walking cold blocks then the hot
      *  ring (a >= exactSince()); op-for-op identical to the same
@@ -214,9 +217,11 @@ class TimeSeries
     double rollupSumRange(TimeS a, TimeS b) const;
     double rollupMaxRange(TimeS a, TimeS b, bool *seen) const;
 
-    std::vector<Sample> samples_; ///< hot ring (flat, oldest first)
+    SampleStore store_; ///< hot ring, oldest first
     RetentionConfig retention_;
     bool bounded_ = false;
+    /** Exact-coverage boundary state (set by cold retirement). */
+    bool has_retired_ = false;
 
     std::uint64_t epoch_ = 0;
     std::uint64_t total_appends_ = 0;
@@ -225,8 +230,6 @@ class TimeSeries
     Ring<SealedBlock> cold_;
     std::size_t cold_samples_ = 0;
 
-    /** Exact-coverage boundary state (set by cold retirement). */
-    bool has_retired_ = false;
     TimeS exact_since_s_ = 0;
     double value_before_exact_ = 0.0;
 

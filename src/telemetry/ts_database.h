@@ -10,8 +10,9 @@
  * Storage layout (the telemetry hot path, see docs/PERF.md): series
  * live in a dense **slab** addressed by a SeriesId. The string pair is
  * *interned* to an id exactly once (intern()/findSeries()); every
- * append after that is an indexed, allocation-free, string-free
- * vector push. Writes go only through ids; the string-keyed
+ * append after that is an indexed, allocation-free, string-free push
+ * of one value (a fixed-cadence series keeps no per-sample time,
+ * sample_store.h). Writes go only through ids; the string-keyed
  * series()/keys() lookups remain on the read side, where global
  * series such as "grid_carbon" are addressed by name. The slab is a
  * deque: interning a new series never moves existing ones, so
@@ -108,7 +109,7 @@ class TsDatabase
 
     /**
      * Append a sample to an interned series: a bounds check plus an
-     * indexed vector push — no string compares, no allocation beyond
+     * indexed value push — no string compares, no allocation beyond
      * amortized sample growth (none at all after reserve()).
      * Fatal on an invalid id.
      */

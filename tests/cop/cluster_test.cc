@@ -6,8 +6,39 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
 #include "cop/cluster.h"
 #include "util/logging.h"
+
+/** Heap allocations made through operator new in this binary. */
+static std::atomic<std::int64_t> g_news{0};
+
+void *
+operator new(std::size_t n)
+{
+    ++g_news;
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace ecov::cop {
 namespace {
@@ -157,6 +188,43 @@ TEST(Cluster, TotalPowerIncludesIdleBaseline)
     ASSERT_TRUE(id);
     c.setDemand(*id, 1.0);
     EXPECT_NEAR(c.totalPowerW(), 4 * 1.35 + 0.9125, 1e-9);
+}
+
+/**
+ * The ecovisor records totalPowerW() every tick: after the first call
+ * on a thread it must not allocate, and it must still sum each node's
+ * own core and GPU terms.
+ */
+TEST(Cluster, TotalPowerAllocatesNothingAfterTheFirstCall)
+{
+    std::vector<power::ServerPowerConfig> nodes{
+        microserver(), power::ServerPowerConfig{8, 2.0, 10.0, 5.0},
+        microserver()};
+    Cluster c(nodes);
+    auto a = c.createContainer("a", 1.0);
+    auto b = c.createContainer("b", 2.0);
+    auto g = c.createContainer("g", 1.0);
+    ASSERT_TRUE(a && b && g);
+    c.setDemand(*a, 0.5);
+    c.setDemand(*b, 1.0);
+    c.setGpuUtil(*g, 0.75);
+    double expect = 0.0;
+    std::vector<double> core(nodes.size(), 0.0), gpu(nodes.size(), 0.0);
+    for (ContainerId id : {*a, *b, *g}) {
+        const Container k = c.container(id);
+        core[static_cast<std::size_t>(k.node)] +=
+            std::min(k.demand, k.util_cap) * k.cores;
+        gpu[static_cast<std::size_t>(k.node)] =
+            std::max(gpu[static_cast<std::size_t>(k.node)], k.gpu_util);
+    }
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        expect += c.node(static_cast<int>(i))
+                      .model.nodePowerW(core[i], gpu[i]);
+
+    EXPECT_EQ(c.totalPowerW(), expect);
+    const std::int64_t before = g_news.load();
+    EXPECT_EQ(c.totalPowerW(), expect);
+    EXPECT_EQ(g_news.load(), before);
 }
 
 TEST(Cluster, UnknownIdIsFatal)

@@ -574,8 +574,8 @@ hotMinutes(const TimeSeries &s)
 {
     std::size_t n = 0;
     TimeS prev = 0;
-    for (const Sample &x : s.samples()) {
-        const TimeS m = alignDown(x.time_s, 60);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const TimeS m = alignDown(s.sample(i).time_s, 60);
         if (n == 0 || m != prev)
             ++n;
         prev = m;
@@ -607,8 +607,8 @@ compareQueries(const TimeSeries &s, const ref::Series &r, Rng &rng,
                std::uint64_t seed, Mismatches *mm, Cursor *wh_cursor,
                Cursor *sum_cursor)
 {
-    const TimeS newest = s.samples().back().time_s;
-    const TimeS hot_front = s.samples().front().time_s;
+    const TimeS newest = s.sample(s.size() - 1).time_s;
+    const TimeS hot_front = s.sample(0).time_s;
     const TimeS exact = s.hasRetired() ? s.exactSince() : hot_front;
     // The oldest start worth probing: the retained rollups reach at
     // most hour_keep windows back, and a little before that must
@@ -668,7 +668,11 @@ compareShape(const TimeSeries &s, const ref::Series &r,
                   (!s.hasRetired() || s.exactSince() == r.exactSince()),
               "exact coverage" + at);
     mm->check(s.coldBlockCount() == r.coldCount(), "coldBlockCount" + at);
-    mm->check(s.hourBucketCount() == r.hourCount(), "hourBucketCount" + at);
+    // An unbounded series keeps no rollups; the reference's tiers
+    // are only read once something seals.
+    if (s.bounded())
+        mm->check(s.hourBucketCount() == r.hourCount(),
+                  "hourBucketCount" + at);
     mm->check(s.minuteBucketCount() + hotMinutes(s) == r.minuteCount(),
               "minuteBucketCount + hot minutes" + at);
 }
@@ -709,6 +713,78 @@ TEST(RetentionReference, RandomConfigurationsMatchBitForBit)
     EXPECT_GT(mm.checks, 100000);
     // The rollup region is exercised, not only the exact coverage.
     EXPECT_GT(mm.rollup_answers, 10000);
+}
+
+/**
+ * The ecovisor's cadence: one sample per step, never a repeated time,
+ * so the whole stream sits on a (t0, step) axis. Or that cadence held
+ * for a random prefix and then broken once, by a repeated time, a gap
+ * or jitter, after which the series keeps explicit times. Both run on
+ * bounded configurations and on series with no retention, from
+ * negative start times with steps up to 30 h.
+ */
+TEST(RetentionReference, CadenceAxesMatchBitForBit)
+{
+    Mismatches mm;
+    int breaks[3] = {0, 0, 0};
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng{seed * 104729};
+        const bool bounded = seed % 3 != 0;
+        const RetentionConfig cfg =
+            bounded ? randomConfig(rng) : RetentionConfig{};
+        TimeSeries s;
+        s.setRetention(cfg);
+        ref::Series r(cfg);
+
+        static constexpr TimeS kSteps[] = {1, 7, 60, 61, 300, 3600};
+        const TimeS step =
+            rng.bernoulli(0.5)
+                ? kSteps[rng.uniformInt(
+                      0,
+                      static_cast<std::int64_t>(std::size(kSteps)) - 1)]
+                : rng.uniformInt(1, 30 * 3600);
+        const int n = static_cast<int>(rng.uniformInt(50, 2500));
+        // 0 never breaks; else the append index that breaks it.
+        const int break_at =
+            rng.bernoulli(0.5) ? 0 : static_cast<int>(rng.uniformInt(2, n));
+        const auto break_kind = rng.uniformInt(0, 2);
+        const int checkpoints = 5;
+        Cursor wh_cursor, sum_cursor;
+        TimeS t = rng.uniformInt(-10'000'000'000, -1);
+        for (int i = 1; i <= n; ++i) {
+            const double v = randomValue(rng);
+            s.append(t, v);
+            r.append(t, v);
+            if (i % (n / checkpoints) == 0 || i == n || i == break_at) {
+                compareShape(s, r, seed, &mm);
+                compareQueries(s, r, rng, seed, &mm, &wh_cursor,
+                               &sum_cursor);
+            }
+            if (i + 1 != break_at) {
+                t += step;
+                continue;
+            }
+            ++breaks[break_kind];
+            switch (break_kind) {
+            case 0: // a repeated time
+                break;
+            case 1: // a gap
+                t += step + rng.uniformInt(1, 30 * 3600);
+                break;
+            default: { // jitter: off the step, early or late
+                const bool early = step > 1 && rng.bernoulli(0.5);
+                t += early ? rng.uniformInt(1, step - 1)
+                           : step + rng.uniformInt(
+                                        1, std::max<TimeS>(step / 2, 1));
+            }
+            }
+        }
+    }
+    EXPECT_EQ(mm.count, 0) << "of " << mm.checks << " checks";
+    EXPECT_GT(mm.checks, 50000);
+    EXPECT_GT(mm.rollup_answers, 5000);
+    for (int k : breaks)
+        EXPECT_GT(k, 10);
 }
 
 /**

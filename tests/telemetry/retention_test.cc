@@ -45,7 +45,7 @@ expectExactInsideCoverage(const TimeSeries &bounded,
 {
     const TimeS from =
         bounded.hasRetired() ? bounded.exactSince()
-                             : shadow.samples().front().time_s - 100;
+                             : shadow.sample(0).time_s - 100;
     Rng rng{99};
     for (int q = 0; q < 250; ++q) {
         const TimeS t1 =
@@ -243,6 +243,16 @@ TEST(Retention, StaleCursorSelfResetsAfterEviction)
     EXPECT_EQ(s.sumRange(w2, t, &wild), s.sumRange(w2, t));
 }
 
+/** A store holding `raw`, in order. */
+SampleStore
+storeOf(const std::vector<Sample> &raw)
+{
+    SampleStore store;
+    for (const Sample &x : raw)
+        store.append(x.time_s, x.value);
+    return store;
+}
+
 TEST(Retention, SealedBlockRoundTripsBitExact)
 {
     const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -257,7 +267,7 @@ TEST(Retention, SealedBlockRoundTripsBitExact)
         {7000000, 42.25}, // huge timestamp jump
     };
     const SealedBlock b =
-        sealBlock(raw.data(), raw.size(), -7200, 7000020);
+        sealBlock(storeOf(raw), raw.size(), -7200, 7000020);
     EXPECT_EQ(b.count, raw.size());
     BlockCursor bc(b);
     Sample s;
@@ -284,8 +294,7 @@ TEST(Retention, SealedBlockCompressesRegularSeries)
         raw.push_back({static_cast<TimeS>(i) * 60, v});
         v += 0.25;
     }
-    const SealedBlock b =
-        sealBlock(raw.data(), raw.size(), 0, 60000);
+    const SealedBlock b = sealBlock(storeOf(raw), raw.size(), 0, 60000);
     EXPECT_LT(b.payload.size(), raw.size() * sizeof(Sample) / 2);
 
     BlockCursor bc(b);
@@ -398,8 +407,8 @@ expectDbBitIdentical(const TsDatabase &a, const TsDatabase &b)
         ASSERT_EQ(sa.coldBlockCount(), sb.coldBlockCount());
         ASSERT_EQ(sa.epoch(), sb.epoch());
         for (std::size_t j = 0; j < sa.size(); ++j) {
-            EXPECT_EQ(sa.samples()[j].time_s, sb.samples()[j].time_s);
-            EXPECT_EQ(sa.samples()[j].value, sb.samples()[j].value);
+            EXPECT_EQ(sa.sample(j).time_s, sb.sample(j).time_s);
+            EXPECT_EQ(sa.sample(j).value, sb.sample(j).value);
         }
     }
 }

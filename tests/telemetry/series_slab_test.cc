@@ -50,8 +50,8 @@ TEST(SeriesSlab, AppendByIdEqualsAppendByReinternedName)
         const TimeSeries &y = by_string.series("power", tag);
         ASSERT_EQ(x.size(), y.size());
         for (std::size_t i = 0; i < x.size(); ++i) {
-            EXPECT_EQ(x.samples()[i].time_s, y.samples()[i].time_s);
-            EXPECT_EQ(x.samples()[i].value, y.samples()[i].value);
+            EXPECT_EQ(x.sample(i).time_s, y.sample(i).time_s);
+            EXPECT_EQ(x.sample(i).value, y.sample(i).value);
         }
     }
 }
@@ -87,7 +87,7 @@ TEST(SeriesSlab, SeriesReferencesSurviveLaterInterning)
     for (int i = 0; i < 1000; ++i)
         db.intern("m", "tag" + std::to_string(i));
     EXPECT_EQ(&db.series(a), &ref);
-    EXPECT_DOUBLE_EQ(ref.samples().back().value, 42.0);
+    EXPECT_DOUBLE_EQ(ref.sample(ref.size() - 1).value, 42.0);
 }
 
 TEST(SeriesSlab, ReservePreSizesWithoutSamples)

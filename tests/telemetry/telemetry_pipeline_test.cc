@@ -45,10 +45,10 @@ expectDbBitIdentical(const ts::TsDatabase &a, const ts::TsDatabase &b)
         ASSERT_EQ(sa.size(), sb.size())
             << ka[i].measurement << "/" << ka[i].tag;
         for (std::size_t j = 0; j < sa.size(); ++j) {
-            EXPECT_EQ(sa.samples()[j].time_s, sb.samples()[j].time_s)
+            EXPECT_EQ(sa.sample(j).time_s, sb.sample(j).time_s)
                 << ka[i].measurement << "/" << ka[i].tag << "[" << j
                 << "]";
-            EXPECT_EQ(sa.samples()[j].value, sb.samples()[j].value)
+            EXPECT_EQ(sa.sample(j).value, sb.sample(j).value)
                 << ka[i].measurement << "/" << ka[i].tag << "[" << j
                 << "]";
         }

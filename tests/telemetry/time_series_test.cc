@@ -6,8 +6,41 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <new>
+#include <vector>
+
 #include "telemetry/time_series.h"
 #include "util/logging.h"
+#include "util/rng.h"
+
+/** Heap allocations made through operator new in this binary. */
+static std::atomic<std::int64_t> g_news{0};
+
+void *
+operator new(std::size_t n)
+{
+    ++g_news;
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace ecov::ts {
 namespace {
@@ -26,7 +59,7 @@ TEST(TimeSeries, AppendKeepsSamplesInOrder)
     s.append(0, 5.0);
     s.append(60, 7.0);
     EXPECT_EQ(s.size(), 2u);
-    EXPECT_DOUBLE_EQ(s.samples().back().value, 7.0);
+    EXPECT_DOUBLE_EQ(s.sample(1).value, 7.0);
 }
 
 TEST(TimeSeries, NonDecreasingTimestampsEnforced)
@@ -164,6 +197,16 @@ TEST(TimeSeries, CursorQueriesAreBitIdentical)
     }
 }
 
+/** The hot ring as explicit samples, read through sample(i). */
+std::vector<Sample>
+samplesOf(const TimeSeries &s)
+{
+    std::vector<Sample> out;
+    for (std::size_t i = 0; i < s.size(); ++i)
+        out.push_back(s.sample(i));
+    return out;
+}
+
 /**
  * Reference for the pre-optimization integrateWh (it recomputed the
  * start value with a second search); the single-search rewrite must
@@ -177,7 +220,7 @@ referenceIntegrateWh(const TimeSeries &s, TimeS t1, TimeS t2)
     double acc = 0.0;
     TimeS cursor = t1;
     std::size_t idx = s.lowerBound(t1);
-    const auto &samples = s.samples();
+    const std::vector<Sample> samples = samplesOf(s);
     // The step value in effect before t1, from a linear walk.
     double current = 0.0;
     for (const Sample &x : samples) {
@@ -215,6 +258,144 @@ TEST(TimeSeries, IntegrateSingleSearchMatchesReference)
                 << "t1=" << t1 << " t2=" << t2;
         }
     }
+}
+
+/** t0 + i·step, wrapping like the store's axis arithmetic. */
+TimeS
+axisTime(TimeS t0, std::uint64_t step, std::uint64_t i)
+{
+    return static_cast<TimeS>(static_cast<std::uint64_t>(t0) + i * step);
+}
+
+/**
+ * On a cadence series lowerBound() is arithmetic, and after a cadence
+ * break a binary search over explicit times: both must equal
+ * std::lower_bound over the materialised times, hinted or not, for
+ * any (t0, step, n, t) — including axes that start or end within one
+ * step of the int64 limits, which the sanitizer build checks for
+ * signed overflow.
+ */
+TEST(TimeSeries, LowerBoundMatchesStdLowerBoundOnAnyAxis)
+{
+    constexpr TimeS kMin = std::numeric_limits<TimeS>::min();
+    constexpr TimeS kMax = std::numeric_limits<TimeS>::max();
+    constexpr std::uint64_t kSpan = std::uint64_t{1} << 62;
+    Rng rng{2027};
+    for (int trial = 0; trial < 3000; ++trial) {
+        const auto n = static_cast<std::uint64_t>(rng.uniformInt(1, 200));
+        // The whole axis spans at most 2^62, so it fits anywhere.
+        const std::uint64_t max_step = n > 1 ? kSpan / (n - 1) : kSpan;
+        std::uint64_t step = 0;
+        switch (rng.uniformInt(0, 3)) {
+        case 0:
+            step = static_cast<std::uint64_t>(rng.uniformInt(1, 120));
+            break;
+        case 1:
+            step = 60;
+            break;
+        default:
+            step = static_cast<std::uint64_t>(rng.uniformInt(
+                1, static_cast<std::int64_t>(max_step)));
+        }
+        step = std::min(step, max_step);
+        const std::uint64_t span = (n - 1) * step;
+        const std::uint64_t r =
+            static_cast<std::uint64_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(std::min(step, kSpan))));
+        TimeS t0 = 0;
+        switch (rng.uniformInt(0, 2)) {
+        case 0: // starts within one step of the minimum
+            t0 = axisTime(kMin, 1, r);
+            break;
+        case 1: // ends within one step of the maximum
+            t0 = axisTime(kMax, 1, -(r + span));
+            break;
+        default:
+            t0 = rng.uniformInt(-(TimeS{1} << 40), TimeS{1} << 40);
+        }
+
+        TimeSeries s;
+        std::vector<TimeS> times;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            times.push_back(axisTime(t0, step, i));
+            s.append(times.back(), static_cast<double>(i));
+        }
+        // Half the series break their cadence once at the end: a
+        // repeated time, so every time stays inside the int64 range.
+        if (rng.bernoulli(0.5)) {
+            times.push_back(times.back());
+            s.append(times.back(), -1.0);
+        }
+        ASSERT_EQ(s.size(), times.size());
+        for (std::size_t i = 0; i < times.size(); ++i)
+            ASSERT_EQ(s.sample(i).time_s, times[i]) << "trial " << trial;
+
+        std::vector<TimeS> probes = {kMin, kMax, t0, times.back()};
+        for (int k = 0; k < 12; ++k) {
+            const TimeS at = times[static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(n) - 1))];
+            probes.push_back(at);
+            probes.push_back(axisTime(
+                at, 1,
+                static_cast<std::uint64_t>(rng.uniformInt(-1, 1))));
+            probes.push_back(rng.uniformInt(kMin, kMax));
+        }
+        for (TimeS t : probes) {
+            const std::size_t expect = static_cast<std::size_t>(
+                std::lower_bound(times.begin(), times.end(), t) -
+                times.begin());
+            ASSERT_EQ(s.lowerBound(t), expect)
+                << "trial " << trial << " t=" << t;
+            for (std::size_t hint :
+                 {std::size_t{0}, expect, expect + 1, times.size(),
+                  times.size() + 7,
+                  static_cast<std::size_t>(rng.uniformInt(
+                      0, static_cast<std::int64_t>(n))) })
+                ASSERT_EQ(s.lowerBound(t, hint), expect)
+                    << "trial " << trial << " t=" << t
+                    << " hint=" << hint;
+        }
+    }
+}
+
+/**
+ * A cadence series stores 8 B a sample, a cadence break adds the
+ * explicit times (8 B more a sample, plus that column's header), and
+ * appends into a reserved series allocate nothing, either side of the
+ * break.
+ */
+TEST(TimeSeries, CadenceSeriesCostsOneValueASample)
+{
+    constexpr std::size_t n = 1024;
+    TimeSeries s;
+    s.reserve(n);
+    ASSERT_EQ(s.capacity(), n);
+    const std::int64_t before = g_news.load();
+    for (std::size_t i = 0; i < n / 2; ++i)
+        s.append(-7200 + 60 * static_cast<TimeS>(i),
+                 0.5 * static_cast<double>(i));
+    EXPECT_EQ(g_news.load(), before);
+    EXPECT_EQ(s.memoryBytes(), sizeof(TimeSeries) + n * sizeof(double));
+
+    s.append(s.sample(s.size() - 1).time_s + 61, 1.0); // jitter
+    const std::int64_t after_break = g_news.load();
+    for (std::size_t i = s.size(); i < n; ++i)
+        s.append(s.sample(s.size() - 1).time_s + 60, 2.0);
+    EXPECT_EQ(g_news.load(), after_break);
+    EXPECT_EQ(s.memoryBytes(), sizeof(TimeSeries) +
+                                   n * (sizeof(double) + sizeof(TimeS)) +
+                                   sizeof(std::vector<TimeS>));
+}
+
+/**
+ * The ecovisor interns 8 series per app whether or not it records
+ * telemetry, so an unwritten series costs its object alone: the value
+ * store and its axis fit in 304 B, 8 B less than a (time, value)
+ * vector with 64-bit ring indices took.
+ */
+TEST(TimeSeries, UnwrittenSeriesCostsAtMost304Bytes)
+{
+    EXPECT_LE(sizeof(TimeSeries), 304u);
 }
 
 /**

@@ -17,7 +17,8 @@ double
 lastValue(const TsDatabase &db, const std::string &m,
           const std::string &t = "")
 {
-    return db.series(m, t).samples().back().value;
+    const TimeSeries &s = db.series(m, t);
+    return s.sample(s.size() - 1).value;
 }
 
 TEST(TsDatabase, FirstAppendMakesSeriesVisible)
